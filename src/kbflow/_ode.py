@@ -1,15 +1,15 @@
-"""Adaptive classical RK4 with step-doubling error control.
+"""Classical RK4 steps and adaptive RK4 with step-doubling error control.
 
-Internal helper for the deterministic matrix flows that are still
-integrated: the semigroup ``E_{s,t}(Q)`` co-flow, the sandwich check's
-endpoint, the seeding flow of ``solve_are`` and the scalar CLT variance
-oracle.  (Riccati flows reported on a grid use the exact Hamiltonian
-propagator in :mod:`kbflow.kalman` instead.)  The right-hand sides are
-smooth, so classical RK4 with Richardson step doubling gives reliable
-local error estimates: one step of size ``h`` is compared against two
-steps of size ``h/2`` and the difference over 15 estimates the local error
-of the fine result.  Steps are accepted when that estimate is below
-``tol * h`` (``tol`` is an error budget per unit time).
+Internal helper for the two flows that are not Riccati flows: the scalar
+CLT variance oracle (:func:`adaptive_rk4`) and the empirical stochastic
+semigroup along a realized ensemble path (:func:`rk4_step`).  (Every
+deterministic Riccati object uses the exact Hamiltonian propagator of
+:mod:`kbflow.model` instead.)  The right-hand sides are smooth, so classical
+RK4 with Richardson step doubling gives reliable local error estimates: one
+step of size ``h`` is compared against two steps of size ``h/2`` and the
+difference over 15 estimates the local error of the fine result.  Steps are
+accepted when that estimate is below ``tol * h`` (``tol`` is an error budget
+per unit time).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def adaptive_rk4(f, y0, t0, t1, tol=1e-8, dt_min=DT_MIN, h0=None, post=None):
+def adaptive_rk4(f, y0, t0, t1, tol=1e-8):
     """Integrate ``y' = f(t, y)`` from ``t0`` to ``t1`` adaptively.
 
     Parameters
@@ -46,18 +46,13 @@ def adaptive_rk4(f, y0, t0, t1, tol=1e-8, dt_min=DT_MIN, h0=None, post=None):
         Integration interval (``t1 >= t0``).
     tol : float
         Error budget per unit time: a step of size ``h`` is accepted when
-        the step-doubling estimate is at most ``tol * h``.
-    dt_min : float
-        Hard floor on the step size.
-    h0 : float, optional
-        Initial step guess (defaults to the interval length capped at 0.1).
-    post : callable, optional
-        Applied to every accepted state (e.g. symmetrization + PSD clamp).
+        the step-doubling estimate is at most ``tol * h``.  The first step
+        is the interval length capped at 0.1.
 
     Raises
     ------
     StepSizeUnderflow
-        If error control forces the step below ``dt_min``.
+        If error control forces the step below ``DT_MIN`` (1e-12).
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -66,11 +61,11 @@ def adaptive_rk4(f, y0, t0, t1, tol=1e-8, dt_min=DT_MIN, h0=None, post=None):
         raise ValueError(f"t1={t1} precedes t0={t0}")
     if span == 0:
         return y
-    h = min(span, 0.1) if h0 is None else min(h0, span)
+    h = min(span, 0.1)
     while t < t1:
         h = min(h, t1 - t)
-        if h < dt_min:
-            raise StepSizeUnderflow(f"step {h:.3e} below floor {dt_min:.0e} at t={t:.6g}")
+        if h < DT_MIN:
+            raise StepSizeUnderflow(f"step {h:.3e} below floor {DT_MIN:.0e} at t={t:.6g}")
         y_full = rk4_step(f, t, y, h)
         y_half = rk4_step(f, t + 0.5 * h, rk4_step(f, t, y, 0.5 * h), 0.5 * h)
         diff = y_half - y_full
@@ -81,7 +76,7 @@ def adaptive_rk4(f, y0, t0, t1, tol=1e-8, dt_min=DT_MIN, h0=None, post=None):
             continue
         if err <= budget:
             t += h
-            y = y_half if post is None else post(y_half)
+            y = y_half
             grow = _GROW_MAX if err == 0.0 else min(_GROW_MAX, _SAFETY * (budget / err) ** 0.25)
             h *= max(grow, _SHRINK_MIN)
         else:

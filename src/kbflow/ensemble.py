@@ -755,13 +755,13 @@ def inflated_riccati_flow(model: LinearGaussianModel, kappa: float, Q,
                           grid: TimeGrid, inflation: Inflation) -> list[RiccatiState]:
     """Deterministic (large-N) limit of the inflated covariance flow.
 
-    For kappa=1 the flow is the nominal Riccati drift plus the source
-    ``xi^2 T S T`` (so it dominates the nominal flow); for kappa=0 the
-    drift matrix A is damped by ``-(xi/2) T S`` (so the nominal flow
-    dominates it).  It is the Riccati equation with ``A - ((1-kappa)/2) xi
-    T S`` and ``R + kappa xi^2 T S T``, stepped by the same exact
-    Hamiltonian propagator as :func:`~kbflow.kalman.riccati_flow` (exact up
-    to ``expm`` roundoff, sub-stepped when ``dt ||Ham||_1 > HAM_STEP_MAX``).
+    For kappa=1 the flow is the nominal Riccati drift plus the PSD source
+    ``xi^2 T S T`` (so it dominates the nominal flow); for kappa=0 the drift
+    matrix A is damped by ``-(xi/2) T S`` (the nominal flow dominates it at
+    d=1 only: some random d=2 models break that ordering).  It is the
+    Riccati equation with ``A - ((1-kappa)/2) xi T S`` and ``R + kappa xi^2
+    T S T``, stepped by the exact propagator of
+    :func:`~kbflow.kalman.riccati_flow`.
     """
     if kappa not in (0, 1, 0.0, 1.0):
         raise ValueError(f"kappa must be 0 or 1, got {kappa}")

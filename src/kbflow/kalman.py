@@ -3,31 +3,21 @@
 Provides the deterministic Riccati flow ``phi_t(Q)``, the filter mean ODE
 driven by simulated observations, the exponential semigroup ``E_{s,t}(Q)``
 of the linearized error dynamics, and the two-sided Gramian sandwich check
-on the Riccati flow.
+on the Riccati flow.  All three deterministic objects are stepped by the
+exact Hamiltonian (Moebius) propagator of the Riccati equation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
-from . import _ode
 from .errors import NonFinite
-from .model import LinearGaussianModel, _ricc, gramians, log_norm, solve_are
+from .model import (LinearGaussianModel, _hamiltonian_propagator, _mobius_step, _ricc,
+                    gramians, solve_are)
 from .sde import NoiseStream, TimeGrid, project_psd
-
-#: Default adaptive-RK4 error budget per unit time for the flows that are
-#: still integrated (``semigroup_E``, ``check_riccati_sandwich``).  The
-#: Riccati flows on a grid use the exact propagator and take no tolerance.
-ODE_TOL = 1e-8
-
-#: Largest ``h * ||Ham||_1`` of one propagator sub-step: a grid step longer
-#: than this is split into equal sub-steps, so ``expm(h * Ham)`` and the
-#: linear-fractional step stay well scaled (no overflow for stiff models).
-HAM_STEP_MAX = 1.0
 
 # Channel tags for the truth co-simulation.  run_enkf uses the same tags with
 # the same seed, so an exact filter and an ensemble filter given equal seeds
@@ -85,34 +75,29 @@ def ricc_drift(model: LinearGaussianModel, P) -> np.ndarray:
 def _mobius_flow(A, S, R, Q, grid: TimeGrid) -> list[RiccatiState]:
     """Flow of ``P' = A P + P A' - P S P + R`` from ``Q`` reported on ``grid``.
 
-    ``P_t = Y_t X_t^{-1}`` where ``(X, Y)`` solve the linear Hamiltonian
-    system ``[X; Y]' = Ham [X; Y]``, ``Ham = [[-A', S], [R, A]]``, from
-    ``X_0 = I``, ``Y_0 = Q``.  Over a step of length ``h`` this is the
-    linear-fractional map ``P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^{-1}``
-    with ``Phi = expm(h Ham)``, built once because the grid is uniform.
-    Each grid step is split into the fewest equal sub-steps with
-    ``h ||Ham||_1 <= HAM_STEP_MAX``; every sub-step is symmetrized and
-    PSD-clamped.
+    One propagator (:func:`~kbflow.model._hamiltonian_propagator`) serves
+    every grid step because the grid is uniform; every sub-step is
+    symmetrized and PSD-clamped.
     """
-    d = A.shape[0]
-    ham = np.block([[-A.T, S], [R, A]])
-    n_sub = max(1, math.ceil(grid.dt * np.linalg.norm(ham, 1) / HAM_STEP_MAX))
-    phi = expm((grid.dt / n_sub) * ham)
-    p11, p12, p21, p22 = phi[:d, :d], phi[:d, d:], phi[d:, :d], phi[d:, d:]
-
-    def step(P):
-        # P' = Y X^{-1} is symmetric, so solving X' P' = Y' gives it too
-        return np.linalg.solve((p11 + p12 @ P).T, (p21 + p22 @ P).T)
-
+    n_sub, phi = _hamiltonian_propagator(A, S, R, grid.dt)
     times = grid.times()
     out = [RiccatiState(t=float(times[0]), P=Q)]
     for t in times[1:]:
         P = out[-1].P
         for _ in range(n_sub - 1):
-            P = project_psd(step(P))
+            P = project_psd(_mobius_step(phi, P)[1])
         # RiccatiState symmetrizes and PSD-clamps the last sub-step
-        out.append(RiccatiState(t=float(t), P=step(P)))
+        out.append(RiccatiState(t=float(t), P=_mobius_step(phi, P)[1]))
     return out
+
+
+def _riccati_endpoint(model: LinearGaussianModel, Q, t: float) -> np.ndarray:
+    """``phi_t(Q)`` by the exact propagator over ``[0, t]``."""
+    n_sub, phi = _hamiltonian_propagator(model.A, model.S, model.R, t)
+    P = Q
+    for _ in range(n_sub):
+        P = project_psd(_mobius_step(phi, P)[1])
+    return P
 
 
 def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> list[RiccatiState]:
@@ -126,47 +111,28 @@ def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> list[RiccatiS
     return _mobius_flow(model.A, model.S, model.R, Q, grid)
 
 
-def _pack(P, E, ell):
-    return np.concatenate([P.ravel(), E.ravel(), [ell]])
-
-
-def _unpack(y, d):
-    return y[: d * d].reshape(d, d), y[d * d : 2 * d * d].reshape(d, d), y[-1]
-
-
-def semigroup_E(model: LinearGaussianModel, Q, s: float, t: float,
-                ode_tol: float = ODE_TOL) -> SemigroupMatrix:
+def semigroup_E(model: LinearGaussianModel, Q, s: float, t: float) -> SemigroupMatrix:
     """Exponential semigroup ``E_{s,t}(Q)`` of the closed-loop linearization.
 
-    Co-integrates the Riccati flow ``phi_u(Q)`` (from time 0) and the linear
-    matrix ODE ``dE/du = (A - phi_u(Q) S) E`` from ``u = s`` to ``u = t``,
-    together with the running trace of the generator.
+    The solution of ``dE/du = (A - phi_u(Q) S) E``, ``E_{s,s} = I``, with the
+    running trace of the generator.  The Riccati flow is stepped to ``s`` and
+    then on to ``t`` by the exact propagator; the factor ``X`` of each
+    sub-step gives ``E <- X^{-T} E`` and subtracts ``log det X`` from the
+    trace integral (exact up to ``expm`` and step roundoff).
     """
     if not (0 <= s <= t):
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     d = model.d
-    Q = project_psd(np.asarray(Q, dtype=float))
-
-    def ricc_f(_u, P):
-        return _ricc(model.A, model.S, model.R, P)
-
-    P_s = _ode.adaptive_rk4(ricc_f, Q, 0.0, s, tol=ode_tol, post=project_psd)
+    P = _riccati_endpoint(model, project_psd(np.asarray(Q, dtype=float)), s)
+    E, ell = np.eye(d), 0.0
     if t == s:
-        return SemigroupMatrix(s=float(s), t=float(t), E=np.eye(d), trace_integral=0.0)
-
-    def joint_f(_u, y):
-        P, E, _ = _unpack(y, d)
-        P = 0.5 * (P + P.T)
-        G = model.A - P @ model.S
-        return _pack(_ricc(model.A, model.S, model.R, P), G @ E, float(np.trace(G)))
-
-    def joint_post(y):
-        P, E, ell = _unpack(y, d)
-        return _pack(project_psd(P), E, ell)
-
-    y = _ode.adaptive_rk4(joint_f, _pack(P_s, np.eye(d), 0.0), s, t,
-                          tol=ode_tol, post=joint_post)
-    _, E, ell = _unpack(y, d)
+        return SemigroupMatrix(s=float(s), t=float(t), E=E, trace_integral=ell)
+    n_sub, phi = _hamiltonian_propagator(model.A, model.S, model.R, t - s)
+    for _ in range(n_sub):
+        X, P = _mobius_step(phi, P)
+        P = project_psd(P)
+        E = np.linalg.solve(X.T, E)
+        ell -= np.linalg.slogdet(X)[1]
     return SemigroupMatrix(s=float(s), t=float(t), E=E, trace_integral=float(ell))
 
 
@@ -251,12 +217,13 @@ class SandwichReport:
 
 
 def check_riccati_sandwich(model: LinearGaussianModel, Q, tau: float, t: float,
-                           ode_tol: float = ODE_TOL, slack: float = 1e-8) -> SandwichReport:
+                           slack: float = 1e-8) -> SandwichReport:
     """Verify the uniform two-sided bounds on ``phi_t(Q)`` for ``t >= tau``.
 
     The lower and first upper bound come from the windowed Gramians over
     ``[0, tau]``; the second upper bound transports the initial offset
-    ``Q - P_inf`` through the steady closed-loop propagator.
+    ``Q - P_inf`` through the steady closed-loop propagator.  ``phi_t(Q)``
+    comes from the exact Hamiltonian propagator.
     """
     if not (0 < tau <= t):
         raise ValueError(f"need 0 < tau <= t, got tau={tau}, t={t}")
@@ -268,11 +235,7 @@ def check_riccati_sandwich(model: LinearGaussianModel, Q, tau: float, t: float,
     P_inf = solve_are(model).P
     prop = expm((model.A - P_inf @ model.S) * t)
     upper2 = P_inf + prop @ (Q - P_inf) @ prop.T
-
-    def f(_u, P):
-        return _ricc(model.A, model.S, model.R, P)
-
-    phi = _ode.adaptive_rk4(f, Q, 0.0, t, tol=ode_tol, post=project_psd)
+    phi = _riccati_endpoint(model, Q, t)
 
     margins = {
         "lower": float(np.linalg.eigvalsh(phi - lower)[0]),
@@ -281,8 +244,3 @@ def check_riccati_sandwich(model: LinearGaussianModel, Q, tau: float, t: float,
     }
     ok = all(v >= -slack for v in margins.values())
     return SandwichReport(ok=ok, margins=margins)
-
-
-def closed_loop_log_norm(model: LinearGaussianModel, P) -> float:
-    """Logarithmic norm of the closed loop ``A - P S`` at covariance ``P``."""
-    return log_norm(model.closed_loop(P))

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from . import _ode
-from .errors import NoStabilizingSolution, NotPSD, SingularGramian, StepSizeUnderflow
+from .errors import NoStabilizingSolution, NotPSD, SingularGramian
 from .sde import project_psd
 
 #: Relative singular-value threshold for rank decisions.
@@ -33,6 +32,11 @@ RANK_TOL = 1e-10
 
 #: Condition-number ceiling beyond which a Gramian is declared singular.
 COND_MAX = 1e12
+
+#: Largest ``h * ||Ham||_1`` of one Riccati propagator sub-step: a step longer
+#: than this is split into equal sub-steps, so ``expm(h * Ham)`` and the
+#: linear-fractional step stay well scaled (no overflow for stiff models).
+HAM_STEP_MAX = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +366,43 @@ def _ricc(A, S, R, P):
     return 0.5 * (out + out.T)
 
 
+def _hamiltonian_propagator(A, S, R, dt):
+    """``(n, Phi)``: the exact propagator of ``P' = A P + P A' - P S P + R``
+    over ``dt`` is ``n`` steps of :func:`_mobius_step` with ``Phi = expm(h Ham)``.
+
+    ``P_t = Y_t X_t^{-1}`` where ``[X; Y]' = Ham [X; Y]``, ``Ham = [[-A', S],
+    [R, A]]``, ``X_0 = I``, ``Y_0 = P_0``; ``n`` is the fewest equal
+    sub-steps ``h`` of ``dt`` with ``h ||Ham||_1 <= HAM_STEP_MAX``.
+    """
+    ham = np.block([[-A.T, S], [R, A]])
+    n_sub = max(1, math.ceil(dt * np.linalg.norm(ham, 1) / HAM_STEP_MAX))
+    return n_sub, expm((dt / n_sub) * ham)
+
+
+def _mobius_step(phi, P):
+    """``(X, P_new)``: ``X = Phi11 + Phi12 P``, ``P_new = (Phi21 + Phi22 P) X^{-1}``.
+
+    ``X' = -(A - P S)' X`` along the flow, so ``X`` also steps the closed-loop
+    semigroup, ``E <- X^{-T} E``, and ``log det E`` by ``-log det X``.
+    """
+    d = P.shape[0]
+    XY = phi[:, :d] + phi[:, d:] @ P
+    X = XY[:d]
+    # P_new = Y X^{-1} is symmetric, so solving X' P_new = Y' gives it too
+    return X, np.linalg.solve(X.T, XY[d:].T)
+
+
 def solve_are(model: LinearGaussianModel, max_newton: int = 60):
     """Stabilizing fixed point P∞ of ``A P + P A' - P S P + R = 0``.
 
-    Strategy: run the deterministic Riccati flow from ``Q = I`` until the
-    closed loop ``A - P S`` is stable, then polish with Newton steps (each
-    solves a Lyapunov equation for the correction).  The result satisfies
-    the residual bound ``|Ricc(P)|_F <= 1e-8 (1 + |P|_F^2)`` and has a
-    strictly stable closed loop.
+    Strategy: reject a model without a stabilizing solution by PBH rank
+    tests on the modes of ``A``; otherwise step the exact Riccati propagator
+    from ``Q = I``, squaring it after every step (doubling: each step spans
+    twice the previous one), until the closed loop ``A - P S`` is stable,
+    then polish with Newton steps (each solves a Lyapunov equation for the
+    correction).  The result satisfies the residual bound
+    ``|Ricc(P)|_F <= 1e-8 (1 + |P|_F^2)`` and has a strictly stable closed
+    loop.
 
     Returns
     -------
@@ -379,8 +412,9 @@ def solve_are(model: LinearGaussianModel, max_newton: int = 60):
     Raises
     ------
     NoStabilizingSolution
-        If the residual tolerance is unreachable within the iteration
-        budget or the closed loop fails to stabilize.
+        If a mode of ``A`` fails a PBH test, the doubling flow diverges or
+        finds no stabilizing iterate, the residual tolerance is unreachable
+        within the iteration budget, or the closed loop fails to stabilize.
     """
     from .kalman import RiccatiState
 
@@ -389,30 +423,35 @@ def solve_are(model: LinearGaussianModel, max_newton: int = 60):
     if not check_observability(model):
         warnings.warn("model is not observable; ARE solution may not exist", stacklevel=2)
 
-    A, S, R = model.A, model.S, model.R
-    d = model.d
+    # PBH: a stabilizing solution exists iff every mode of A with Re >= 0 is
+    # observable through H and every mode on the imaginary axis is reachable
+    # through R^{1/2} (real parts within RANK_TOL |A| of 0 count as on it)
+    A, S, R, d = model.A, model.S, model.R, model.d
+    axis_tol = RANK_TOL * max(1.0, float(np.linalg.norm(A, 2)))
+    for lam in np.linalg.eigvals(A):
+        shifted = A - lam * np.eye(d)
+        if lam.real >= -axis_tol and _rank(np.vstack([shifted, model.H])) < d:
+            raise NoStabilizingSolution(f"mode {lam:.6g} of A with Re >= 0 is "
+                                        "unobservable through H")
+        if abs(lam.real) <= axis_tol and _rank(np.hstack([shifted, model.sqrt_R])) < d:
+            raise NoStabilizingSolution(f"mode {lam:.6g} of A on the imaginary axis "
+                                        "is unreachable through R^(1/2)")
 
-    def flow(_t, P):
-        return _ricc(A, S, R, P)
-
-    def post(P):
-        return project_psd(P)
-
+    _, phi = _hamiltonian_propagator(A, S, R, 1.0)
     P = np.eye(d)
-    try:
-        for _ in range(200):
-            if spectral_abscissa(model.closed_loop(P)) < 0:
-                break
-            if not np.all(np.isfinite(P)) or np.linalg.norm(P) > 1e12:
-                raise NoStabilizingSolution(
-                    "Riccati flow is diverging; no stabilizing iterate exists")
-            P = _ode.adaptive_rk4(flow, P, 0.0, 1.0, tol=1e-6, post=post)
-        else:
-            raise NoStabilizingSolution("Riccati flow failed to reach a stabilizing iterate")
-    except StepSizeUnderflow as exc:
-        raise NoStabilizingSolution(
-            f"Riccati flow diverged while seeking a stabilizing iterate: {exc}"
-        ) from exc
+    for _ in range(200):
+        if spectral_abscissa(model.closed_loop(P)) < 0:
+            break
+        P = project_psd(_mobius_step(phi, P)[1])
+        if not np.all(np.isfinite(P)) or np.linalg.norm(P) > 1e12:
+            raise NoStabilizingSolution(
+                "Riccati flow is diverging; no stabilizing iterate exists")
+        # squaring stops at |Phi|_1 ~ 1e150, where a step on |P| <= 1e12
+        # cannot overflow; the steps then repeat
+        if np.linalg.norm(phi, 1) < 1e75:
+            phi = phi @ phi
+    else:
+        raise NoStabilizingSolution("Riccati flow failed to reach a stabilizing iterate")
 
     # Newton (Kleinman) polish.  From a barely stabilizing iterate the first
     # step may overshoot in residual norm before the quadratic phase, so a

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .errors import KBFlowError
 from .model import ScalarModel
 
 #: Returned by invariant_moment when the moment does not exist.
@@ -153,8 +154,9 @@ class InvariantDensity:
         self._log_norm = math.log(val) + self._shift
         self._u_lo, self._u_hi = u_lo, u_hi
         self.x_max = math.exp(u_hi)
-        if self.kappa == 1.0:
-            assert self._tail_mass(self.x_max) < 1e-8
+        if self.kappa == 1.0 and not self._tail_mass(self.x_max) < 1e-8:
+            raise KBFlowError(f"invariant density tail mass beyond x={self.x_max:.3e} "
+                              "is not below 1e-8")
         self._cdf_x = None
 
     # -- raw log density -------------------------------------------------

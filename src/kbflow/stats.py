@@ -624,6 +624,11 @@ def _run_invariant_ks(spec: StudySpec, model, workers, progress):
             target_lag_corr=float(opts.get("target_lag_corr", 0.1)),
             chunk=spec.chunk, workers=workers,
             first_chunk=i * n_chunks, progress=progress)
+        if occ["effective"] < 1000:
+            raise ConfigError(
+                f"invariant_ks pooled {occ['effective']} {variant} samples at a "
+                f"decorrelation stride of {occ['stride_steps']} steps; the KS test "
+                "needs >= 1000: lengthen the horizon or add trials")
         dens = invariant_density(sm, kappa, N)
         ks = ks_distance(occ["samples"], dens.cdf)
         acc = MomentAccumulator(9).add(occ["samples"])

@@ -114,6 +114,22 @@ def test_are_rejects_unobservable():
             solve_are(m)
 
 
+def test_are_pbh_rejects_unreachable_axis_mode():
+    # A=0, R=0: the mode 0 sits on the imaginary axis and no noise reaches
+    # it, so P=0 is the only solution and its closed loop A - P S = 0 is not
+    # Hurwitz
+    m = LinearGaussianModel([[0.0]], [[1.0]], [[0.0]], [[1.0]])
+    with pytest.warns(UserWarning, match="not controllable"):
+        with pytest.raises(NoStabilizingSolution, match="imaginary axis"):
+            solve_are(m)
+    # A=1, R=0: the unreachable mode is unstable but detectable; 2P - P^2 = 0
+    # has the stabilizing root P = 2
+    m = LinearGaussianModel([[1.0]], [[1.0]], [[0.0]], [[1.0]])
+    with pytest.warns(UserWarning, match="not controllable"):
+        P = solve_are(m).P
+    np.testing.assert_allclose(P, [[2.0]], atol=1e-10)
+
+
 def test_controllability_observability_flags():
     m = random_model(3, seed=5)
     assert check_controllability(m)

@@ -6,9 +6,11 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from kbflow import TimeGrid, riccati_flow
+from kbflow.errors import KBFlowError
 from kbflow.model import ScalarModel
 from kbflow.scalar import (
     Divergent,
+    InvariantDensity,
     clt_variance_oracle,
     contraction_rate,
     double_well,
@@ -172,11 +174,15 @@ def test_cdf_monotone_and_consistent():
     assert g.cdf(x0) == pytest.approx(val, abs=1e-4)
 
 
-def test_invariant_density_validation():
+def test_invariant_density_validation(monkeypatch):
     with pytest.raises(ValueError):
         invariant_density(M1, 0.5, 6)
     with pytest.raises(ValueError):
         invariant_density(M1, 1.0, 0)
+    # a quadrature window that leaves too much tail mass is a typed failure
+    monkeypatch.setattr(InvariantDensity, "_tail_mass", lambda self, x0: 1.0)
+    with pytest.raises(KBFlowError, match="tail mass"):
+        InvariantDensity(M1, 1.0, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ def test_study_worker_count_does_not_change_results():
         json.dumps(s2.to_dict(), sort_keys=True)
 
 
+def test_invariant_ks_short_horizon_is_a_config_error():
+    # 8 replicas x 11 records cannot pool the 1000 samples the KS test needs
+    spec = StudySpec(kind="invariant_ks", model=scalar_lg(A=2.0).to_dict(),
+                     grid={"dt": 1e-2, "steps": 10}, master_seed=3, trials=8,
+                     N=(6,), options={"burn_in": 0.1, "record_stride": 1})
+    with pytest.raises(ConfigError, match=r"pooled \d+ vanilla samples.*stride of \d+"):
+        run_study(spec, workers=1)
+
+
 def test_bias_study_rows():
     s = run_study(StudySpec(**_spec_payload()), workers=1)
     assert [r["t"] for r in s.per_point] == [0.0, 0.5, 1.0]
