@@ -28,14 +28,7 @@ from .model import (
     spectral_matching_distance,
     symmetric_sqrt,
 )
-from .sde import (
-    NoiseStream,
-    Scheme,
-    TimeGrid,
-    gaussian_increments,
-    integrate,
-    project_psd,
-)
+from .sde import NoiseStream, Scheme, TimeGrid, project_psd
 from .kalman import (
     KalmanState,
     RiccatiState,

@@ -1,8 +1,9 @@
 """Command-line surface: model checks, single runs, studies, scalar tables.
 
 Exit codes: 0 success (including a run that ends in a recorded divergence),
-2 invalid configuration/spec/model file, 3 failed model rank conditions,
-4 non-finite state in the exact filter (a bug, not a model property).
+2 invalid configuration/spec/model file or another package error during a
+study, 3 failed model rank conditions, 4 non-finite state in the exact
+filter (a bug, not a model property) or during a study.
 """
 
 from __future__ import annotations
@@ -261,7 +262,12 @@ def cmd_study(args) -> int:
         spec = stats.StudySpec.from_dict(doc)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    summary = stats.run_study(spec, workers=args.workers)
+    try:
+        summary = stats.run_study(spec, workers=args.workers)
+    except NonFinite as exc:
+        return _fail(str(exc), EXIT_NONFINITE)
+    except KBFlowError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
     for row in summary.per_point:
         bits = [f"{k}={row[k]}" for k in ("N", "t", "mean", "ks", "diverged")
                 if row.get(k) is not None]

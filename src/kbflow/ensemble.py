@@ -14,60 +14,24 @@ Three interacting particle systems approximate the exact filter:
 The module also provides their law-level description — coupled SDEs for
 the sample mean, the sample covariance (a Riccati diffusion), and the error
 — plus covariance inflation, the stochastic closed-loop semigroup along a
-covariance path, and a heuristic nonlinear extension.
+covariance path, and a heuristic nonlinear extension.  Both kinds of run
+are one-trial calls of the batch kernels in :mod:`kbflow._engines`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ode
+from . import _engines, _ode
+from ._engines import (MATRIX_DRIVER, MEAN_DRIVER, PARTICLE_INIT, PARTICLE_OBS,  # noqa: F401
+                       PARTICLE_SIGNAL, Variant, _inflated_drift_terms, sigma_kappa)
 from .errors import BoundNotApplicable, NonFinite
-from .kalman import TRUTH_INIT, TRUTH_OBS, TRUTH_SIGNAL, RiccatiState, _mobius_flow
+from .kalman import RiccatiState, _mobius_flow
 from .model import LinearGaussianModel, log_norm, symmetric_sqrt
-from .sde import NoiseStream, Scheme, TimeGrid, project_psd
-
-#: Singular-value cutoff (relative to the largest) for the transport
-#: pseudo-inverse of the sample covariance.
-PINV_RCOND = 1e-10
-
-PARTICLE_INIT = "particle-init"
-PARTICLE_SIGNAL = "particle-signal"
-PARTICLE_OBS = "particle-obs"
-MEAN_DRIVER = "mean-driver"
-MATRIX_DRIVER = "matrix-driver"
-
-
-class Variant(enum.Enum):
-    """The three ensemble filter variants."""
-
-    VANILLA = "vanilla"
-    DETERMINISTIC = "deterministic"
-    TRANSPORT = "transport"
-
-    @classmethod
-    def parse(cls, value) -> "Variant":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            names = ", ".join(v.value for v in cls)
-            raise ValueError(f"unknown variant {value!r}; expected one of: {names}")
-
-    @property
-    def kappa(self) -> float | None:
-        """Noise intensity of the law-level covariance diffusion (None for
-        transport, whose covariance path is deterministic)."""
-        if self is Variant.VANILLA:
-            return 1.0
-        if self is Variant.DETERMINISTIC:
-            return 0.0
-        return None
+from .sde import NoiseStream, TimeGrid, project_psd
 
 
 @dataclass(frozen=True)
@@ -103,7 +67,6 @@ class EnsembleState:
     t: float
     particles: np.ndarray
     variant: Variant
-    inflation: Inflation | None = None
 
     def __post_init__(self):
         self.particles = np.asarray(self.particles, dtype=float)
@@ -180,119 +143,38 @@ class EnsembleStreams:
 # particle stepping
 # ---------------------------------------------------------------------------
 
-def _heuristic_step(a, h, sqrt_R, sqrt_R1, R1_inv, R, particles, variant,
-                    dY, dt, streams):
-    """Shared Euler kernel: one step of the interacting system with drift
-    evaluator ``a`` and observation evaluator ``h`` (both columnwise)."""
-    d, M = particles.shape
-    N = M - 1
-    d_y = R1_inv.shape[0]
-    X_hat = particles.mean(axis=1)
-    dev = particles - X_hat[:, None]
-    h_vals = np.asarray(h(particles), dtype=float)
-    h_bar = h_vals.mean(axis=1)
-    h_dev = h_vals - h_bar[:, None]
-    P_hat_h = dev @ h_dev.T / N
-    gain = P_hat_h @ R1_inv
-
-    drift = np.asarray(a(particles), dtype=float) * dt
-    if variant is Variant.VANILLA:
-        dW = streams.obs.increments((d_y, M), dt)
-        innov = dY[:, None] - h_vals * dt - sqrt_R1 @ dW
-        noise = sqrt_R @ streams.signal.increments((d, M), dt)
-    elif variant is Variant.DETERMINISTIC:
-        innov = dY[:, None] - 0.5 * (h_vals + h_bar[:, None]) * dt
-        noise = sqrt_R @ streams.signal.increments((d, M), dt)
-    else:  # transport: no sampling noise; transport drift replaces it
-        P_hat = dev @ dev.T / N
-        innov = dY[:, None] - 0.5 * (h_vals + h_bar[:, None]) * dt
-        noise = 0.5 * (R @ np.linalg.pinv(P_hat, rcond=PINV_RCOND)) @ dev * dt
-    return particles + drift + noise + gain @ innov
-
-
-def _inflated_linear_step(model, particles, variant, inflation, dY, dt, streams):
-    """One Euler step of the inflated vanilla/deterministic systems: the
-    gain is ``(P_hat + xi*T) H' R1^{-1}``."""
-    d, M = particles.shape
-    N = M - 1
-    X_hat = particles.mean(axis=1)
-    dev = particles - X_hat[:, None]
-    P_hat = dev @ dev.T / N
-    P_gain = P_hat + inflation.xi * inflation.ref(d)
-    gain = P_gain @ model.H.T @ model.R1_inv
-
-    H_vals = model.H @ particles
-    drift = (model.A @ particles) * dt
-    noise = model.sqrt_R @ streams.signal.increments((d, M), dt)
-    if variant is Variant.VANILLA:
-        dW = streams.obs.increments((model.d_y, M), dt)
-        innov = dY[:, None] - H_vals * dt - model.sqrt_R1 @ dW
-    else:
-        H_bar = H_vals.mean(axis=1)
-        innov = dY[:, None] - 0.5 * (H_vals + H_bar[:, None]) * dt
-    return particles + drift + noise + gain @ innov
-
-
-def step_particles(model: LinearGaussianModel, state: EnsembleState, dY, dt: float,
-                   streams: EnsembleStreams) -> EnsembleState:
-    """One Euler step of the chosen interacting particle system.
-
-    The vanilla variant draws per-particle sensor noise; deterministic and
-    transport use the half-averaged innovation and no per-particle sensor
-    noise; transport additionally replaces the per-particle signal noise by
-    its deterministic transport drift.  With inflation active (vanilla or
-    deterministic only) the gain uses ``P_hat + xi*T``.
-
-    Raises
-    ------
-    NonFinite
-        If any particle entry stops being finite (catastrophic divergence).
-    """
-    dY = np.asarray(dY, dtype=float).reshape(model.d_y)
-    variant = state.variant
-    inflation = state.inflation
-    if inflation is not None and inflation.active:
-        if variant is Variant.TRANSPORT:
-            raise ValueError("inflation applies to the vanilla/deterministic variants only")
-        new = _inflated_linear_step(model, state.particles, variant, inflation,
-                                    dY, dt, streams)
-    else:
-        new = _heuristic_step(
-            lambda X: model.A @ X,
-            lambda X: model.H @ X,
-            model.sqrt_R, model.sqrt_R1, model.R1_inv, model.R,
-            state.particles, variant, dY, dt, streams,
-        )
-    if not np.all(np.isfinite(new)):
-        raise NonFinite(step=-1, t=state.t + dt, what=f"{variant.value} ensemble")
-    return EnsembleState(t=state.t + dt, particles=new, variant=variant,
-                         inflation=inflation)
-
-
 def nonlinear_step(a, h, noise, state: EnsembleState, dY, dt: float,
                    streams: EnsembleStreams, variant=None) -> EnsembleState:
     """One Euler step of the heuristic nonlinear ensemble.
 
     ``a`` and ``h`` are columnwise evaluators (map d x M arrays to d x M /
     d_y x M); ``noise = (R, R1)`` are the signal/sensor noise covariances.
-    The gain is the sample cross-covariance ``P_hat_h R1^{-1}``; for linear
-    ``a(x) = Ax``, ``h(x) = Hx`` the step reproduces :func:`step_particles`
+    The step is the particle update of :func:`run_enkf` applied once, with
+    the gain ``P_hat_h R1^{-1}`` from the sample cross-covariance; for linear
+    ``a(x) = Ax``, ``h(x) = Hx`` it reproduces a :func:`run_enkf` step
     bitwise under shared streams.  No limiting theory is claimed for
     nonlinear evaluators — this is a simulator only.
     """
     R, R1 = (np.asarray(M, dtype=float) for M in noise)
     variant = state.variant if variant is None else Variant.parse(variant)
-    if state.inflation is not None and state.inflation.active:
-        raise ValueError("inflation is defined for the linear particle systems only")
-    dY = np.asarray(dY, dtype=float).reshape(R1.shape[0])
+    d_y = R1.shape[0]
+    dY = np.asarray(dY, dtype=float).reshape(d_y)
     R1_inv = np.linalg.inv(R1)
     R1_inv = 0.5 * (R1_inv + R1_inv.T)
-    new = _heuristic_step(a, h, symmetric_sqrt(R), symmetric_sqrt(R1), R1_inv, R,
-                          state.particles, variant, dY, dt, streams)
+    X = state.particles
+    d, M = X.shape
+    obs_noise = None
+    if variant is Variant.VANILLA:
+        obs_noise = symmetric_sqrt(R1) @ streams.obs.increments((d_y, M), dt)
+    sig_noise = 0.0
+    if variant is not Variant.TRANSPORT:
+        sig_noise = symmetric_sqrt(R) @ streams.signal.increments((d, M), dt)
+    new = _engines._particle_update(
+        X[None], np.asarray(a(X), dtype=float)[None], np.asarray(h(X), dtype=float)[None],
+        dY[None, :, None], sig_noise, dt, variant, R1_inv, obs_noise, R)[0]
     if not np.all(np.isfinite(new)):
         raise NonFinite(step=-1, t=state.t + dt, what="nonlinear ensemble")
-    return EnsembleState(t=state.t + dt, particles=new, variant=variant,
-                         inflation=state.inflation)
+    return EnsembleState(t=state.t + dt, particles=new, variant=variant)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +241,23 @@ class TrajectoryRecord:
     seed: int | None = None
 
 
-def _truth_streams(seed: int):
-    return (NoiseStream(seed, 0, TRUTH_INIT),
-            NoiseStream(seed, 0, TRUTH_SIGNAL),
-            NoiseStream(seed, 0, TRUTH_OBS))
+@_engines._quiet_divergence
+def _kernel_record(model, grid, mean, cov, error, **fields) -> TrajectoryRecord:
+    """Record of a B = 1 kernel run.  From the first node whose mean or
+    closed-loop matrix ``A - P S`` is not finite (the divergence) on, rows
+    are NaN; a finite covariance that overflows here counts as diverged."""
+    times = grid.times()
+    closed = model.A - cov @ model.S
+    ok = np.all(np.isfinite(closed), axis=(1, 2)) & np.all(np.isfinite(mean), axis=1)
+    k = len(times) if ok.all() else int(np.argmin(ok))
+    closed = closed[:k]
+    mu = np.full(len(times), np.nan)
+    mu[:k] = np.linalg.eigvalsh(0.5 * (closed + np.swapaxes(closed, 1, 2)))[:, -1]
+    for rows in (mean, cov, error):
+        rows[k:] = np.nan
+    return TrajectoryRecord(t=times, mean=mean, cov=cov, error=error, mu_closed_loop=mu,
+                            diverged_at=None if k == len(times) else float(times[k]),
+                            **fields)
 
 
 def _split_seeds(seeds):
@@ -380,7 +275,8 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
 
     The signal and observations come from the same channels as
     :func:`kbflow.kalman.kalman_run` given the same truth seed, so paired
-    exact/ensemble comparisons share them bit-exactly.
+    exact/ensemble comparisons share them bit-exactly.  The run is chunk 0,
+    of one trial, of :func:`kbflow._engines.particle_cov_paths_nd`.
 
     Parameters
     ----------
@@ -410,65 +306,21 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
     m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
     P0 = np.eye(d) if P0 is None else project_psd(np.asarray(P0, dtype=float))
     truth_seed, particle_seed = _split_seeds(seeds)
-
-    init_stream, signal, obs = _truth_streams(truth_seed)
-    truth = m0 + symmetric_sqrt(P0) @ init_stream.normals(d)
-    streams = EnsembleStreams.from_seed(particle_seed)
     sampler = iid_gaussian_init(m0, P0) if x_init_sampler is None else x_init_sampler
-    cloud = sampler(NoiseStream(particle_seed, 0, PARTICLE_INIT), N)
-    state = EnsembleState(t=grid.t0, particles=cloud, variant=variant,
-                          inflation=inflation)
+    cloud = np.asarray(sampler(NoiseStream(particle_seed, 0, PARTICLE_INIT), N), dtype=float)
+    if cloud.shape != (d, N + 1) or not np.all(np.isfinite(cloud)):
+        raise ValueError(f"the initial cloud must be a finite {d} x {N + 1} array")
 
-    times = grid.times()
-    K = grid.steps
-    rec_mean = np.full((K + 1, d), np.nan)
-    rec_cov = np.full((K + 1, d, d), np.nan)
-    rec_err = np.full((K + 1, d), np.nan)
-    rec_mu = np.full(K + 1, np.nan)
-
-    def record(k, particles, truth_now) -> bool:
-        # the cloud can be finite while its second moments overflow; both
-        # count as the recorded divergence event, not as an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            stats = sample_stats(particles)
-            closed = model.closed_loop(stats.P_hat)
-            if not (np.all(np.isfinite(stats.X_hat)) and np.all(np.isfinite(closed))):
-                return False
-            rec_mean[k] = stats.X_hat
-            rec_cov[k] = stats.P_hat
-            rec_err[k] = stats.X_hat - truth_now
-            rec_mu[k] = log_norm(closed)
-        return True
-
-    record(0, state.particles, truth)
-    diverged_at = None
-    dt = grid.dt
-    for k in range(K):
-        dV = signal.increments(d, dt)
-        dW = obs.increments(model.d_y, dt)
-        dY = model.H @ truth * dt + model.sqrt_R1 @ dW
-        try:
-            # overflow is the mechanism of a catastrophic divergence, which
-            # is recorded rather than raised
-            with np.errstate(over="ignore", invalid="ignore"):
-                state = step_particles(model, state, dY, dt, streams)
-        except NonFinite:
-            diverged_at = float(times[k + 1])
-            break
-        truth = truth + dt * (model.A @ truth) + model.sqrt_R @ dV
-        if not np.all(np.isfinite(truth)):
-            diverged_at = float(times[k + 1])
-            break
-        if not record(k + 1, state.particles, truth):
-            diverged_at = float(times[k + 1])
-            break
-
-    return TrajectoryRecord(
-        t=times, mean=rec_mean, cov=rec_cov, error=rec_err, mu_closed_loop=rec_mu,
-        variant=variant.value, N=N,
-        xi=0.0 if inflation is None else inflation.xi,
-        kappa=variant.kappa, diverged_at=diverged_at, seed=truth_seed,
-    )
+    out = _engines.particle_cov_paths_nd(
+        model, variant, N=N, grid=grid, seed=particle_seed, trials=1, frame="absolute",
+        m0=m0, P0=P0, init=cloud[None], first_chunk=0, truth_seed=truth_seed,
+        inflation=inflation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _engines._project_psd_stack(out["cov"][0])
+    return _kernel_record(
+        model, grid, out["mean"][0], cov, out["error"][0], variant=variant.value, N=N,
+        xi=0.0 if inflation is None else inflation.xi, kappa=variant.kappa,
+        seed=truth_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -490,36 +342,16 @@ class LawStreams:
             matrix_driver=NoiseStream(master_seed, trial, MATRIX_DRIVER),
         )
 
-
-def sigma_kappa(model: LinearGaussianModel, kappa: float, P,
-                inflation: Inflation | None = None) -> np.ndarray:
-    """The noise covariance map of the law-level equations:
-    ``R + kappa * (P + xi*T) S (P + xi*T)`` (xi = 0 without inflation)."""
-    P = np.asarray(P, dtype=float)
-    if inflation is not None and inflation.active:
-        P = P + inflation.xi * inflation.ref(model.d)
-    out = model.R + kappa * (P @ model.S @ P)
-    return 0.5 * (out + out.T)
-
-
-def _inflated_drift_terms(model, kappa, inflation):
-    """``(A_mod, source)`` of the inflated covariance drift: A shifted by
-    ``-((1-kappa)/2) xi T S`` and the extra source ``kappa xi^2 T S T``
-    (``(A, 0)`` without active inflation)."""
-    if inflation is None or not inflation.active:
-        return model.A, 0.0
-    T = inflation.ref(model.d)
-    xi = inflation.xi
-    A_mod = model.A - 0.5 * (1.0 - kappa) * xi * (T @ model.S)
-    return A_mod, kappa * xi * xi * (T @ model.S @ T)
-
-
-def _inflated_ricc_drift(model, kappa, inflation, P):
-    """Deterministic covariance drift under inflation: the nominal Riccati
-    drift with A shifted by -((1-kappa)/2) xi T S, plus kappa xi^2 T S T."""
-    A_mod, source = _inflated_drift_terms(model, kappa, inflation)
-    out = A_mod @ P + P @ A_mod.T - P @ model.S @ P + model.R + source
-    return 0.5 * (out + out.T)
+    def _address(self) -> tuple[int, int]:
+        """``(master_seed, trial)``: the law kernel addresses its channels
+        this way, so both must be unused channels of one :meth:`from_seed`."""
+        mean, matrix = self.mean_driver, self.matrix_driver
+        if ((mean.channel_tag, matrix.channel_tag) != (MEAN_DRIVER, MATRIX_DRIVER)
+                or (mean.master_seed, mean.trial_index)
+                != (matrix.master_seed, matrix.trial_index)
+                or mean.cursor or matrix.cursor):
+            raise ValueError("law-level streams must be fresh LawStreams.from_seed channels")
+        return mean.master_seed, mean.trial_index
 
 
 def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGrid,
@@ -542,7 +374,9 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
     N : ensemble parameter entering the noise scales.
     streams : int, LawStreams, or None
         Drivers for the ensemble noise; an int seeds fresh channels
-        (defaults to ``truth_seed``).
+        (defaults to ``truth_seed``).  A LawStreams must be unused channels
+        of :meth:`LawStreams.from_seed`; its trial is the chunk index of the
+        one-trial :func:`kbflow._engines.law_cov_paths_nd` call.
     scheme : Scheme, optional
         Defaults to tamed Euler for kappa=1 (superlinear covariance
         diffusion) and plain Euler-Maruyama otherwise; taming acts on the
@@ -556,7 +390,6 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
     kappa = float(kappa)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    d = model.d
     if truth_seed is None:
         if not isinstance(streams, (int, np.integer)):
             raise ValueError("provide truth_seed or an integer streams seed")
@@ -565,82 +398,18 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
         streams = int(truth_seed)
     if isinstance(streams, (int, np.integer)):
         streams = LawStreams.from_seed(int(streams))
-    scheme = (Scheme.TAMED_EULER if kappa == 1.0 else Scheme.EULER_MARUYAMA) \
-        if scheme is None else Scheme.parse(scheme)
+    seed, trial = streams._address()
+    Q = project_psd(np.asarray(Q, dtype=float))
+    P0 = Q if P0 is None else project_psd(np.asarray(P0, dtype=float))
 
-    m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
-    P0 = (project_psd(np.asarray(Q, dtype=float)) if P0 is None
-          else project_psd(np.asarray(P0, dtype=float)))
-    x = np.asarray(x0, dtype=float).reshape(d)
-    P = project_psd(np.asarray(Q, dtype=float))
-
-    init_stream, signal, obs = _truth_streams(truth_seed)
-    truth = m0 + symmetric_sqrt(P0) @ init_stream.normals(d)
-
-    times = grid.times()
-    K = grid.steps
-    dt = grid.dt
-    sqdt_mean = 1.0 / math.sqrt(N + 1)
-    noise_scale = 2.0 / math.sqrt(N)
-
-    rec_mean = np.full((K + 1, d), np.nan)
-    rec_cov = np.full((K + 1, d, d), np.nan)
-    rec_err = np.full((K + 1, d), np.nan)
-    rec_mu = np.full(K + 1, np.nan)
-
-    def record(k):
-        rec_mean[k] = x
-        rec_cov[k] = P
-        rec_err[k] = x - truth
-        rec_mu[k] = log_norm(model.closed_loop(P))
-
-    record(0)
-    diverged_at = None
-    xi_T = None
-    if inflation is not None and inflation.active:
-        xi_T = inflation.xi * inflation.ref(d)
-    for k in range(K):
-        dV = signal.increments(d, dt)
-        dW = obs.increments(model.d_y, dt)
-        dY = model.H @ truth * dt + model.sqrt_R1 @ dW
-
-        # overflow is the mechanism of a catastrophic divergence (recorded,
-        # not warned); eigh refusing a non-finite matrix means the same
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sig = sigma_kappa(model, kappa, P, inflation)
-                sig_root = symmetric_sqrt(project_psd(sig))
-                P_gain = P if xi_T is None else P + xi_T
-                gain = P_gain @ model.H.T @ model.R1_inv
-
-                dB = streams.mean_driver.increments(d, dt)
-                x_new = x + dt * (model.A @ x) + gain @ (dY - model.H @ x * dt) \
-                    + sqdt_mean * (sig_root @ dB)
-
-                drift_P = _inflated_ricc_drift(model, kappa, inflation, P)
-                if scheme is Scheme.TAMED_EULER:
-                    drift_P = drift_P / (1.0 + dt * float(np.linalg.norm(drift_P)))
-                dM = streams.matrix_driver.increments((d, d), dt)
-                wing = symmetric_sqrt(P) @ dM @ sig_root
-                P_new = P + dt * drift_P + noise_scale * 0.5 * (wing + wing.T)
-                P_new = project_psd(P_new)
-        except np.linalg.LinAlgError:
-            diverged_at = float(times[k + 1])
-            break
-
-        truth = truth + dt * (model.A @ truth) + model.sqrt_R @ dV
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(P_new))
-                and np.all(np.isfinite(truth))):
-            diverged_at = float(times[k + 1])
-            break
-        x, P = x_new, P_new
-        record(k + 1)
-
-    return TrajectoryRecord(
-        t=times, mean=rec_mean, cov=rec_cov, error=rec_err, mu_closed_loop=rec_mu,
-        variant="law", N=N, xi=0.0 if inflation is None else inflation.xi,
-        kappa=kappa, diverged_at=diverged_at, seed=int(truth_seed),
-    )
+    out = _engines.law_cov_paths_nd(
+        model, kappa, N=N, Q=Q, grid=grid, seed=seed, trials=1, scheme=scheme,
+        first_chunk=trial, x0=x0, m0=m0, P0=P0,
+        truth_seed=int(truth_seed), inflation=inflation)
+    return _kernel_record(
+        model, grid, out["mean"][0], out["cov"][0], out["error"][0], variant="law",
+        N=N, xi=0.0 if inflation is None else inflation.xi, kappa=kappa,
+        seed=int(truth_seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Time grids, reproducible noise streams, and SDE/ODE stepping.
+"""Time grids, reproducible noise streams, schemes and PSD projection.
 
 This module owns the plumbing shared by every simulator in the package:
 
@@ -8,8 +8,8 @@ This module owns the plumbing shared by every simulator in the package:
   bitwise identical draws regardless of scheduling, which is what makes
   paired experiments (same truth, different filters) and parallel studies
   reproducible.
-* :func:`integrate` — Euler-Maruyama / tamed-Euler stepping with a
-  non-finiteness detector.
+* :class:`Scheme` — the time-stepping schemes of the law-level kernels in
+  :mod:`kbflow._engines` (Euler-Maruyama and tamed Euler).
 * :func:`project_psd` — symmetrize-and-clamp projection used after every
   covariance update.
 """
@@ -21,8 +21,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import NonFinite
 
 #: Hard floor on adaptive step sizes (see :class:`~kbflow.errors.StepSizeUnderflow`).
 DT_MIN = 1e-12
@@ -141,17 +139,14 @@ class NoiseStream:
         return self.normals(shape) * np.sqrt(dt)
 
 
-def gaussian_increments(stream: NoiseStream, shape, dt: float) -> np.ndarray:
-    """Draw an array of i.i.d. N(0, dt) increments from ``stream``."""
-    return stream.increments(shape, dt)
-
-
 # ---------------------------------------------------------------------------
 # schemes
 # ---------------------------------------------------------------------------
 
 class Scheme(enum.Enum):
-    """Time-stepping scheme for :func:`integrate`.
+    """Time-stepping scheme of the law-level kernels
+    (:func:`kbflow._engines.law_cov_paths_1d` and
+    :func:`kbflow._engines.law_cov_paths_nd`).
 
     ``TAMED_EULER`` replaces the drift ``b`` by ``b / (1 + dt*||b||)``,
     which bounds the drift contribution of a single step by ``||b||·dt /
@@ -172,74 +167,6 @@ class Scheme(enum.Enum):
         except ValueError:
             names = ", ".join(s.value for s in cls)
             raise ValueError(f"unknown scheme {value!r}; expected one of: {names}")
-
-
-def tame(drift_value: np.ndarray, dt: float) -> np.ndarray:
-    """Apply the taming factor ``1 / (1 + dt*||b||)`` to a drift evaluation."""
-    norm = float(np.linalg.norm(drift_value))
-    return drift_value / (1.0 + dt * norm)
-
-
-# ---------------------------------------------------------------------------
-# stepping
-# ---------------------------------------------------------------------------
-
-def integrate(drift, diffusion, x0, grid: TimeGrid, scheme=Scheme.EULER_MARUYAMA,
-              stream: NoiseStream | None = None, noise_shape=None) -> np.ndarray:
-    """Integrate ``dx = drift(x) dt + diffusion(x, dW)`` over ``grid``.
-
-    Parameters
-    ----------
-    drift : callable
-        Maps a state array to its drift (same shape).
-    diffusion : callable or None
-        Maps ``(state, increments)`` to the stochastic contribution of one
-        step (same shape as the state); the increments passed in are
-        N(0, dt) arrays of shape ``noise_shape``.  ``None`` means a pure
-        ODE step.
-    x0 : array_like
-        Initial state.
-    grid : TimeGrid
-    scheme : Scheme or str
-        ``euler_maruyama`` or ``tamed_euler`` (drift taming only).
-    stream : NoiseStream, optional
-        Required when ``diffusion`` is given.
-    noise_shape : tuple, optional
-        Shape of the per-step increment array (defaults to the state shape).
-
-    Returns
-    -------
-    numpy.ndarray
-        Path of shape ``(steps + 1,) + state.shape``.
-
-    Raises
-    ------
-    NonFinite
-        If any state entry becomes NaN/Inf (with the offending step index);
-        this is the catastrophic-divergence detector.
-    """
-    scheme = Scheme.parse(scheme)
-    x = np.array(x0, dtype=float)
-    if diffusion is not None and stream is None:
-        raise ValueError("a NoiseStream is required when diffusion is present")
-    if noise_shape is None:
-        noise_shape = x.shape
-    path = np.empty((grid.steps + 1,) + x.shape)
-    path[0] = x
-    dt = grid.dt
-    for k in range(grid.steps):
-        xk = x
-        b = np.asarray(drift(xk), dtype=float)
-        if scheme is Scheme.TAMED_EULER:
-            b = tame(b, dt)
-        x = xk + dt * b
-        if diffusion is not None:
-            dw = stream.increments(noise_shape, dt)
-            x = x + np.asarray(diffusion(xk, dw), dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(k + 1, t=grid.t0 + (k + 1) * dt)
-        path[k + 1] = x
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,8 @@ STUDY_KINDS = ("bias", "fluctuation_rate", "invariant_ks", "moments_flow",
 _CI_KINDS = {"bias", "clt_variance", "semigroup_contraction"}
 _KAPPA_KINDS = {"fluctuation_rate", "moments_flow", "lyapunov", "clt_variance"}
 _VARIANT_KINDS = {"bias", "semigroup_contraction"}
+_SCALAR_KINDS = {"fluctuation_rate", "invariant_ks", "moments_flow", "lyapunov",
+                 "clt_variance", "semigroup_contraction"}
 _ALLOWED_OPTIONS = {
     "bias": {"Q", "record_every", "confidence"},
     "fluctuation_rate": {"Q"},
@@ -326,9 +328,16 @@ class StudySpec:
             raise ConfigError(f"unknown study kind {self.kind!r}; "
                               f"expected one of {', '.join(STUDY_KINDS)}")
         try:
-            self.lg_model()
+            model = self.lg_model()
         except Exception as exc:
             raise ConfigError(f"invalid model payload: {exc}") from exc
+        if self.kind in _SCALAR_KINDS:
+            if (model.d, model.d_y) != (1, 1):
+                raise ConfigError(f"{self.kind} is a scalar study and needs d = d_y = 1, "
+                                  f"got d={model.d}, d_y={model.d_y}")
+            if model.S[0, 0] == 0.0:
+                raise ConfigError(f"{self.kind} needs an observed signal "
+                                  "(S = H^2/R1 > 0), got H = 0")
         try:
             self.time_grid()
         except Exception as exc:

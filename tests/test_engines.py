@@ -1,10 +1,11 @@
 """Batch trial engines: stream layout, determinism, divergence handling."""
 import numpy as np
-import pytest
 
-from conftest import random_model, scalar_lg
-from kbflow import TimeGrid, riccati_flow
+from conftest import random_model, random_psd, scalar_lg
+from kbflow import TimeGrid, project_psd, riccati_flow, symmetric_sqrt
 from kbflow._engines import (
+    _project_psd_stack,
+    _symmetric_sqrt_stack,
     law_cov_paths_1d,
     law_cov_paths_nd,
     particle_cov_paths_1d,
@@ -105,10 +106,35 @@ def test_nd_law_engine_large_N_tracks_flow():
         assert np.max(np.abs(out["cov"][i] - target)) < 1e-2
 
 
-def test_nd_particle_engine_rejects_transport():
-    m = random_model(2, seed=31)
-    with pytest.raises(ValueError):
-        particle_cov_paths_nd(m, "transport", N=4, grid=GRID, seed=0, trials=2)
+def test_nd_transport_batch_draws_no_particle_noise():
+    # given the truth and the initial clouds, transport is deterministic: the
+    # particle seed, which addresses only per-particle noise, changes nothing
+    m = random_model(2, seed=31, stabilize=1.0)
+    clouds = np.random.default_rng(4).normal(size=(3, 2, 5))
+    runs = [particle_cov_paths_nd(m, "transport", N=4, grid=GRID, seed=seed, trials=3,
+                                  frame="absolute", init=clouds, truth_seed=8)
+            for seed in (0, 1, 2)]
+    assert np.all(np.isfinite(runs[0]["cov"]))
+    for other in runs[1:]:
+        for key in ("cov", "mean", "error"):
+            np.testing.assert_array_equal(other[key], runs[0][key])
+
+
+def test_psd_stacks_match_single_matrix_functions():
+    # the law kernel's batched projections are project_psd / symmetric_sqrt,
+    # bit for bit, and pass frozen (non-finite) matrices through as NaN
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        mats = [random_psd(d, seed=s) for s in range(4)]
+        mats += [M - 0.3 * np.trace(M) * np.eye(d) for M in mats[:2]]   # negative modes
+        mats += [np.outer(v, v) for v in rng.normal(size=(2, d))]        # rank one
+        stack = np.array(mats + [np.full((d, d), np.nan)])
+        proj = _project_psd_stack(stack)
+        root = _symmetric_sqrt_stack(proj)
+        for i, M in enumerate(mats):
+            np.testing.assert_array_equal(proj[i], project_psd(M))
+            np.testing.assert_array_equal(root[i], symmetric_sqrt(project_psd(M)))
+        assert np.all(np.isnan(proj[-1])) and np.all(np.isnan(root[-1]))
 
 
 def test_nd_engine_divergence_freeze():

@@ -1,5 +1,6 @@
 """Particle systems, law-level SDEs, semigroups, inflation, bounds."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +24,15 @@ from kbflow import (
 from kbflow.ensemble import (
     EnsembleState,
     EnsembleStreams,
+    LawStreams,
     Variant,
+    _kernel_record,
     iid_gaussian_init,
     moment_matched_init,
     nonlinear_step,
     sample_stats,
-    step_particles,
 )
+from kbflow.kalman import TRUTH_INIT, TRUTH_OBS
 from kbflow.sde import NoiseStream
 
 
@@ -142,6 +145,21 @@ def test_divergence_is_recorded_not_raised():
     assert np.all(np.isfinite(rec.cov[:k, 0, 0]))
 
 
+def test_overflowing_record_counts_as_divergence():
+    # a finite covariance whose closed loop overflows ends the record at
+    # that node, quietly, as a divergence of the kernel itself would
+    m = LinearGaussianModel([[1.0]], [[1.0]], [[1.0]], [[1e-10]])  # S = 1e10
+    grid = TimeGrid(0.0, 1e-2, 3)
+    cov = np.array([1.0, 2.0, 1e300, 3.0]).reshape(4, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = _kernel_record(m, grid, np.zeros((4, 1)), cov, np.zeros((4, 1)),
+                             variant="vanilla")
+    assert rec.diverged_at == grid.times()[2]
+    assert np.all(np.isnan(rec.cov[2:])) and np.all(np.isnan(rec.mu_closed_loop[2:]))
+    assert np.all(np.isfinite(rec.mu_closed_loop[:2]))
+
+
 def test_law_level_large_n_tracks_deterministic_flow():
     m = scalar_lg(A=1.0)
     grid = TimeGrid(0.0, 1e-3, 1000)
@@ -157,6 +175,63 @@ def test_law_level_validates_kappa():
     with pytest.raises(ValueError):
         law_level_run(m, kappa=0.5, Q=[[1.0]], x0=[0.0],
                       grid=TimeGrid(0.0, 1e-2, 10), N=10, truth_seed=0)
+
+
+def test_law_level_streams_are_addresses():
+    # LawStreams pick the ensemble-noise trial; the truth stays that of
+    # truth_seed, so runs on different trials share the signal exactly
+    m = random_model(2, seed=12, stabilize=0.5)
+    grid = TimeGrid(0.0, 1e-2, 50)
+    recs = [law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8,
+                          streams=LawStreams.from_seed(11, trial=trial), truth_seed=5)
+            for trial in (0, 3)]
+    # mean - error is the signal up to one rounding
+    np.testing.assert_allclose(recs[0].mean - recs[0].error,
+                               recs[1].mean - recs[1].error, rtol=0, atol=1e-12)
+    assert not np.array_equal(recs[0].cov, recs[1].cov)
+    used = LawStreams.from_seed(11)
+    used.mean_driver.normals(1)
+    mixed = LawStreams(LawStreams.from_seed(1).mean_driver, LawStreams.from_seed(2).matrix_driver)
+    for streams in (used, mixed):
+        with pytest.raises(ValueError):
+            law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8, streams=streams,
+                          truth_seed=5)
+
+
+def test_seeded_single_runs_reproduce_pinned_values():
+    # final rows of seeded runs, as stepped before run_enkf/law_level_run
+    # became B = 1 calls of the batch kernels
+    m = random_model(2, seed=12, stabilize=0.5)
+    grid = TimeGrid(0.0, 1e-2, 100)
+    cases = [
+        (run_enkf(m, "vanilla", 8, grid, seeds=(5, 9)),
+         [0.37556842012033426, 0.1897080840164876],
+         [0.7844633617154743, 0.43257126245683336, 1.582557343770748],
+         -0.3569218220756457),
+        (run_enkf(m, "transport", 6, grid, seeds=3,
+                  x_init_sampler=moment_matched_init([0.0, 1.0], np.eye(2))),
+         [1.7406616486270716, 1.3187057742245607],
+         [0.9959967686114727, 0.8321388391380641, 1.4017326385651436],
+         -0.45743465963230673),
+        (run_enkf(m, "deterministic", 6, grid, seeds=2, inflation=Inflation(xi=0.3)),
+         [1.939318796280784, 1.1926304555294234],
+         [0.8500133190691517, 0.7092577515948396, 0.9549944598050245],
+         -0.25166921558808947),
+        (law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8,
+                       streams=LawStreams.from_seed(11, trial=3), truth_seed=5),
+         [-0.3137854650157029, -0.4484693240210573],
+         [0.47561967058423205, 0.35356714837539005, 1.3722833238329453],
+         -0.19447378875990032),
+    ]
+    for rec, mean, cov, mu in cases:
+        assert rec.diverged_at is None
+        np.testing.assert_allclose(rec.mean[-1], mean, rtol=1e-12)
+        np.testing.assert_allclose(rec.cov[-1][np.triu_indices(2)], cov, rtol=1e-12)
+        np.testing.assert_allclose(rec.mu_closed_loop[-1], mu, rtol=1e-12)
+    rec = law_level_run(scalar_lg(A=1.0), 0, [[1.0]], [0.0], grid, 10, truth_seed=3)
+    np.testing.assert_allclose([rec.mean[-1, 0], rec.cov[-1, 0, 0], rec.mu_closed_loop[-1]],
+                               [1.238019194068906, 1.7446262980395573, -0.7446262980395573],
+                               rtol=1e-12)
 
 
 def test_stochastic_semigroup_identity_at_equal_times():
@@ -199,15 +274,22 @@ def test_liouville_bound_values():
 
 
 def test_nonlinear_step_linear_specialization_is_bitwise():
-    m = LinearGaussianModel([[0.4]], [[1.0]], [[0.5]], [[1.0]])
+    # with linear evaluators, nonlinear_step is one run_enkf step: same cloud,
+    # same particle streams, the observation increment of run_enkf's truth
+    m = random_model(2, seed=9, d_y=1, stabilize=0.5)
+    dt = 0.01
+    cloud = iid_gaussian_init([0.0, 0.0], np.eye(2))(NoiseStream(3, 0, "init"), 4)
+    truth = NoiseStream(7, 0, TRUTH_INIT).normals(2)
+    dY = m.H @ truth * dt + m.sqrt_R1 @ NoiseStream(7, 0, TRUTH_OBS).increments(1, dt)
     for variant in ("vanilla", "deterministic", "transport"):
-        cloud = iid_gaussian_init([0.0], [[1.0]])(NoiseStream(3, 0, "init"), 5)
-        sA = EnsembleState(t=0.0, particles=cloud.copy(), variant=Variant.parse(variant))
-        sB = EnsembleState(t=0.0, particles=cloud.copy(), variant=Variant.parse(variant))
-        outA = step_particles(m, sA, [0.02], 0.01, EnsembleStreams.from_seed(77, 0))
-        outB = nonlinear_step(lambda X: m.A @ X, lambda X: m.H @ X, (m.R, m.R1),
-                              sB, [0.02], 0.01, EnsembleStreams.from_seed(77, 0))
-        np.testing.assert_array_equal(outA.particles, outB.particles)
+        rec = run_enkf(m, variant, 4, TimeGrid(0.0, dt, 1), seeds=(7, 77),
+                       x_init_sampler=lambda stream, N: cloud.copy())
+        out = nonlinear_step(lambda X: m.A @ X, lambda X: m.H @ X, (m.R, m.R1),
+                             EnsembleState(t=0.0, particles=cloud.copy(), variant=variant),
+                             dY, dt, EnsembleStreams.from_seed(77, 0))
+        stats = sample_stats(out.particles)
+        np.testing.assert_array_equal(stats.X_hat, rec.mean[1])
+        np.testing.assert_array_equal(stats.P_hat, rec.cov[1])
 
 
 def test_nonlinear_cross_covariance_linear_observation():
@@ -239,12 +321,9 @@ def test_nonlinear_dissipative_drift_stays_bounded():
 
 
 def test_inflation_requires_vanilla_or_deterministic():
-    m = scalar_lg()
-    cloud = iid_gaussian_init([0.0], [[1.0]])(NoiseStream(0, 0, "init"), 4)
-    state = EnsembleState(t=0.0, particles=cloud, variant=Variant.TRANSPORT,
-                          inflation=Inflation(xi=0.5))
     with pytest.raises(ValueError):
-        step_particles(m, state, [0.0], 0.01, EnsembleStreams.from_seed(1, 0))
+        run_enkf(scalar_lg(), "transport", N=4, grid=TimeGrid(0.0, 0.01, 10), seeds=1,
+                 inflation=Inflation(xi=0.5))
     with pytest.raises(ValueError):
         Inflation(xi=-0.1)
 

@@ -1,32 +1,12 @@
-"""Time grids, noise streams, SDE stepping, and PSD projection."""
+"""Time grids, noise streams, schemes, and PSD projection."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kbflow import (
-    NoiseStream,
-    NonFinite,
-    Scheme,
-    TimeGrid,
-    gaussian_increments,
-    integrate,
-    project_psd,
-    slope_fit,
-)
-
-
-class ReplayStream:
-    """Stream stub that replays pre-aggregated increments (for coupling
-    the same Brownian path across step sizes)."""
-
-    def __init__(self, increments):
-        self._iter = iter(increments)
-
-    def increments(self, shape, dt):
-        out = next(self._iter)
-        assert out.shape == tuple(shape)
-        return out
+from kbflow import NoiseStream, Scheme, TimeGrid, project_psd
 
 
 def test_time_grid_validation():
@@ -48,11 +28,11 @@ def test_time_grid_validation():
 def test_increments_match_n0_dt():
     stream = NoiseStream(123, 0, "w")
     dt = 0.01
-    draws = gaussian_increments(stream, (1_000_000,), dt)
+    draws = stream.increments((1_000_000,), dt)
     assert abs(draws.mean()) < 4 * math.sqrt(dt / 1e6)
     assert abs(draws.var() / dt - 1) < 0.01
     with pytest.raises(ValueError):
-        gaussian_increments(stream, (4,), 0.0)
+        stream.increments((4,), 0.0)
 
 
 def test_stream_determinism_bitwise():
@@ -74,50 +54,20 @@ def test_stream_cross_correlation():
     assert abs(rho) < 4 / math.sqrt(n)
 
 
-def test_integrate_ou_variance():
-    # dx = -x dt + dB from 0: Var(x_1) = (1 - e^{-2})/2
-    paths = 4000
-    grid = TimeGrid(0.0, 0.01, 100)
-    out = integrate(lambda x: -x, lambda x, dw: dw, np.zeros(paths), grid,
-                    stream=NoiseStream(2024, 0, "w"))
-    v = out[-1].var()
-    target = (1 - math.exp(-2)) / 2
-    sigma = target * math.sqrt(2 / paths)  # MC sd of a variance estimate
-    assert abs(v - target) < 3 * sigma + 0.01  # 0.01 covers the O(dt) bias
-
-
-def test_integrate_ode_exponential():
-    grid = TimeGrid(0.0, 1e-3, 1000)
-    out = integrate(lambda x: x, None, np.array(1.0), grid)
-    assert abs(out[-1] - math.e) < 5e-3  # explicit Euler, O(dt)
-
-
-def test_tamed_scheme_bounds_superlinear_drift():
-    # naive Euler explodes from x0 = 1e3 on dx = -x^3 dt + dB; taming does not
-    paths = 1000
-    grid = TimeGrid(0.0, 1e-2, 200)
-    x0 = np.full(paths, 1e3)
-    out = integrate(lambda x: -x ** 3, lambda x, dw: dw, x0, grid,
-                    scheme=Scheme.TAMED_EULER, stream=NoiseStream(5, 0, "w"))
-    assert np.all(np.isfinite(out))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite):
-            integrate(lambda x: -x ** 3, lambda x, dw: dw, x0, grid,
-                      scheme=Scheme.EULER_MARUYAMA, stream=NoiseStream(5, 0, "w"))
-
-
-def test_nonfinite_reports_step():
-    # drift injects a NaN at the third step
-    counter = {"k": 0}
-
-    def drift(x):
-        counter["k"] += 1
-        return np.full_like(x, np.nan) if counter["k"] == 3 else -x
-
-    with pytest.raises(NonFinite) as err:
-        integrate(drift, None, np.array(1.0), TimeGrid(0.0, 0.1, 10))
-    assert err.value.step == 3
-    assert err.value.t == pytest.approx(0.3)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), trial=st.integers(0, 10 ** 6),
+       shape=st.lists(st.integers(0, 4), max_size=3), dt=st.floats(1e-6, 1.0))
+def test_leading_unit_axis_draws_the_same_numbers(seed, trial, shape, dt):
+    # the single-run wrappers are B = 1 kernel calls: a (1,) + s draw must
+    # equal the s draw bit for bit, and leave the stream at the same place
+    shape = tuple(shape)
+    a = NoiseStream(seed, trial, "w")
+    b = NoiseStream(seed, trial, "w")
+    for _ in range(2):
+        np.testing.assert_array_equal(b.normals((1,) + shape)[0], a.normals(shape))
+        np.testing.assert_array_equal(b.increments((1,) + shape, dt)[0],
+                                      a.increments(shape, dt))
+    assert a.cursor == b.cursor
 
 
 def test_scheme_parse():
@@ -142,39 +92,3 @@ def test_project_psd():
         # distance equals the norm of the clipped negative spectrum
         neg = np.clip(np.linalg.eigvalsh(M), None, 0.0)
         assert np.linalg.norm(out - M) == pytest.approx(np.linalg.norm(neg), abs=1e-10)
-
-
-def _coupled_strong_errors(diffusion_factor, levels, k_ref=13, paths=400, seed=777):
-    """Euler strong errors vs the finest-grid reference on a shared Brownian
-    path, for dx = -x dt + diffusion_factor(x) dB, x0 = 1."""
-    T = 1.0
-    fine = NoiseStream(seed, 0, "w").increments((2 ** k_ref, paths), T / 2 ** k_ref)
-
-    def euler(increments, steps):
-        grid = TimeGrid(0.0, T / steps, steps)
-        return integrate(lambda x: -x,
-                         lambda x, dw: diffusion_factor(x) * dw,
-                         np.ones(paths), grid, stream=ReplayStream(increments),
-                         noise_shape=(paths,))[-1]
-
-    ref = euler(fine, 2 ** k_ref)
-    errs = []
-    for k in levels:
-        agg = fine.reshape(2 ** k, -1, paths).sum(axis=1)
-        errs.append(float(np.sqrt(np.mean((euler(agg, 2 ** k) - ref) ** 2))))
-    return np.array([T / 2 ** k for k in levels]), np.array(errs)
-
-
-def test_strong_order_half_multiplicative():
-    # multiplicative linear noise: Euler converges at strong order 1/2
-    dts, errs = _coupled_strong_errors(lambda x: x, levels=[5, 6, 7, 8, 9])
-    slope, _ = slope_fit(np.log(dts), np.log(errs))
-    assert 0.35 <= slope <= 0.65
-
-
-def test_strong_order_additive_at_least_half():
-    # additive noise is better than the guaranteed O(sqrt(dt)) (order 1)
-    dts, errs = _coupled_strong_errors(lambda x: np.ones_like(x),
-                                       levels=[5, 6, 7, 8, 9])
-    slope, _ = slope_fit(np.log(dts), np.log(errs))
-    assert slope >= 0.4
