@@ -16,6 +16,12 @@ Trials are simulated in fixed-size chunks; the chunk index plays the
 trial-index role in the noise-stream addresses, so results are
 deterministic for a given (seed, chunk size) and independent of scheduling.
 
+All four kernels take their per-step noise from :func:`_step_noise`, which
+draws each channel a block of steps at a time.  A ``(L,) + shape`` draw
+gives the numbers of L successive ``shape`` draws, so the block length L is
+not part of any stream address and the results are those of per-step
+draws, bit for bit.
+
 All engines freeze a trial at its first non-finite value (the state turns
 NaN and stays NaN) and report the divergence step per trial; callers decide
 how to aggregate divergent trials.
@@ -35,6 +41,10 @@ from .sde import NoiseStream, Scheme, TimeGrid
 
 #: Default number of trials simulated per noise-stream chunk.
 CHUNK_SIZE = 1024
+
+#: Normals per noise block: a block spans max(1, NOISE_BLOCK // normals per
+#: step) steps.
+NOISE_BLOCK = 2 ** 15
 
 #: Singular-value cutoff (relative to the largest) for the transport
 #: pseudo-inverse of the sample covariance.
@@ -112,6 +122,26 @@ def _truth_channels(seed: int, truth_seed, c: int, first_chunk: int):
     if truth_seed is not None:
         seed, c = truth_seed, c - first_chunk
     return tuple(NoiseStream(seed, c, tag) for tag in (TRUTH_INIT, TRUTH_SIGNAL, TRUTH_OBS))
+
+
+def _step_noise(channels, steps: int, dt: float):
+    """Per-step Brownian increments of a kernel, drawn in blocks of steps.
+
+    ``channels`` is a sequence of ``(stream, shape tuple)`` pairs; a channel whose
+    stream is None yields None.  Yields ``steps`` tuples, each with one
+    N(0, dt) array of the channel's shape per channel, equal bit for bit to
+    ``stream.increments(shape, dt)`` called once per step.  Every stream
+    draws a block of L = max(1, NOISE_BLOCK // normals per step) steps with
+    one call.
+    """
+    per_step = sum(math.prod(shape) for s, shape in channels if s is not None)
+    L = max(1, NOISE_BLOCK // per_step)
+    for k0 in range(0, steps, L):
+        n = min(L, steps - k0)
+        arrays = [None if s is None else s.increments((n,) + shape, dt)
+                  for s, shape in channels]
+        for i in range(n):
+            yield tuple(None if a is None else a[i] for a in arrays)
 
 
 def _scalar_coeffs(model: LinearGaussianModel):
@@ -194,15 +224,13 @@ def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
                     error[row:row + B, p] = x - truth
 
         rec(0)
-        for k in range(K):
+        draws = _step_noise([(t_sig, (B,)), (t_obs, (B,)), (mean_drv, (B,)), (mat, (B,))], K, dt)
+        for k, (dV, dW, dB, dM) in enumerate(draws):
             sig = R + kappa * S * P * P
             sig_root = np.sqrt(sig)
             if with_mean:
-                dV = t_sig.increments(B, dt)
-                dW = t_obs.increments(B, dt)
                 dY = H * truth * dt + sqrt_R1 * dW
                 gain = P * H / R1
-                dB = mean_drv.increments(B, dt)
                 x = x + dt * A * x + gain * (dY - H * x * dt) \
                     + mean_scale * sig_root * dB
                 truth = truth + dt * A * truth + sqrt_R * dV
@@ -211,7 +239,6 @@ def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
             drift = R + 2.0 * A * P - S * P * P
             if scheme is Scheme.TAMED_EULER:
                 drift = drift / (1.0 + dt * np.abs(drift))
-            dM = mat.increments(B, dt)
             P = P + dt * drift + noise_scale * np.sqrt(np.maximum(P, 0.0) * sig) * dM
             P = np.maximum(P, 0.0)
             bad = ~np.isfinite(P)
@@ -317,17 +344,15 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
         dev = X - X_bar[:, None]
         P_hat = np.sum(dev * dev, axis=1) / N
         rec(0, P_hat, X_bar)
-        for k in range(K):
+        draws = _step_noise([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
+                            K, dt)
+        for k, (dVi, dV, dW, dWi) in enumerate(draws):
             if acc is not None and k >= integral_from:
                 np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
             gain = (P_hat * H / R1)[:, None]
-            dVi = p_sig.increments((B, M), dt)
-            dV = t_sig.increments(B, dt)
-            dW = t_obs.increments(B, dt)
             if frame == "error":
                 sig_noise = sqrt_R * (dVi - dV[:, None])
                 if variant is Variant.VANILLA:
-                    dWi = p_obs.increments((B, M), dt)
                     innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
                 else:
                     innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
@@ -335,7 +360,6 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
             else:
                 dY = (H * truth * dt + sqrt_R1 * dW)[:, None]
                 if variant is Variant.VANILLA:
-                    dWi = p_obs.increments((B, M), dt)
                     innov = dY - H * X * dt - sqrt_R1 * dWi
                 else:
                     innov = dY - H * (X + X_bar[:, None]) * 0.5 * dt
@@ -506,21 +530,19 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
                 error[row:row + B, p] = (x - truth)[..., 0]
 
         rec(0)
-        for k in range(K):
+        draws = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (mean_drv, (B, d, 1)),
+                             (mat, (B, d, d))], K, dt)
+        for k, (dV, dW, dB, dM) in enumerate(draws):
             sig_root = _symmetric_sqrt_stack(
                 _project_psd_stack(sigma_kappa(model, kappa, P, inflation)))
-            dV = t_sig.increments((B, d, 1), dt)
-            dW = t_obs.increments((B, d_y, 1), dt)
             dY = H @ truth * dt + model.sqrt_R1 @ dW
             gain = (P if xi_T is None else P + xi_T) @ H.T @ R1_inv
-            dB = mean_drv.increments((B, d, 1), dt)
             x = x + dt * (A @ x) + gain @ (dY - H @ x * dt) + mean_scale * (sig_root @ dB)
             truth = truth + dt * (A @ truth) + model.sqrt_R @ dV
             drift = A_mod @ P + P @ A_mod.T - P @ S @ P + R + source
             drift = 0.5 * (drift + _swap(drift))
             if scheme is Scheme.TAMED_EULER:
                 drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
-            dM = mat.increments((B, d, d), dt)
             wing = _symmetric_sqrt_stack(P) @ dM @ sig_root
             P = _project_psd_stack(P + dt * drift + noise_scale * 0.5 * (wing + _swap(wing)))
             bad = ~(np.isfinite(P).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2))
@@ -665,12 +687,12 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
                     error[row:row + B, p] = (X_bar - truth)[..., 0]
 
         rec(0, *stats())
-        for k in range(K):
-            dV = t_sig.increments((B, d, 1), dt)
-            dW = t_obs.increments((B, d_y, 1), dt)
-            dVi = 0.0 if p_sig is None else p_sig.increments((B, d, M), dt)
-            obs_noise = None if p_obs is None \
-                else sqrt_R1 @ p_obs.increments((B, d_y, M), dt)
+        draws = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (p_sig, (B, d, M)),
+                             (p_obs, (B, d_y, M))], K, dt)
+        for k, (dV, dW, dVi, dWi) in enumerate(draws):
+            if dVi is None:
+                dVi = 0.0
+            obs_noise = None if dWi is None else sqrt_R1 @ dWi
             if frame == "error":
                 noise = sqrt_R @ (dVi - dV)
                 dY = sqrt_R1 @ dW

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -388,6 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kbflow",
         description="Kalman-Bucy and ensemble Kalman-Bucy filtering toolkit")
+    parser.add_argument("-v", "--verbose", action="count", default=0,
+                        help="log progress to standard error (-v: study layout, "
+                        "-vv: also each chunk's time)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_model = sub.add_parser("model", help="model file utilities")
@@ -458,6 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(format="%(asctime)s %(name)s %(levelname)s: %(message)s")
+        logging.getLogger("kbflow").setLevel(
+            logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -8,16 +8,23 @@ Studies: eight study kinds (bias, fluctuation_rate, invariant_ks,
 moments_flow, lyapunov, inflation_sweep, semigroup_contraction,
 clt_variance) driven by :func:`run_study` from a validated
 :class:`StudySpec`.  Trials are partitioned into fixed-size chunks whose
-index seeds the noise streams, so summaries are bit-reproducible for a
-fixed spec regardless of the worker count; aggregation is ordered by chunk
-index.  Divergent trials are excluded from moment aggregates but counted.
+index seeds the noise streams.  Each study hands all of its engine runs
+(jobs) to one call of :func:`_map_chunks`, which runs their chunks in the
+calling process or, with several workers, in one process pool; summaries
+are bit-reproducible for a fixed spec regardless of the worker count or
+that scheduling, and aggregation is ordered by chunk index.  Divergent
+trials are excluded from moment aggregates but counted.  Progress (the
+chunk layout, and each chunk's wall time at DEBUG) goes to the ``kbflow``
+logger.
 """
 
 from __future__ import annotations
 
 import copy
+import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -33,6 +40,8 @@ from .scalar import (clt_variance_oracle, contraction_rate, equilibria,
                      invariant_density, lyapunov_bounds, lyapunov_exponent,
                      moment_threshold)
 from .sde import TimeGrid
+
+log = logging.getLogger(__name__)
 
 #: Default trial-chunk size; echoed in summaries because it is part of the
 #: stream layout and hence of the reproducibility contract.
@@ -240,37 +249,44 @@ def stationary_covariance_samples(model: LinearGaussianModel, variant, N: int,
     replicas.  Replicas that diverge are excluded from the pool but
     counted.
     """
-    sm = ScalarModel(A=float(model.A[0, 0]),
-                     R=float(model.R[0, 0]), S=float(model.S[0, 0]))
-    rate = contraction_rate(sm)
-    if burn_in is None:
-        burn_in = 20.0 / rate
-    burn_idx = max(1, int(math.ceil(float(burn_in) / dt - 1e-9)))
-    grid = TimeGrid(0.0, dt, burn_idx + int(round(float(horizon) / dt)))
-    burn_in = burn_idx * dt
-    rec = np.arange(burn_idx, grid.steps + 1, record_stride)
-    rho_plus = equilibria(sm).rho_plus
-
+    job = _stationary_job(model, N, dt, horizon, burn_in, record_stride)
     out = _map_chunks(_engines.particle_cov_paths_1d, replicas, chunk, workers,
                       progress=progress, first_chunk=first_chunk,
-                      model=model, variant=variant, N=N, grid=grid,
-                      seed=master_seed, record_indices=rec,
-                      frame="error", m0=0.0, P0=rho_plus, init="iid")
-    series = out["cov"]
-    diverged = int(np.sum(out["diverged_step"] >= 0))
+                      variant=variant, seed=master_seed, **job)[0]
+    return _stationary_pool(out, job, record_stride, target_lag_corr)
+
+
+def _stationary_job(model: LinearGaussianModel, N: int, dt: float, horizon: float,
+                    burn_in: float | None, record_stride: int) -> dict:
+    """Engine keywords, all but the variant and seed, of the stationary
+    occupation protocol of :func:`stationary_covariance_samples`."""
+    sm = _scalar_of(model)
+    if burn_in is None:
+        burn_in = 20.0 / contraction_rate(sm)
+    burn_idx = max(1, int(math.ceil(float(burn_in) / dt - 1e-9)))
+    grid = TimeGrid(0.0, dt, burn_idx + int(round(float(horizon) / dt)))
+    return dict(model=model, N=N, grid=grid,
+                record_indices=np.arange(burn_idx, grid.steps + 1, record_stride),
+                frame="error", m0=0.0, P0=equilibria(sm).rho_plus, init="iid")
+
+
+def _stationary_pool(out: dict, job: dict, record_stride: int,
+                     target_lag_corr: float) -> dict:
+    """Thin and pool the recorded covariances of a stationary job."""
     alive = out["diverged_step"] < 0
-    series = series[alive]
+    series = out["cov"][alive]
     stride = decorrelation_stride(series, target_lag_corr)
     thinned = series[:, ::stride]
     samples = thinned.ravel()
+    dt = job["grid"].dt
     return {
         "samples": samples,
         "effective": int(samples.size),
         "stride_steps": int(stride * record_stride),
         "lag_corr": _lag1_correlation(thinned),
-        "diverged": diverged,
-        "replicas": int(replicas),
-        "burn_in": float(burn_in),
+        "diverged": int(np.sum(~alive)),
+        "replicas": int(alive.size),
+        "burn_in": float(int(job["record_indices"][0]) * dt),
         "dt": float(dt),
     }
 
@@ -449,29 +465,60 @@ def _concat_parts(parts: list[dict]) -> dict:
     return out
 
 
+def _timed_chunk(engine, kw: dict):
+    t0 = time.perf_counter()
+    out = engine(**kw)
+    return out, time.perf_counter() - t0
+
+
 def _map_chunks(engine, trials: int, chunk: int, workers: int,
-                progress: list | None = None, first_chunk: int = 0, **kw) -> dict:
-    """Run a batch engine over trial chunks, optionally in worker
-    processes; results are concatenated in chunk order either way."""
-    n_tasks = (trials + chunk - 1) // chunk
-    tasks = [(first_chunk + i, min(chunk, trials - i * chunk))
-             for i in range(n_tasks)]
-    results = {}
-    if workers <= 1 or n_tasks == 1:
-        for c, B in tasks:
-            results[c] = engine(trials=B, chunk=chunk, first_chunk=c, **kw)
-            if progress is not None:
-                progress.append(c)
+                progress: list | None = None, first_chunk: int = 0,
+                jobs=({},), **kw) -> list[dict]:
+    """Run every job of a study over trial chunks, in one pass.
+
+    Job ``j`` runs the batch engine ``engine`` with ``trials``, ``chunk``,
+    ``first_chunk`` and the keyword arguments ``kw``, each updated by
+    ``jobs[j]``; its trials are split into chunks of ``chunk``.  With more
+    than one worker and more than one chunk, the chunks of all jobs share
+    one process pool; otherwise they run in this process.  Returns one
+    result per job, its chunks concatenated in chunk order.  Completed
+    chunk indices are appended to ``progress``.  If a chunk raises or the
+    run is interrupted, the chunks not yet started are cancelled before the
+    error propagates.
+    """
+    tasks = []  # (job, chunk index, engine keywords)
+    for j, over in enumerate(jobs):
+        job = {**kw, "trials": trials, "chunk": chunk, "first_chunk": first_chunk, **over}
+        n, size, first = job["trials"], job["chunk"], job["first_chunk"]
+        for i in range((n + size - 1) // size):
+            tasks.append((j, first + i, dict(job, trials=min(size, n - i * size),
+                                             first_chunk=first + i)))
+    parts = [{} for _ in jobs]
+
+    def done(j, c, out, seconds):
+        parts[j][c] = out
+        if progress is not None:
+            progress.append(c)
+        log.debug("job %d, chunk %d: %.3f s", j, c, seconds)
+
+    n_workers = min(workers, len(tasks))
+    log.info("%d jobs, %d chunks, %s", len(jobs), len(tasks),
+             f"{n_workers} worker processes" if n_workers > 1 else "in process")
+    if n_workers <= 1:
+        for j, c, job in tasks:
+            done(j, c, *_timed_chunk(engine, job))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-            futures = {pool.submit(engine, trials=B, chunk=chunk,
-                                   first_chunk=c, **kw): c for c, B in tasks}
-            for fut in as_completed(futures):
-                c = futures[fut]
-                results[c] = fut.result()
-                if progress is not None:
-                    progress.append(c)
-    return _concat_parts([results[c] for c in sorted(results)])
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = {pool.submit(_timed_chunk, engine, job): (j, c)
+                       for j, c, job in tasks}
+            try:
+                for fut in as_completed(futures):
+                    done(*futures[fut], *fut.result())
+            except BaseException:
+                # wait only for the chunks already running
+                pool.shutdown(cancel_futures=True)
+                raise
+    return [_concat_parts([p[c] for c in sorted(p)]) for p in parts]
 
 
 def default_workers() -> int:
@@ -522,14 +569,14 @@ def _run_bias(spec: StudySpec, model, workers, progress):
                           spec.chunk, workers, progress=progress, model=model,
                           variant=spec.variant, N=N, grid=grid,
                           seed=spec.master_seed, record_indices=rec,
-                          frame="error", m0=0.0, P0=float(Q[0, 0]), init="iid")
+                          frame="error", m0=0.0, P0=float(Q[0, 0]), init="iid")[0]
         covs = out["cov"][:, :, None, None]
     else:
         out = _map_chunks(_engines.particle_cov_paths_nd, spec.trials,
                           spec.chunk, workers, progress=progress, model=model,
                           variant=spec.variant, N=N, grid=grid,
                           seed=spec.master_seed, record_indices=rec,
-                          frame="error", m0=np.zeros(d), P0=Q, init="iid")
+                          frame="error", m0=np.zeros(d), P0=Q, init="iid")[0]
         covs = out["cov"]
 
     per_point = []
@@ -563,6 +610,11 @@ def _run_bias(spec: StudySpec, model, workers, progress):
     return per_point, {}, {}
 
 
+#: The fig3 sample covariance paths at the extreme N values: one chunk of
+#: three trials, addressed apart from the study's own chunks.
+_FIG3_PATHS = {"trials": 3, "chunk": 3, "first_chunk": 10_000}
+
+
 def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
     grid = spec.time_grid()
     sm = _scalar_of(model)
@@ -571,13 +623,16 @@ def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
 
     phi_T = float(riccati_closed_form(sm, Q, grid.horizon))
     n_chunks = (spec.trials + spec.chunk - 1) // spec.chunk
+    fig3_N = (spec.N[0], spec.N[-1])
+    fig3_rec = _record_indices(grid.steps, max(1, grid.steps // 200))
+    outs = _map_chunks(
+        _engines.law_cov_paths_1d, spec.trials, spec.chunk, workers, progress,
+        jobs=[{"N": N, "first_chunk": i * n_chunks} for i, N in enumerate(spec.N)]
+        + [{"N": N, **_FIG3_PATHS, "record_indices": fig3_rec} for N in fig3_N],
+        model=model, kappa=spec.kappa, Q=Q, grid=grid, seed=spec.master_seed,
+        record_indices=[grid.steps])
     per_point = []
-    for i, N in enumerate(spec.N):
-        out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
-                          workers, progress=progress,
-                          first_chunk=i * n_chunks, model=model,
-                          kappa=spec.kappa, N=N, Q=Q, grid=grid,
-                          seed=spec.master_seed, record_indices=[grid.steps])
+    for N, out in zip(spec.N, outs):
         vals = out["cov"][:, 0]
         finite = np.isfinite(vals)
         dev = vals[finite] - phi_T
@@ -589,29 +644,12 @@ def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
             diverged=int(np.sum(~finite))))
     slope, stderr = slope_fit(np.log([p["N"] for p in per_point]),
                               np.log([p["l2"] for p in per_point]))
-    figures = {"fig3_riccati_paths": _fig3_paths(spec, model, Q)}
-    return per_point, {"slope": slope, "stderr": stderr}, figures
-
-
-def _fig3_paths(spec: StudySpec, model, Q: float, n_paths: int = 3):
-    """A few sample covariance paths at the extreme N values, plus the
-    deterministic flow, for plotting."""
-    grid = spec.time_grid()
-    sm = _scalar_of(model)
-    from .scalar import riccati_closed_form
-
-    every = max(1, grid.steps // 200)
-    rec = _record_indices(grid.steps, every)
-    times = grid.times()[rec]
+    times = grid.times()[fig3_rec]
     cols = {"t": times, "phi": riccati_closed_form(sm, Q, times)}
-    for N in (spec.N[0], spec.N[-1]):
-        out = _engines.law_cov_paths_1d(
-            model, spec.kappa, N=N, Q=Q, grid=grid,
-            seed=spec.master_seed, trials=n_paths, chunk=n_paths,
-            first_chunk=10_000, record_indices=rec)
-        for j in range(n_paths):
-            cols[f"path_N{N}_{j + 1}"] = out["cov"][j]
-    return cols
+    for N, out in zip(fig3_N, outs[len(spec.N):]):
+        for j, path in enumerate(out["cov"]):
+            cols[f"path_N{N}_{j + 1}"] = path
+    return per_point, {"slope": slope, "stderr": stderr}, {"fig3_riccati_paths": cols}
 
 
 def _run_invariant_ks(spec: StudySpec, model, workers, progress):
@@ -619,20 +657,20 @@ def _run_invariant_ks(spec: StudySpec, model, workers, progress):
     sm = _scalar_of(model)
     N = spec.N[0]
     opts = spec.options
-    horizon = float(opts.get("horizon", grid.horizon))
+    record_stride = int(opts.get("record_stride", 10))
+    job = _stationary_job(model, N, grid.dt, float(opts.get("horizon", grid.horizon)),
+                          opts.get("burn_in"), record_stride)
     n_chunks = (spec.trials + spec.chunk - 1) // spec.chunk
+    variants = (("vanilla", 1.0), ("deterministic", 0.0))
+    outs = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk, workers,
+                       progress, jobs=[{"variant": variant, "first_chunk": i * n_chunks}
+                                       for i, (variant, _) in enumerate(variants)],
+                       seed=spec.master_seed, **job)
     per_point = []
     pools = {}
-    for i, (variant, kappa) in enumerate((("vanilla", 1.0),
-                                          ("deterministic", 0.0))):
-        occ = stationary_covariance_samples(
-            model, variant, N, spec.master_seed, dt=grid.dt,
-            replicas=spec.trials, horizon=horizon,
-            burn_in=opts.get("burn_in"),
-            record_stride=int(opts.get("record_stride", 10)),
-            target_lag_corr=float(opts.get("target_lag_corr", 0.1)),
-            chunk=spec.chunk, workers=workers,
-            first_chunk=i * n_chunks, progress=progress)
+    for (variant, kappa), out in zip(variants, outs):
+        occ = _stationary_pool(out, job, record_stride,
+                               float(opts.get("target_lag_corr", 0.1)))
         if occ["effective"] < 1000:
             raise ConfigError(
                 f"invariant_ks pooled {occ['effective']} {variant} samples at a "
@@ -681,7 +719,7 @@ def _run_moments_flow(spec: StudySpec, model, workers, progress):
     out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
                       workers, progress=progress, model=model,
                       kappa=spec.kappa, N=N, Q=Q, grid=grid,
-                      seed=spec.master_seed, record_indices=rec)
+                      seed=spec.master_seed, record_indices=rec)[0]
     times = grid.times()[rec]
     per_point = []
     raw = {p: [] for p in range(1, 10)}
@@ -724,7 +762,7 @@ def _run_lyapunov(spec: StudySpec, model, workers, progress):
                       workers, progress=progress, model=model,
                       kappa=spec.kappa, N=N, Q=Q, grid=grid,
                       seed=spec.master_seed, record_indices=[grid.steps],
-                      integral_from=burn_idx)
+                      integral_from=burn_idx)[0]
     alive = out["diverged_step"] < 0
     span = (grid.steps - burn_idx) * grid.dt
     rates = out["integral"][alive] / span
@@ -781,7 +819,7 @@ def _run_semigroup_contraction(spec: StudySpec, model, workers, progress):
                       variant=spec.variant, N=N, grid=grid,
                       seed=spec.master_seed, record_indices=[grid.steps],
                       frame="error", m0=0.0, P0=Q, init="iid",
-                      integral_from=0)
+                      integral_from=0)[0]
     alive = out["diverged_step"] < 0
     rates = np.where(alive, out["integral"] / grid.horizon, np.inf)
     freq = float(np.mean(rates < threshold))
@@ -803,7 +841,7 @@ def _run_clt_variance(spec: StudySpec, model, workers, progress):
     out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
                       workers, progress=progress, model=model,
                       kappa=spec.kappa, N=N, Q=Q, grid=grid,
-                      seed=spec.master_seed, record_indices=[grid.steps])
+                      seed=spec.master_seed, record_indices=[grid.steps])[0]
     vals = out["cov"][:, 0]
     finite = np.isfinite(vals)
     phi_T = float(riccati_closed_form(sm, Q, grid.horizon))
@@ -840,6 +878,9 @@ def run_study(spec: StudySpec, workers: int | None = None) -> StudySummary:
     workers = default_workers() if workers is None else max(1, int(workers))
     model = spec.lg_model()
     progress: list = []
+    log.info("study %s: %d trials in chunks of %d, %d workers", spec.kind,
+             spec.trials, spec.chunk, workers)
+    t0 = time.perf_counter()
     try:
         per_point, fits, figures = _RUNNERS[spec.kind](spec, model, workers,
                                                        progress)
@@ -853,6 +894,8 @@ def run_study(spec: StudySpec, workers: int | None = None) -> StudySummary:
                  "completed_chunks": sorted(progress),
                  "per_point": [], "fits": {}})
         raise
+    log.info("study %s: %d chunks in %.2f s", spec.kind, len(progress),
+             time.perf_counter() - t0)
     summary = StudySummary(spec_echo=spec.to_dict(), per_point=per_point,
                            fits=fits)
     if spec.out is not None:

@@ -1,10 +1,11 @@
 """`kbflow study` failure modes: spec-time validation and errors raised
 while a study runs, each reported as one error line and an exit code."""
 import json
+import logging
 
 import pytest
 
-from conftest import random_model
+from conftest import random_model, scalar_lg
 from kbflow import ConfigError, LinearGaussianModel, NonFinite, stats
 from kbflow.cli import main
 
@@ -44,3 +45,19 @@ def test_errors_during_a_study_map_to_exit_codes(tmp_path, capsys, monkeypatch, 
     assert main(["study", str(path)]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {exc}"]
+
+
+def test_verbose_study_logs_layout_and_chunk_times(tmp_path, caplog):
+    doc = dict(kind="clt_variance", model=scalar_lg().to_dict(),
+               grid={"dt": 0.01, "steps": 20}, master_seed=1, trials=120, chunk=50,
+               N=[8], kappa=0)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    caplog.set_level(logging.DEBUG, logger="kbflow")
+    try:
+        assert main(["-vv", "study", str(path), "--workers", "1"]) == 0
+    finally:
+        logging.getLogger("kbflow").setLevel(logging.NOTSET)
+    text = caplog.text
+    assert "1 jobs, 3 chunks, in process" in text
+    assert all(f"job 0, chunk {c}:" in text for c in range(3))

@@ -1,8 +1,9 @@
 """Batch trial engines: stream layout, determinism, divergence handling."""
 import numpy as np
+import pytest
 
 from conftest import random_model, random_psd, scalar_lg
-from kbflow import TimeGrid, project_psd, riccati_flow, symmetric_sqrt
+from kbflow import NoiseStream, TimeGrid, _engines, project_psd, riccati_flow, symmetric_sqrt
 from kbflow._engines import (
     _project_psd_stack,
     _symmetric_sqrt_stack,
@@ -149,3 +150,67 @@ def test_nd_engine_divergence_freeze():
         assert np.all(np.isnan(out["cov"][i, k:, 0, 0]))
     for i in np.flatnonzero(~diverged):
         assert np.all(np.isfinite(out["cov"][i]))
+
+
+# ---------------------------------------------------------------------------
+# block noise
+# ---------------------------------------------------------------------------
+
+def test_step_noise_equals_per_step_increments():
+    # 14 + 9 + 14 normals per step give L = 885 steps per block; 3000 steps
+    # end with a partial block
+    shapes = [(2, 7), (9,), None, (2, 7)]
+    steps, dt = 3000, 0.01
+    L = _engines.NOISE_BLOCK // 37
+    assert steps % L
+    blocked = [None if s is None else NoiseStream(3, 1, f"c{i}") for i, s in enumerate(shapes)]
+    plain = [None if s is None else NoiseStream(3, 1, f"c{i}") for i, s in enumerate(shapes)]
+    draws = _engines._step_noise([(st, s or ()) for st, s in zip(blocked, shapes)], steps, dt)
+    for k, draw in enumerate(draws):
+        for stream, s, got in zip(plain, shapes, draw):
+            if stream is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, stream.increments(s, dt))
+        # only the block holding step k has been drawn
+        assert blocked[0].cursor == min(steps, (k // L + 1) * L) * 14
+    assert k == steps - 1
+    assert [s.cursor for s in blocked if s] == [s.cursor for s in plain if s]
+
+
+_STIFF = scalar_lg(A=60.0)
+_KERNEL_CASES = {
+    "particle_1d": lambda: particle_cov_paths_1d(
+        M, "vanilla", N=10, grid=TimeGrid(0.0, 1e-2, 701), seed=4, trials=7, chunk=4,
+        with_mean=True, integral_from=3),
+    "particle_1d_absolute": lambda: particle_cov_paths_1d(
+        M, "deterministic", N=5, grid=GRID, seed=4, trials=3, frame="absolute",
+        with_mean=True),
+    "law_1d": lambda: law_cov_paths_1d(
+        M, kappa=1, N=8, Q=1.0, grid=TimeGrid(0.0, 1e-2, 1500), seed=5, trials=9, chunk=4,
+        with_mean=True, integral_from=0),
+    "particle_nd": lambda: particle_cov_paths_nd(
+        random_model(2, seed=31, stabilize=1.0), "vanilla", N=6, grid=GRID, seed=7,
+        trials=5, chunk=2, frame="absolute"),
+    "particle_nd_all_diverge": lambda: particle_cov_paths_nd(
+        _STIFF, "vanilla", N=1, grid=TimeGrid(0.0, 1e-1, 3000), seed=1, trials=6),
+    "law_nd": lambda: law_cov_paths_nd(
+        random_model(2, seed=31, stabilize=1.0), kappa=1, N=8, Q=np.eye(2), grid=GRID,
+        seed=5, trials=5, chunk=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_block_length_is_not_part_of_the_result(case, monkeypatch):
+    # the default blocks span many steps (and the last one is partial);
+    # NOISE_BLOCK = 1 draws one step at a time
+    blocked = _KERNEL_CASES[case]()
+    monkeypatch.setattr(_engines, "NOISE_BLOCK", 1)
+    per_step = _KERNEL_CASES[case]()
+    assert blocked.keys() == per_step.keys()
+    for key in blocked:
+        np.testing.assert_array_equal(blocked[key], per_step[key])
+    if case == "particle_nd_all_diverge":
+        # every trial stops early in the first block: the kernel breaks out
+        # with most of the block unused
+        assert np.all((blocked["diverged_step"] > 0) & (blocked["diverged_step"] < 100))

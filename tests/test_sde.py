@@ -56,17 +56,22 @@ def test_stream_cross_correlation():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), trial=st.integers(0, 10 ** 6),
-       shape=st.lists(st.integers(0, 4), max_size=3), dt=st.floats(1e-6, 1.0))
-def test_leading_unit_axis_draws_the_same_numbers(seed, trial, shape, dt):
-    # the single-run wrappers are B = 1 kernel calls: a (1,) + s draw must
-    # equal the s draw bit for bit, and leave the stream at the same place
+       shape=st.lists(st.integers(0, 4), max_size=3), steps=st.integers(1, 9),
+       dt=st.floats(1e-6, 1.0))
+def test_leading_axis_draws_equal_successive_draws(seed, trial, shape, steps, dt):
+    # kernels draw a block of L steps at once and single runs are B = 1
+    # kernel calls: an (L,) + s draw must equal L successive s draws bit for
+    # bit, and leave the stream at the same place
     shape = tuple(shape)
     a = NoiseStream(seed, trial, "w")
     b = NoiseStream(seed, trial, "w")
     for _ in range(2):
-        np.testing.assert_array_equal(b.normals((1,) + shape)[0], a.normals(shape))
-        np.testing.assert_array_equal(b.increments((1,) + shape, dt)[0],
-                                      a.increments(shape, dt))
+        block = b.normals((steps,) + shape)
+        for row in block:
+            np.testing.assert_array_equal(row, a.normals(shape))
+        block = b.increments((steps,) + shape, dt)
+        for row in block:
+            np.testing.assert_array_equal(row, a.increments(shape, dt))
     assert a.cursor == b.cursor
 
 

@@ -1,6 +1,8 @@
 """Statistical estimators, moment accumulation, and study orchestration."""
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -228,6 +230,72 @@ def test_study_worker_count_does_not_change_results():
     s2 = run_study(spec, workers=2)
     assert json.dumps(s1.to_dict(), sort_keys=True) == \
         json.dumps(s2.to_dict(), sort_keys=True)
+
+
+_SCHEDULED_SPECS = {
+    # two jobs (vanilla and deterministic) of two chunks each
+    "invariant_ks": dict(kind="invariant_ks", model=scalar_lg(A=2.0).to_dict(),
+                         grid={"dt": 1e-2, "steps": 10}, master_seed=3, trials=70,
+                         chunk=40, N=(6,), options={"burn_in": 0.5, "record_stride": 2,
+                                                    "horizon": 20.0}),
+    # one job per N plus the two fig3 path jobs
+    "fluctuation_rate": dict(kind="fluctuation_rate", model=scalar_lg().to_dict(),
+                             grid={"dt": 0.01, "steps": 50}, master_seed=7, trials=100,
+                             chunk=40, N=(4, 8, 16, 32), kappa=1),
+    "semigroup_contraction": dict(kind="semigroup_contraction",
+                                  model=scalar_lg(A=2.0).to_dict(),
+                                  grid={"dt": 1e-3, "steps": 300}, master_seed=5,
+                                  trials=150, chunk=64, N=(12,), variant="vanilla"),
+    # a single chunk: in process at any worker count
+    "lyapunov": dict(kind="lyapunov", model=scalar_lg(A=2.0).to_dict(),
+                     grid={"dt": 1e-3, "steps": 800}, master_seed=2, trials=40,
+                     N=(6,), kappa=0, options={"burn_in": 0.2}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEDULED_SPECS))
+def test_study_files_do_not_depend_on_worker_count(tmp_path, kind):
+    spec = StudySpec(**_SCHEDULED_SPECS[kind], out=str(tmp_path))
+    written = []
+    for workers in (1, 2):
+        run_study(spec, workers=workers)
+        written.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+    assert written[0] == written[1]
+    if kind == "fluctuation_rate":
+        assert "fig3_riccati_paths.csv" in written[0]
+
+
+def _failing_on_chunk_zero(**kw):
+    # a stand-in engine: chunk 0 fails at once, every other chunk marks a
+    # file and takes a while, so cancellation has chunks left to cancel
+    if kw["first_chunk"] == 0:
+        raise {"interrupt": KeyboardInterrupt,
+               "error": RuntimeError}[os.environ["KBFLOW_TEST_FAILURE"]]("chunk 0 failed")
+    time.sleep(0.5)
+    with open(os.path.join(os.environ["KBFLOW_TEST_MARKS"], str(kw["first_chunk"])), "w"):
+        pass
+    return {"t": np.zeros(1), "cov": np.zeros((kw["trials"], 1)),
+            "diverged_step": np.full(kw["trials"], -1)}
+
+
+@pytest.mark.parametrize("failure, exc", [("error", RuntimeError),
+                                          ("interrupt", KeyboardInterrupt)])
+def test_failing_chunk_cancels_queued_chunks(tmp_path, monkeypatch, failure, exc):
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setenv("KBFLOW_TEST_MARKS", str(marks))
+    monkeypatch.setenv("KBFLOW_TEST_FAILURE", failure)
+    monkeypatch.setattr("kbflow._engines.law_cov_paths_1d", _failing_on_chunk_zero)
+    spec = StudySpec(kind="clt_variance", model=scalar_lg().to_dict(),
+                     grid={"dt": 0.01, "steps": 10}, master_seed=1, trials=800,
+                     chunk=100, N=(8,), kappa=0, out=str(tmp_path / "out"))
+    with pytest.raises(exc, match="chunk 0 failed"):
+        run_study(spec, workers=2)
+    ran = {int(p.name) for p in marks.iterdir()}
+    assert len(ran) < 7  # of the 7 chunks after chunk 0
+    if failure == "interrupt":
+        partial = json.loads((tmp_path / "out" / "partial.json").read_text())
+        assert set(partial["completed_chunks"]) <= ran
 
 
 def test_invariant_ks_short_horizon_is_a_config_error():
