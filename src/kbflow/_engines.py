@@ -8,15 +8,20 @@ mean/covariance diffusion.  The single-run functions of
 :func:`~kbflow.ensemble.run_enkf` and
 :func:`~kbflow.ensemble.law_level_run` build their records from the kernel
 outputs, and :func:`~kbflow.ensemble.nonlinear_step` applies the kernels'
-particle update once.  :func:`particle_cov_paths_1d` and
-:func:`law_cov_paths_1d` are the d = 1 fast paths of the studies in
-:mod:`kbflow.stats`.
+particle update once.  :func:`law_cov_paths_1d` is the d = 1 adapter of
+:func:`law_cov_paths_nd` (scalar arguments and outputs) behind the d = 1
+law-level studies of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d`
+is a scalar copy of the particle kernel behind the d = 1 particle studies:
+on the nd kernel those studies ran 13-17 % slower, and the cheaper linear
+gain ``P_hat H' R1^{-1}`` that would close the gap breaks the bitwise
+agreement of :func:`~kbflow.ensemble.nonlinear_step` with a one-step
+:func:`~kbflow.ensemble.run_enkf`.
 
 Trials are simulated in fixed-size chunks; the chunk index plays the
 trial-index role in the noise-stream addresses, so results are
 deterministic for a given (seed, chunk size) and independent of scheduling.
 
-All four kernels take their per-step noise from :func:`_step_noise`, which
+All three kernels take their per-step noise from :func:`_step_noise`, which
 draws each channel a block of steps at a time.  A ``(L,) + shape`` draw
 gives the numbers of L successive ``shape`` draws, so the block length L is
 not part of any stream address and the results are those of per-step
@@ -163,113 +168,12 @@ def _quiet_divergence(engine):
 
 
 # ---------------------------------------------------------------------------
-# d = 1, law level
-# ---------------------------------------------------------------------------
-
-# d = 1 fast path: law_cov_paths_nd takes 2-3.5x as long per step here (B = 1024, N = 10).
-@_quiet_divergence
-def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
-                     grid: TimeGrid, seed: int, trials: int, chunk: int = CHUNK_SIZE,
-                     scheme=None, record_indices=None, with_mean: bool = False,
-                     x0: float = 0.0, m0: float = 0.0, P0: float | None = None,
-                     integral_from: int | None = None, first_chunk: int = 0):
-    """Batch of scalar law-level paths.
-
-    Returns a dict with ``t`` (recorded times), ``cov`` (trials, n_rec),
-    ``diverged_step`` (trials; -1 when finite throughout), and, when
-    requested, ``mean``/``error`` (trials, n_rec) and ``integral`` — the
-    per-trial closed-loop integral ``int (A - S P_hat) du`` accumulated from
-    grid node ``integral_from`` to the end.
-    """
-    A, H, R, R1, S = _scalar_coeffs(model)
-    kappa = float(kappa)
-    scheme = _law_scheme(kappa, scheme)
-    sqrt_R, sqrt_R1 = math.sqrt(R), math.sqrt(R1)
-    dt = grid.dt
-    K = grid.steps
-    record_indices, rec_pos = _record_positions(K, record_indices)
-    n_rec = len(record_indices)
-
-    P0 = float(Q) if P0 is None else float(P0)
-    noise_scale = 2.0 / math.sqrt(N)
-    mean_scale = 1.0 / math.sqrt(N + 1)
-
-    cov = np.empty((trials, n_rec))
-    mean = np.empty((trials, n_rec)) if with_mean else None
-    error = np.empty((trials, n_rec)) if with_mean else None
-    diverged = np.full(trials, -1, dtype=int)
-    integral = np.zeros(trials) if integral_from is not None else None
-
-    row = 0
-    for c, B in _chunks(trials, chunk, first_chunk):
-        mat = NoiseStream(seed, c, MATRIX_DRIVER)
-        mean_drv = NoiseStream(seed, c, MEAN_DRIVER) if with_mean else None
-        t_init = NoiseStream(seed, c, TRUTH_INIT) if with_mean else None
-        t_sig = NoiseStream(seed, c, TRUTH_SIGNAL) if with_mean else None
-        t_obs = NoiseStream(seed, c, TRUTH_OBS) if with_mean else None
-
-        P = np.full(B, float(Q))
-        div = np.full(B, -1, dtype=int)
-        acc = np.zeros(B) if integral is not None else None
-        if with_mean:
-            x = np.full(B, float(x0))
-            truth = m0 + math.sqrt(P0) * t_init.normals(B)
-
-        def rec(k):
-            p = rec_pos[k]
-            if p >= 0:
-                cov[row:row + B, p] = P
-                if with_mean:
-                    mean[row:row + B, p] = x
-                    error[row:row + B, p] = x - truth
-
-        rec(0)
-        draws = _step_noise([(t_sig, (B,)), (t_obs, (B,)), (mean_drv, (B,)), (mat, (B,))], K, dt)
-        for k, (dV, dW, dB, dM) in enumerate(draws):
-            sig = R + kappa * S * P * P
-            sig_root = np.sqrt(sig)
-            if with_mean:
-                dY = H * truth * dt + sqrt_R1 * dW
-                gain = P * H / R1
-                x = x + dt * A * x + gain * (dY - H * x * dt) \
-                    + mean_scale * sig_root * dB
-                truth = truth + dt * A * truth + sqrt_R * dV
-            if acc is not None and k >= integral_from:
-                np.add(acc, dt * (A - S * P), out=acc, where=np.isfinite(P))
-            drift = R + 2.0 * A * P - S * P * P
-            if scheme is Scheme.TAMED_EULER:
-                drift = drift / (1.0 + dt * np.abs(drift))
-            P = P + dt * drift + noise_scale * np.sqrt(np.maximum(P, 0.0) * sig) * dM
-            P = np.maximum(P, 0.0)
-            bad = ~np.isfinite(P)
-            if with_mean:
-                bad |= ~np.isfinite(x) | ~np.isfinite(truth)
-            if bad.any():
-                fresh = bad & (div < 0)
-                div[fresh] = k + 1
-                P[bad] = np.nan
-                if with_mean:
-                    x[bad] = np.nan
-            rec(k + 1)
-        diverged[row:row + B] = div
-        if integral is not None:
-            integral[row:row + B] = acc
-        row += B
-
-    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": diverged}
-    if with_mean:
-        out["mean"] = mean
-        out["error"] = error
-    if integral is not None:
-        out["integral"] = integral
-    return out
-
-
-# ---------------------------------------------------------------------------
 # d = 1, particle level
 # ---------------------------------------------------------------------------
 
-# d = 1 fast path: particle_cov_paths_nd takes 50-65 % longer per step here (B = 1024, N = 10).
+# d = 1 fast path: particle_cov_paths_nd takes 35-45 % (vanilla) and 45-70 %
+# (deterministic) longer per step here (B = 1024, N = 10, error frame; medians
+# of 7 interleaved runs, three times, on a 2-core x86-64 host).
 @_quiet_divergence
 def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
                           grid: TimeGrid, seed: int, trials: int,
@@ -399,6 +303,18 @@ def _swap(M):
     return M.swapaxes(-1, -2)
 
 
+def _sym(M):
+    """Symmetric part of each matrix of a stack; a 1x1 matrix is its own."""
+    return M if M.shape[-1] == 1 else 0.5 * (M + _swap(M))
+
+
+def _mm(a, b):
+    """``a @ b``.  A contraction of length 1 is the broadcast product, the
+    same numbers without numpy's per-matrix matmul loop (d = 1, d_y = 1);
+    a 0-d ``a`` stands for a 1x1 matrix."""
+    return a * b if a.ndim == 0 or a.shape[-1] == 1 else a @ b
+
+
 def _spectral_map(M, fn, keep_psd: bool):
     """Symmetrize each matrix of a (B, d, d) stack and map its spectrum by
     ``fn``, as :func:`kbflow.sde.project_psd` (``keep_psd``: a matrix with
@@ -406,7 +322,7 @@ def _spectral_map(M, fn, keep_psd: bool):
     :func:`kbflow.model.symmetric_sqrt` do for one matrix (at d = 1 the
     map of the single entry is the same number).  Non-finite (frozen)
     matrices come out NaN instead of tripping eigh."""
-    sym = 0.5 * (M + _swap(M))
+    sym = _sym(M)
     if M.shape[-1] == 1:
         return fn(sym)
     finite = np.isfinite(sym).all(axis=(1, 2))
@@ -436,24 +352,12 @@ def _frobenius(M):
     """Per-matrix Frobenius norm of a stack, summed as ``np.linalg.norm``
     sums one matrix (a BLAS dot product)."""
     flat = M.reshape(M.shape[0], 1, -1)
-    return np.sqrt((flat @ _swap(flat))[:, 0, 0])
+    return np.sqrt(_mm(flat, _swap(flat))[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
-# general d, law level
+# law level, every d
 # ---------------------------------------------------------------------------
-
-def sigma_kappa(model: LinearGaussianModel, kappa: float, P,
-                inflation=None) -> np.ndarray:
-    """The noise covariance map of the law-level equations:
-    ``R + kappa * (P + xi*T) S (P + xi*T)`` (xi = 0 without inflation), for
-    one matrix or a stack of them."""
-    P = np.asarray(P, dtype=float)
-    if inflation is not None and inflation.active:
-        P = P + inflation.xi * inflation.ref(model.d)
-    out = model.R + kappa * (P @ model.S @ P)
-    return 0.5 * (out + _swap(out))
-
 
 def _inflated_drift_terms(model, kappa, inflation):
     """``(A_mod, source)`` of the inflated covariance drift: A shifted by
@@ -472,93 +376,156 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
                      grid: TimeGrid, seed: int, trials: int,
                      chunk: int = CHUNK_SIZE, scheme=None, record_indices=None,
                      first_chunk: int = 0, x0=None, m0=None, P0=None,
-                     truth_seed=None, inflation=None):
+                     truth_seed=None, inflation=None, with_mean: bool = True,
+                     integral_from: int | None = None):
     """Batch of law-level paths in dimension d.
 
     The covariance follows the Riccati diffusion
     ``dP = Ricc(P) dt + (2/sqrt(N)) [P^{1/2} dM Sigma_kappa^{1/2}(P)]_sym``
     (inflation shifts the drift and enters Sigma_kappa), projected onto the
-    PSD cone after every step.  The mean starts at ``x0`` (default 0) and
-    follows the gain-driven SDE with ensemble-noise intensity
-    ``Sigma_kappa^{1/2}/sqrt(N+1)`` against a co-simulated signal drawn from
-    N(m0, P0) (defaults 0 and Q; ``truth_seed`` as in
-    :func:`particle_cov_paths_nd`).  A trial freezes when its covariance,
-    mean or signal stops being finite.
+    PSD cone after every step.  With ``with_mean`` the mean starts at ``x0``
+    (default 0) and follows the gain-driven SDE with ensemble-noise
+    intensity ``Sigma_kappa^{1/2}/sqrt(N+1)`` against a co-simulated signal
+    drawn from N(m0, P0) (defaults 0 and Q; ``truth_seed`` as in
+    :func:`particle_cov_paths_nd`); without it the mean, signal and
+    observation channels are neither stepped nor drawn.  A trial freezes
+    when its covariance, mean or signal stops being finite.
 
-    Returns ``t``, ``cov`` (trials, n_rec, d, d), ``mean`` and ``error``
-    (trials, n_rec, d) and ``diverged_step``.
+    Returns ``t``, ``cov`` (trials, n_rec, d, d) and ``diverged_step``; with
+    ``with_mean`` also ``mean`` and ``error`` (trials, n_rec, d); with
+    ``integral_from`` also ``integral`` (trials, d, d), the per-trial
+    closed-loop integral ``int (A - P S) du`` from grid node
+    ``integral_from`` to the end, over the steps before the trial diverges.
     """
     d, d_y = model.d, model.d_y
     kappa = float(kappa)
     scheme = _law_scheme(kappa, scheme)
-    A, H, S, R, R1_inv = model.A, model.H, model.S, model.R, model.R1_inv
     A_mod, source = _inflated_drift_terms(model, kappa, inflation)
     xi_T = None
     if inflation is not None and inflation.active:
         xi_T = inflation.xi * inflation.ref(d)
+    # Sigma_0 = R: its root is the same for every trial and step
+    R_root = _symmetric_sqrt_stack(model.R[None]) if kappa == 0.0 else None
+
+    def const(M):
+        # a 1x1 constant enters as a 0-d array, which numpy multiplies
+        # without the broadcast loop of a (1, 1) array: the same numbers
+        return M.reshape(()) if isinstance(M, np.ndarray) and M.size == 1 else M
+
+    A, H, H_T, S, R, R1_inv = map(const, (model.A, model.H, model.H.T, model.S, model.R,
+                                          model.R1_inv))
+    sqrt_R, sqrt_R1, A_mod, A_mod_T, source, xi_T, R_root = map(
+        const, (model.sqrt_R, model.sqrt_R1, A_mod, A_mod.T, source, xi_T, R_root))
     dt = grid.dt
     K = grid.steps
     record_indices, rec_pos = _record_positions(K, record_indices)
     n_rec = len(record_indices)
 
     Q = np.asarray(Q, dtype=float)
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
-    m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
-    P0_root = symmetric_sqrt(Q if P0 is None else P0)
     noise_scale = 2.0 / math.sqrt(N)
-    mean_scale = 1.0 / math.sqrt(N + 1)
     cov = np.full((trials, n_rec, d, d), np.nan)
-    mean = np.full((trials, n_rec, d), np.nan)
-    error = np.full((trials, n_rec, d), np.nan)
     diverged = np.full(trials, -1, dtype=int)
+    integral = np.zeros((trials, d, d)) if integral_from is not None else None
+    if with_mean:
+        x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
+        m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
+        P0_root = symmetric_sqrt(Q if P0 is None else P0)
+        mean_scale = 1.0 / math.sqrt(N + 1)
+        mean = np.full((trials, n_rec, d), np.nan)
+        error = np.full((trials, n_rec, d), np.nan)
 
     row = 0
     for c, B in _chunks(trials, chunk, first_chunk):
         mat = NoiseStream(seed, c, MATRIX_DRIVER)
-        mean_drv = NoiseStream(seed, c, MEAN_DRIVER)
-        t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c, first_chunk)
         P = np.broadcast_to(Q, (B, d, d)).copy()
-        x = np.broadcast_to(x0[:, None], (B, d, 1)).copy()
-        truth = m0[:, None] + P0_root @ t_init.normals((B, d, 1))
         div = np.full(B, -1, dtype=int)
+        acc = integral[row:row + B] if integral is not None else None
+        mean_drv = t_sig = t_obs = None
+        if with_mean:
+            mean_drv = NoiseStream(seed, c, MEAN_DRIVER)
+            t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c, first_chunk)
+            x = np.broadcast_to(x0[:, None], (B, d, 1)).copy()
+            truth = m0[:, None] + _mm(P0_root, t_init.normals((B, d, 1)))
 
         def rec(k):
             p = rec_pos[k]
             if p >= 0:
                 cov[row:row + B, p] = P
-                mean[row:row + B, p] = x[..., 0]
-                error[row:row + B, p] = (x - truth)[..., 0]
+                if with_mean:
+                    mean[row:row + B, p] = x[..., 0]
+                    error[row:row + B, p] = (x - truth)[..., 0]
 
         rec(0)
         draws = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (mean_drv, (B, d, 1)),
                              (mat, (B, d, d))], K, dt)
         for k, (dV, dW, dB, dM) in enumerate(draws):
-            sig_root = _symmetric_sqrt_stack(
-                _project_psd_stack(sigma_kappa(model, kappa, P, inflation)))
-            dY = H @ truth * dt + model.sqrt_R1 @ dW
-            gain = (P if xi_T is None else P + xi_T) @ H.T @ R1_inv
-            x = x + dt * (A @ x) + gain @ (dY - H @ x * dt) + mean_scale * (sig_root @ dB)
-            truth = truth + dt * (A @ truth) + model.sqrt_R @ dV
-            drift = A_mod @ P + P @ A_mod.T - P @ S @ P + R + source
-            drift = 0.5 * (drift + _swap(drift))
+            PS = _mm(P, S)
+            PSP = _mm(PS, P)
+            if acc is not None and k >= integral_from:
+                np.add(acc, dt * (A - PS), out=acc, where=(div < 0)[:, None, None])
+            if R_root is not None:
+                sig_root = R_root
+            else:  # Sigma_kappa = R + kappa (P + xi T) S (P + xi T)
+                PiSPi = PSP if xi_T is None else _mm(_mm(P + xi_T, S), P + xi_T)
+                sig_root = _symmetric_sqrt_stack(R + kappa * PiSPi)
+            if with_mean:
+                dY = _mm(H, truth) * dt + _mm(sqrt_R1, dW)
+                gain = _mm(_mm(P if xi_T is None else P + xi_T, H_T), R1_inv)
+                x = x + dt * _mm(A, x) + _mm(gain, dY - _mm(H, x) * dt) \
+                    + mean_scale * _mm(sig_root, dB)
+                truth = truth + dt * _mm(A, truth) + _mm(sqrt_R, dV)
+            drift = _mm(A_mod, P) + _mm(P, A_mod_T) - PSP + R
+            if xi_T is not None:
+                drift = drift + source
+            drift = _sym(drift)
             if scheme is Scheme.TAMED_EULER:
                 drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
-            wing = _symmetric_sqrt_stack(P) @ dM @ sig_root
-            P = _project_psd_stack(P + dt * drift + noise_scale * 0.5 * (wing + _swap(wing)))
-            bad = ~(np.isfinite(P).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2))
-                    & np.isfinite(truth).all(axis=(1, 2)))
+            wing = _mm(_mm(_symmetric_sqrt_stack(P), dM), sig_root)
+            P = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing))
+            bad = ~np.isfinite(P).all(axis=(1, 2))
+            if with_mean:
+                bad |= ~(np.isfinite(x).all(axis=(1, 2)) & np.isfinite(truth).all(axis=(1, 2)))
             if bad.any():
                 div[bad & (div < 0)] = k + 1
+                if div.min() >= 0:
+                    break  # the rest of the records stays NaN
                 P[bad] = np.nan
-                x[bad] = np.nan
+                if with_mean:
+                    x[bad] = np.nan
             rec(k + 1)
-            if div.min() >= 0:
-                break
         diverged[row:row + B] = div
         row += B
 
-    return {"t": grid.times()[record_indices], "cov": cov, "mean": mean, "error": error,
-            "diverged_step": diverged}
+    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": diverged}
+    if with_mean:
+        out["mean"] = mean
+        out["error"] = error
+    if integral is not None:
+        out["integral"] = integral
+    return out
+
+
+def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
+                     grid: TimeGrid, seed: int, trials: int, chunk: int = CHUNK_SIZE,
+                     scheme=None, record_indices=None, with_mean: bool = False,
+                     x0: float = 0.0, m0: float = 0.0, P0: float | None = None,
+                     integral_from: int | None = None, first_chunk: int = 0):
+    """:func:`law_cov_paths_nd` at d = 1, with scalar arguments and outputs.
+
+    Returns ``t``, ``cov`` (trials, n_rec) and ``diverged_step``; with
+    ``with_mean`` also ``mean``/``error`` (trials, n_rec), and with
+    ``integral_from`` the scalar ``integral`` (trials,).
+    """
+    _scalar_coeffs(model)
+    out = law_cov_paths_nd(
+        model, kappa, N=N, Q=np.full((1, 1), float(Q)), grid=grid, seed=seed,
+        trials=trials, chunk=chunk, scheme=scheme, record_indices=record_indices,
+        first_chunk=first_chunk, x0=x0, m0=m0,
+        P0=None if P0 is None else np.full((1, 1), float(P0)),
+        with_mean=with_mean, integral_from=integral_from)
+    matrix_axes = {"cov": 2, "mean": 1, "error": 1, "integral": 2}
+    return {key: value.reshape(value.shape[:value.ndim - matrix_axes[key]])
+            if key in matrix_axes else value for key, value in out.items()}
 
 
 # ---------------------------------------------------------------------------

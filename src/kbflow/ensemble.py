@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _engines, _ode
 from ._engines import (MATRIX_DRIVER, MEAN_DRIVER, PARTICLE_INIT, PARTICLE_OBS,  # noqa: F401
-                       PARTICLE_SIGNAL, Variant, _inflated_drift_terms, sigma_kappa)
+                       PARTICLE_SIGNAL, Variant, _inflated_drift_terms)
 from .errors import BoundNotApplicable, NonFinite
 from .kalman import RiccatiState, _mobius_flow
 from .model import LinearGaussianModel, log_norm, symmetric_sqrt

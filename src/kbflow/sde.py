@@ -144,9 +144,8 @@ class NoiseStream:
 # ---------------------------------------------------------------------------
 
 class Scheme(enum.Enum):
-    """Time-stepping scheme of the law-level kernels
-    (:func:`kbflow._engines.law_cov_paths_1d` and
-    :func:`kbflow._engines.law_cov_paths_nd`).
+    """Time-stepping scheme of the law-level kernel
+    :func:`kbflow._engines.law_cov_paths_nd` (and of its d = 1 adapter).
 
     ``TAMED_EULER`` replaces the drift ``b`` by ``b / (1 + dt*||b||)``,
     which bounds the drift contribution of a single step by ``||b||·dt /

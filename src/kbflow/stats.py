@@ -317,6 +317,31 @@ _SPEC_KEYS = {"kind", "model", "grid", "master_seed", "trials", "N",
               "variant", "kappa", "out", "chunk", "options"}
 
 
+def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
+    """``options.Q``: a finite, symmetric PSD d x d matrix, or a number at
+    d = 1 (the only form a scalar study takes)."""
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"options.Q must be a number or a matrix: {exc}") from exc
+    if scalar:
+        ok, form = Q.ndim == 0, "a number"
+    else:
+        ok = Q.shape == (d, d) or (d == 1 and Q.ndim == 0)
+        form = f"a {d} x {d} matrix" + (" or a number" if d == 1 else "")
+    if not ok:
+        raise ConfigError(f"options.Q must be {form}, got shape {Q.shape}")
+    Q = Q.reshape(d, d)
+    if not np.isfinite(Q).all():
+        raise ConfigError("options.Q has non-finite entries")
+    scale = max(1.0, float(np.abs(Q).max()))
+    if np.abs(Q - Q.T).max() > 1e-12 * scale:
+        raise ConfigError("options.Q is not symmetric")
+    w = np.linalg.eigvalsh(Q)
+    if w[0] < -1e-10 * max(1.0, w[-1]):
+        raise ConfigError(f"options.Q must be PSD, got eigenvalue {w[0]:.3g}")
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """Validated description of one Monte Carlo study.
@@ -389,6 +414,9 @@ class StudySpec:
             raise ConfigError(f"unknown options for {self.kind}: "
                               f"{sorted(unknown)}; allowed: "
                               f"{sorted(_ALLOWED_OPTIONS[self.kind])}")
+        if "Q" in self.options:
+            _check_initial_covariance(self.options["Q"], model.d,
+                                      scalar=self.kind in _SCALAR_KINDS)
 
     def lg_model(self) -> LinearGaussianModel:
         return LinearGaussianModel.from_dict(self.model)

@@ -1,10 +1,14 @@
 """Batch trial engines: stream layout, determinism, divergence handling."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from conftest import random_model, random_psd, scalar_lg
 from kbflow import NoiseStream, TimeGrid, _engines, project_psd, riccati_flow, symmetric_sqrt
 from kbflow._engines import (
+    _mm,
     _project_psd_stack,
     _symmetric_sqrt_stack,
     law_cov_paths_1d,
@@ -138,6 +142,43 @@ def test_psd_stacks_match_single_matrix_functions():
         assert np.all(np.isnan(proj[-1])) and np.all(np.isnan(root[-1]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3), n=st.integers(1, 3),
+       batch=mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
+def test_length_one_contraction_is_the_matmul(data, m, n, batch):
+    # the law kernel multiplies by a 1x1 matrix (and contracts over d = 1 or
+    # d_y = 1) with a broadcast product; it must give the matmul's numbers
+    values = st.floats(-1e6, 1e6)
+    a = data.draw(arrays(float, batch.input_shapes[0] + (m, 1), elements=values))
+    b = data.draw(arrays(float, batch.input_shapes[1] + (1, n), elements=values))
+    assert np.array_equal(_mm(a, b), a @ b)
+    if a.shape == (1, 1):
+        assert np.array_equal(_mm(a.reshape(()), b), a @ b)
+
+
+_D2 = random_model(2, seed=31, stabilize=1.0)
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+@pytest.mark.parametrize("model", [M, _D2], ids=["d1", "d2"])
+def test_law_mean_channels_leave_the_covariance_alone(model, kappa):
+    kw = dict(kappa=kappa, N=8, Q=np.eye(model.d), grid=GRID, seed=5, trials=5, chunk=3)
+    full = law_cov_paths_nd(model, **kw)
+    bare = law_cov_paths_nd(model, with_mean=False, **kw)
+    assert "mean" in full and "mean" not in bare and "error" not in bare
+    np.testing.assert_array_equal(bare["cov"], full["cov"])
+    np.testing.assert_array_equal(bare["diverged_step"], full["diverged_step"])
+
+
+def test_law_integral_sums_the_closed_loop_matrix_over_the_steps():
+    out = law_cov_paths_nd(_D2, kappa=1, N=8, Q=np.eye(2), grid=GRID, seed=5, trials=4,
+                           with_mean=False, integral_from=20)
+    assert np.all(out["diverged_step"] < 0)
+    P = out["cov"][:, 20:-1]   # the covariance at the start of steps 20 .. K-1
+    expected = (GRID.dt * (_D2.A - P @ _D2.S)).sum(axis=1)
+    np.testing.assert_allclose(out["integral"], expected, rtol=0, atol=1e-12)
+
+
 def test_nd_engine_divergence_freeze():
     stiff = scalar_lg(A=20.0)
     out = particle_cov_paths_nd(stiff, "vanilla", N=2,
@@ -197,6 +238,9 @@ _KERNEL_CASES = {
     "law_nd": lambda: law_cov_paths_nd(
         random_model(2, seed=31, stabilize=1.0), kappa=1, N=8, Q=np.eye(2), grid=GRID,
         seed=5, trials=5, chunk=3),
+    "law_nd_without_mean": lambda: law_cov_paths_nd(
+        random_model(2, seed=31, stabilize=1.0), kappa=0, N=8, Q=np.eye(2), grid=GRID,
+        seed=5, trials=5, chunk=3, with_mean=False, integral_from=10),
 }
 
 
