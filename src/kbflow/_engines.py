@@ -21,11 +21,11 @@ Trials are simulated in fixed-size chunks; the chunk index plays the
 trial-index role in the noise-stream addresses, so results are
 deterministic for a given (seed, chunk size) and independent of scheduling.
 
-All three kernels take their per-step noise from :func:`_step_noise`, which
-draws each channel a block of steps at a time.  A ``(L,) + shape`` draw
-gives the numbers of L successive ``shape`` draws, so the block length L is
-not part of any stream address and the results are those of per-step
-draws, bit for bit.
+All three kernels, and :func:`kbflow.kalman.kalman_run`, take their
+per-step noise from :func:`_step_noise`, which draws each channel a block
+of steps at a time.  A ``(L,) + shape`` draw gives the numbers of L
+successive ``shape`` draws, so the block length L is not part of any stream
+address and the results are those of per-step draws, bit for bit.
 
 All engines freeze a trial at its first non-finite value (the state turns
 NaN and stays NaN) and report the divergence step per trial; callers decide
@@ -40,9 +40,9 @@ import math
 
 import numpy as np
 
-from .kalman import TRUTH_INIT, TRUTH_OBS, TRUTH_SIGNAL
 from .model import LinearGaussianModel, symmetric_sqrt
-from .sde import NoiseStream, Scheme, TimeGrid
+from .sde import (NoiseStream, Scheme, TimeGrid, _mm, _project_psd_stack, _swap, _sym,
+                  _symmetric_sqrt_stack)
 
 #: Default number of trials simulated per noise-stream chunk.
 CHUNK_SIZE = 1024
@@ -55,6 +55,13 @@ NOISE_BLOCK = 2 ** 15
 #: pseudo-inverse of the sample covariance.
 PINV_RCOND = 1e-10
 
+# Channel tags.  The truth channels are shared by the exact filter
+# (kbflow.kalman.kalman_run) and the ensemble kernels, so an exact and an
+# ensemble filter given equal seeds consume bitwise-identical
+# signal/observation paths.
+TRUTH_INIT = "truth-init"
+TRUTH_SIGNAL = "truth-signal"
+TRUTH_OBS = "truth-obs"
 PARTICLE_INIT = "particle-init"
 PARTICLE_SIGNAL = "particle-signal"
 PARTICLE_OBS = "particle-obs"
@@ -296,57 +303,8 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
 
 
 # ---------------------------------------------------------------------------
-# symmetric matrix stacks (the arithmetic of project_psd / symmetric_sqrt)
+# law level, every d
 # ---------------------------------------------------------------------------
-
-def _swap(M):
-    return M.swapaxes(-1, -2)
-
-
-def _sym(M):
-    """Symmetric part of each matrix of a stack; a 1x1 matrix is its own."""
-    return M if M.shape[-1] == 1 else 0.5 * (M + _swap(M))
-
-
-def _mm(a, b):
-    """``a @ b``.  A contraction of length 1 is the broadcast product, the
-    same numbers without numpy's per-matrix matmul loop (d = 1, d_y = 1);
-    a 0-d ``a`` stands for a 1x1 matrix."""
-    return a * b if a.ndim == 0 or a.shape[-1] == 1 else a @ b
-
-
-def _spectral_map(M, fn, keep_psd: bool):
-    """Symmetrize each matrix of a (B, d, d) stack and map its spectrum by
-    ``fn``, as :func:`kbflow.sde.project_psd` (``keep_psd``: a matrix with
-    no negative eigenvalue is returned symmetrized, unchanged) and
-    :func:`kbflow.model.symmetric_sqrt` do for one matrix (at d = 1 the
-    map of the single entry is the same number).  Non-finite (frozen)
-    matrices come out NaN instead of tripping eigh."""
-    sym = _sym(M)
-    if M.shape[-1] == 1:
-        return fn(sym)
-    finite = np.isfinite(sym).all(axis=(1, 2))
-    all_finite = finite.all()
-    if not all_finite:
-        sym = np.where(finite[:, None, None], sym, np.eye(M.shape[-1]))
-    w, V = np.linalg.eigh(sym)
-    if keep_psd and all_finite and (w[:, 0] >= 0.0).all():
-        return sym
-    out = (V * fn(w)[:, None, :]) @ _swap(V)
-    if keep_psd:
-        out = np.where((w[:, :1] >= 0.0)[:, :, None], sym, out)
-    if not all_finite:
-        out[~finite] = np.nan
-    return out
-
-
-def _project_psd_stack(M):
-    return _spectral_map(M, lambda w: np.maximum(w, 0.0), keep_psd=True)
-
-
-def _symmetric_sqrt_stack(M):
-    return _spectral_map(M, lambda w: np.sqrt(np.maximum(w, 0.0)), keep_psd=False)
-
 
 def _frobenius(M):
     """Per-matrix Frobenius norm of a stack, summed as ``np.linalg.norm``
@@ -354,10 +312,6 @@ def _frobenius(M):
     flat = M.reshape(M.shape[0], 1, -1)
     return np.sqrt(_mm(flat, _swap(flat))[:, 0, 0])
 
-
-# ---------------------------------------------------------------------------
-# law level, every d
-# ---------------------------------------------------------------------------
 
 def _inflated_drift_terms(model, kappa, inflation):
     """``(A_mod, source)`` of the inflated covariance drift: A shifted by
@@ -438,6 +392,7 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
     for c, B in _chunks(trials, chunk, first_chunk):
         mat = NoiseStream(seed, c, MATRIX_DRIVER)
         P = np.broadcast_to(Q, (B, d, d)).copy()
+        eig = None
         div = np.full(B, -1, dtype=int)
         acc = integral[row:row + B] if integral is not None else None
         mean_drv = t_sig = t_obs = None
@@ -480,8 +435,11 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
             drift = _sym(drift)
             if scheme is Scheme.TAMED_EULER:
                 drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
-            wing = _mm(_mm(_symmetric_sqrt_stack(P), dM), sig_root)
-            P = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing))
+            # the projection's eigh of P serves as the root's wherever it
+            # kept P unchanged
+            wing = _mm(_mm(_symmetric_sqrt_stack(P, eig), dM), sig_root)
+            P, eig = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing),
+                                        with_eig=True)
             bad = ~np.isfinite(P).all(axis=(1, 2))
             if with_mean:
                 bad |= ~(np.isfinite(x).all(axis=(1, 2)) & np.isfinite(truth).all(axis=(1, 2)))

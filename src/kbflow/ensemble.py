@@ -30,8 +30,8 @@ from ._engines import (MATRIX_DRIVER, MEAN_DRIVER, PARTICLE_INIT, PARTICLE_OBS, 
                        PARTICLE_SIGNAL, Variant, _inflated_drift_terms)
 from .errors import BoundNotApplicable, NonFinite
 from .kalman import RiccatiState, _mobius_flow
-from .model import LinearGaussianModel, log_norm, symmetric_sqrt
-from .sde import NoiseStream, TimeGrid, project_psd
+from .model import LinearGaussianModel, _check_covariance, log_norm, symmetric_sqrt
+from .sde import NoiseStream, TimeGrid, _project_psd_stack, project_psd
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
         m0=m0, P0=P0, init=cloud[None], first_chunk=0, truth_seed=truth_seed,
         inflation=inflation)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = _engines._project_psd_stack(out["cov"][0])
+        cov = _project_psd_stack(out["cov"][0])
     return _kernel_record(
         model, grid, out["mean"][0], cov, out["error"][0], variant=variant.value, N=N,
         xi=0.0 if inflation is None else inflation.xi, kappa=variant.kappa,
@@ -399,8 +399,8 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
     if isinstance(streams, (int, np.integer)):
         streams = LawStreams.from_seed(int(streams))
     seed, trial = streams._address()
-    Q = project_psd(np.asarray(Q, dtype=float))
-    P0 = Q if P0 is None else project_psd(np.asarray(P0, dtype=float))
+    Q = _check_covariance(Q, model.d)
+    P0 = Q if P0 is None else _check_covariance(P0, model.d, "P0")
 
     out = _engines.law_cov_paths_nd(
         model, kappa, N=N, Q=Q, grid=grid, seed=seed, trials=1, scheme=scheme,
@@ -535,4 +535,4 @@ def inflated_riccati_flow(model: LinearGaussianModel, kappa: float, Q,
     if kappa not in (0, 1, 0.0, 1.0):
         raise ValueError(f"kappa must be 0 or 1, got {kappa}")
     A_mod, source = _inflated_drift_terms(model, float(kappa), inflation)
-    return _mobius_flow(A_mod, model.S, model.R + source, Q, grid)
+    return _mobius_flow(A_mod, model.S, model.R + source, _check_covariance(Q, model.d), grid)

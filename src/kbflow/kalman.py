@@ -4,7 +4,8 @@ Provides the deterministic Riccati flow ``phi_t(Q)``, the filter mean ODE
 driven by simulated observations, the exponential semigroup ``E_{s,t}(Q)``
 of the linearized error dynamics, and the two-sided Gramian sandwich check
 on the Riccati flow.  All three deterministic objects are stepped by the
-exact Hamiltonian (Moebius) propagator of the Riccati equation.
+exact Hamiltonian (Moebius) propagator of the Riccati equation, a span of
+grid nodes at a time (:func:`kbflow.model._riccati_nodes`).
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from . import _engines
+from ._engines import TRUTH_INIT, TRUTH_OBS, TRUTH_SIGNAL
 from .errors import NonFinite
-from .model import (LinearGaussianModel, _hamiltonian_propagator, _mobius_step, _ricc,
-                    gramians, solve_are)
+from .model import (LinearGaussianModel, _check_covariance, _hamiltonian_propagator,
+                    _mobius_spans, _ricc, _riccati_nodes, gramians, solve_are,
+                    symmetric_sqrt)
 from .sde import NoiseStream, TimeGrid, project_psd
-
-# Channel tags for the truth co-simulation.  run_enkf uses the same tags with
-# the same seed, so an exact filter and an ensemble filter given equal seeds
-# consume bitwise-identical signal/observation paths.
-TRUTH_INIT = "truth-init"
-TRUTH_SIGNAL = "truth-signal"
-TRUTH_OBS = "truth-obs"
 
 
 @dataclass
@@ -37,6 +34,17 @@ class RiccatiState:
 
     def __post_init__(self):
         self.P = project_psd(np.asarray(self.P, dtype=float))
+
+
+def _riccati_states(times, nodes) -> list[RiccatiState]:
+    """States of nodes that are already symmetric PSD: built without the
+    projection of ``__post_init__``."""
+    states = []
+    for t, P in zip(times, nodes):
+        state = object.__new__(RiccatiState)
+        state.t, state.P = t, P
+        states.append(state)
+    return states
 
 
 @dataclass
@@ -73,41 +81,35 @@ def ricc_drift(model: LinearGaussianModel, P) -> np.ndarray:
 
 
 def _mobius_flow(A, S, R, Q, grid: TimeGrid) -> list[RiccatiState]:
-    """Flow of ``P' = A P + P A' - P S P + R`` from ``Q`` reported on ``grid``.
-
-    One propagator (:func:`~kbflow.model._hamiltonian_propagator`) serves
-    every grid step because the grid is uniform; every sub-step is
-    symmetrized and PSD-clamped.
-    """
-    n_sub, phi = _hamiltonian_propagator(A, S, R, grid.dt)
-    times = grid.times()
-    out = [RiccatiState(t=float(times[0]), P=Q)]
-    for t in times[1:]:
-        P = out[-1].P
-        for _ in range(n_sub - 1):
-            P = project_psd(_mobius_step(phi, P)[1])
-        # RiccatiState symmetrizes and PSD-clamps the last sub-step
-        out.append(RiccatiState(t=float(t), P=_mobius_step(phi, P)[1]))
-    return out
+    """Flow of ``P' = A P + P A' - P S P + R`` from a checked ``Q`` (see
+    :func:`~kbflow.model._check_covariance`), reported on ``grid``."""
+    nodes = _riccati_nodes(A, S, R, Q, grid.dt, grid.steps)
+    return _riccati_states(grid.times().tolist(), nodes)
 
 
 def _riccati_endpoint(model: LinearGaussianModel, Q, t: float) -> np.ndarray:
     """``phi_t(Q)`` by the exact propagator over ``[0, t]``."""
-    n_sub, phi = _hamiltonian_propagator(model.A, model.S, model.R, t)
-    P = Q
-    for _ in range(n_sub):
-        P = project_psd(_mobius_step(phi, P)[1])
-    return P
+    return _riccati_nodes(model.A, model.S, model.R, Q, t, 1)[-1]
 
 
 def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> list[RiccatiState]:
     """Deterministic Riccati flow from ``Q`` reported on ``grid``.
 
     Stepped by the exact Hamiltonian (Moebius) propagator of the Riccati
-    equation, so the nodes are exact up to ``expm`` and step roundoff; a
+    equation, so the nodes are exact up to ``expm`` and step roundoff.  A
     grid step with ``dt ||Ham||_1 > HAM_STEP_MAX`` is split into equal
-    sub-steps.  Every step is symmetrized and PSD-clamped.
+    sub-steps; otherwise the nodes are mapped a span at a time, each node
+    ``j`` of a span straight from the span's first node by ``Phi^j`` (one
+    stacked solve and one stacked PSD projection per span).  Every node is
+    symmetrized and PSD-clamped.
+
+    Raises
+    ------
+    ValueError, NotPSD
+        If ``Q`` is not a d x d PSD matrix (see
+        :func:`~kbflow.model._check_covariance`).
     """
+    Q = _check_covariance(Q, model.d)
     return _mobius_flow(model.A, model.S, model.R, Q, grid)
 
 
@@ -116,21 +118,20 @@ def semigroup_E(model: LinearGaussianModel, Q, s: float, t: float) -> SemigroupM
 
     The solution of ``dE/du = (A - phi_u(Q) S) E``, ``E_{s,s} = I``, with the
     running trace of the generator.  The Riccati flow is stepped to ``s`` and
-    then on to ``t`` by the exact propagator; the factor ``X`` of each
-    sub-step gives ``E <- X^{-T} E`` and subtracts ``log det X`` from the
-    trace integral (exact up to ``expm`` and step roundoff).
+    then on to ``t`` by the exact propagator; the factor ``X`` of each span
+    gives ``E <- X^{-T} E`` and subtracts ``log det X`` from the trace
+    integral (exact up to ``expm`` and step roundoff).  ``Q`` is checked as
+    in :func:`riccati_flow`.
     """
     if not (0 <= s <= t):
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     d = model.d
-    P = _riccati_endpoint(model, project_psd(np.asarray(Q, dtype=float)), s)
+    P = _riccati_endpoint(model, _check_covariance(Q, d), s)
     E, ell = np.eye(d), 0.0
     if t == s:
         return SemigroupMatrix(s=float(s), t=float(t), E=E, trace_integral=ell)
-    n_sub, phi = _hamiltonian_propagator(model.A, model.S, model.R, t - s)
-    for _ in range(n_sub):
-        X, P = _mobius_step(phi, P)
-        P = project_psd(P)
+    n_sub, powers = _hamiltonian_propagator(model.A, model.S, model.R, t - s)
+    for X, _ in _mobius_spans(powers, P, n_sub):
         E = np.linalg.solve(X.T, E)
         ell -= np.linalg.slogdet(X)[1]
     return SemigroupMatrix(s=float(s), t=float(t), E=E, trace_integral=float(ell))
@@ -142,10 +143,11 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
 
     The signal and observation paths are generated internally from
     ``truth_seed`` on dedicated channels (an ensemble run given the same
-    seed consumes the identical paths).  SDE parts are stepped by
+    seed consumes the identical paths), drawn a block of steps at a time as
+    the ensemble kernels draw them.  SDE parts are stepped by
     Euler-Maruyama on the grid; the covariance is the exact Riccati flow
-    of :func:`riccati_flow` (Hamiltonian propagator, exact up to ``expm``
-    roundoff, sub-stepped when ``dt ||Ham||_1 > HAM_STEP_MAX``).
+    of :func:`riccati_flow`, computed first, and the gains
+    ``P H' R1^{-1}`` of all nodes are one stacked product.
 
     Parameters
     ----------
@@ -161,40 +163,46 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
 
     Raises
     ------
+    ValueError, NotPSD
+        If ``Q`` or ``P0`` is not a d x d PSD matrix.
     NonFinite
         If the filter or signal state stops being finite (catastrophic
         divergence detector; carries the offending step index).
     """
-    d = model.d
+    d, K, dt = model.d, grid.steps, grid.dt
     x = np.asarray(x0, dtype=float).reshape(d)
-    Q = project_psd(np.asarray(Q, dtype=float))
+    Q = _check_covariance(Q, d)
     m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
-    P0 = Q if P0 is None else project_psd(np.asarray(P0, dtype=float))
+    P0 = Q if P0 is None else _check_covariance(P0, d, "P0")
 
-    cov_path = riccati_flow(model, Q, grid)
+    nodes = _riccati_nodes(model.A, model.S, model.R, Q, dt, K)
+    gains = model.gain(nodes[:-1])
 
     init = NoiseStream(truth_seed, 0, TRUTH_INIT)
     signal = NoiseStream(truth_seed, 0, TRUTH_SIGNAL)
     obs = NoiseStream(truth_seed, 0, TRUTH_OBS)
 
-    from .model import symmetric_sqrt
-
-    truth = m0 + symmetric_sqrt(P0) @ init.normals(d)
-    times = grid.times()
-    dt = grid.dt
-    out = [KalmanState(t=float(times[0]), X=x.copy(), P=cov_path[0], Z=x - truth)]
-    for k in range(grid.steps):
-        dV = signal.increments(d, dt)
-        dW = obs.increments(model.d_y, dt)
-        dY = model.H @ truth * dt + model.sqrt_R1 @ dW
-        gain = model.gain(cov_path[k].P)
-        x = x + dt * (model.A @ x) + gain @ (dY - model.H @ x * dt)
-        truth = truth + dt * (model.A @ truth) + model.sqrt_R @ dV
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(truth))):
-            raise NonFinite(k + 1, t=float(times[k + 1]), what="exact filter state")
-        out.append(KalmanState(t=float(times[k + 1]), X=x.copy(),
-                               P=cov_path[k + 1], Z=x - truth))
-    return out
+    A, H, sqrt_R, sqrt_R1 = model.A, model.H, model.sqrt_R, model.sqrt_R1
+    xs = np.empty((K + 1, d))
+    truths = np.empty((K + 1, d))
+    xs[0] = x
+    truths[0] = truth = m0 + symmetric_sqrt(P0) @ init.normals(d)
+    # a divergence is found after the loop, at the first non-finite node
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = _engines._step_noise([(signal, (d,)), (obs, (model.d_y,))], K, dt)
+        for k, (dV, dW) in enumerate(draws):
+            dY = H @ truth * dt + sqrt_R1 @ dW
+            x = x + dt * (A @ x) + gains[k] @ (dY - H @ x * dt)
+            truth = truth + dt * (A @ truth) + sqrt_R @ dV
+            xs[k + 1], truths[k + 1] = x, truth
+    bad = ~(np.isfinite(xs[1:]).all(axis=1) & np.isfinite(truths[1:]).all(axis=1))
+    times = grid.times().tolist()
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise NonFinite(k, t=times[k], what="exact filter state")
+    Z = xs - truths
+    return [KalmanState(t=t, X=X, P=P, Z=z)
+            for t, X, P, z in zip(times, xs, _riccati_states(times, nodes), Z)]
 
 
 @dataclass
@@ -227,7 +235,7 @@ def check_riccati_sandwich(model: LinearGaussianModel, Q, tau: float, t: float,
     """
     if not (0 < tau <= t):
         raise ValueError(f"need 0 < tau <= t, got tau={tau}, t={t}")
-    Q = project_psd(np.asarray(Q, dtype=float))
+    Q = _check_covariance(Q, model.d)
     g = gramians(model, tau)
     lower = np.linalg.inv(g.O_tau_of_C + np.linalg.inv(g.C_tau))
     upper1 = np.linalg.inv(g.O_tau) + g.C_tau_of_O

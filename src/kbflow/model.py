@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import NoStabilizingSolution, NotPSD, SingularGramian
-from .sde import project_psd
+from .sde import _mm, _project_psd_stack, _swap, project_psd
 
 #: Relative singular-value threshold for rank decisions.
 RANK_TOL = 1e-10
@@ -37,6 +37,11 @@ COND_MAX = 1e12
 #: than this is split into equal sub-steps, so ``expm(h * Ham)`` and the
 #: linear-fractional step stay well scaled (no overflow for stiff models).
 HAM_STEP_MAX = 1.0
+
+#: Most sub-steps one span of the Riccati propagator maps with one stacked
+#: solve (it keeps the span's powers of the propagator: O(SPAN_MAX d^2)
+#: memory).
+SPAN_MAX = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ class LinearGaussianModel:
         return self.A - np.asarray(P) @ self.S
 
     def gain(self, P) -> np.ndarray:
-        """The filter gain ``P H' R1^{-1}``."""
+        """The filter gain ``P H' R1^{-1}`` (of each P of a stack)."""
         return np.asarray(P) @ self.H.T @ self.R1_inv
 
     # -- serialization ------------------------------------------------------
@@ -366,30 +371,80 @@ def _ricc(A, S, R, P):
     return 0.5 * (out + out.T)
 
 
-def _hamiltonian_propagator(A, S, R, dt):
-    """``(n, Phi)``: the exact propagator of ``P' = A P + P A' - P S P + R``
-    over ``dt`` is ``n`` steps of :func:`_mobius_step` with ``Phi = expm(h Ham)``.
+def _hamiltonian_propagator(A, S, R, dt, steps: int = 1):
+    """``(n, powers)``: the exact propagator of ``P' = A P + P A' - P S P + R``
+    over ``dt`` is ``n`` sub-steps ``h = dt / n`` of ``Phi = expm(h Ham)``,
+    and ``powers`` stacks ``Phi^1 .. Phi^J``, the maps of one span of
+    :func:`_mobius_span`, for a grid of ``steps`` steps of ``dt``.
 
     ``P_t = Y_t X_t^{-1}`` where ``[X; Y]' = Ham [X; Y]``, ``Ham = [[-A', S],
-    [R, A]]``, ``X_0 = I``, ``Y_0 = P_0``; ``n`` is the fewest equal
-    sub-steps ``h`` of ``dt`` with ``h ||Ham||_1 <= HAM_STEP_MAX``.
+    [R, A]]``, ``X_0 = I``, ``Y_0 = P_0``.  ``n`` is the fewest equal
+    sub-steps with ``h ||Ham||_1 <= HAM_STEP_MAX``, and the span ``J`` the
+    most sub-steps with ``J h ||Ham||_1 <= HAM_STEP_MAX``, so every power
+    obeys the sub-step's growth bound; ``J`` is also at most ``SPAN_MAX``
+    and the grid's ``n * steps`` sub-steps, and ``J = 1`` whenever ``n > 1``.
+    The powers are products of ``Phi`` by doubling (``Phi^(m+i) = Phi^m
+    Phi^i``), about ``log2 J`` roundings deep.
     """
     ham = np.block([[-A.T, S], [R, A]])
-    n_sub = max(1, math.ceil(dt * np.linalg.norm(ham, 1) / HAM_STEP_MAX))
-    return n_sub, expm((dt / n_sub) * ham)
+    growth = dt * float(np.linalg.norm(ham, 1))
+    n_sub = max(1, math.ceil(growth / HAM_STEP_MAX))
+    span = min(SPAN_MAX, n_sub * steps)
+    if growth * span > HAM_STEP_MAX * n_sub:
+        span = max(1, math.floor(HAM_STEP_MAX * n_sub / growth))
+    powers = np.empty((span,) + ham.shape)
+    powers[0] = expm((dt / n_sub) * ham)
+    m = 1
+    while m < span:
+        k = min(m, span - m)
+        np.matmul(powers[m - 1], powers[:k], out=powers[m:m + k])
+        m += k
+    return n_sub, powers
 
 
-def _mobius_step(phi, P):
-    """``(X, P_new)``: ``X = Phi11 + Phi12 P``, ``P_new = (Phi21 + Phi22 P) X^{-1}``.
+def _mobius_span(powers, P):
+    """``(X, P_span)``: the ``J = len(powers)`` sub-steps after ``P``.
 
-    ``X' = -(A - P S)' X`` along the flow, so ``X`` also steps the closed-loop
-    semigroup, ``E <- X^{-T} E``, and ``log det E`` by ``-log det X``.
+    ``X[j-1] = (Phi^j)_11 + (Phi^j)_12 P`` and ``P_span[j-1] = ((Phi^j)_21 +
+    (Phi^j)_22 P) X[j-1]^{-1}``, PSD-projected: one stacked solve and one
+    stacked projection for the whole span.  ``X' = -(A - P S)' X`` along the
+    flow, so ``X[-1]`` also steps the closed-loop semigroup over the span,
+    ``E <- X^{-T} E``, and ``log det E`` by ``-log det X``.
     """
-    d = P.shape[0]
-    XY = phi[:, :d] + phi[:, d:] @ P
-    X = XY[:d]
-    # P_new = Y X^{-1} is symmetric, so solving X' P_new = Y' gives it too
-    return X, np.linalg.solve(X.T, XY[d:].T)
+    d = P.shape[-1]
+    XY = powers[:, :, :d] + _mm(powers[:, :, d:], P)
+    X, Y = XY[:, :d], XY[:, d:]
+    # P_new = Y X^{-1} is symmetric, so solving X' P_new = Y' gives it too;
+    # at d = 1 a division does it without the solve's per-call overhead,
+    # which dominates spans of one sub-step
+    P_new = Y / X if d == 1 else np.linalg.solve(_swap(X), _swap(Y))
+    return X, _project_psd_stack(P_new)
+
+
+def _mobius_spans(powers, P, sub_steps: int):
+    """Step ``P`` over ``sub_steps`` sub-steps, a span at a time: yields
+    :func:`_mobius_span`'s ``(X[-1], P_span)`` per span."""
+    J = len(powers)
+    for a in range(0, sub_steps, J):
+        X, P_span = _mobius_span(powers[:min(J, sub_steps - a)], P)
+        yield X[-1], P_span
+        P = P_span[-1]
+
+
+def _riccati_nodes(A, S, R, Q, dt, steps: int) -> np.ndarray:
+    """The flow of ``P' = A P + P A' - P S P + R`` from ``Q`` at the
+    ``steps + 1`` nodes ``k dt``, a (steps + 1, d, d) stack.  Sub-step ``i``
+    of :func:`_hamiltonian_propagator` is node ``i / n`` where ``n``
+    divides it."""
+    n_sub, powers = _hamiltonian_propagator(A, S, R, dt, steps)
+    nodes = np.empty((steps + 1,) + Q.shape)
+    nodes[0] = Q
+    a = 0
+    for _, P_span in _mobius_spans(powers, Q, n_sub * steps):
+        first, a_next = -(-(a + 1) // n_sub), a + len(P_span)
+        nodes[first:a_next // n_sub + 1] = P_span[first * n_sub - a - 1::n_sub]
+        a = a_next
+    return nodes
 
 
 def solve_are(model: LinearGaussianModel, max_newton: int = 60):
@@ -442,13 +497,13 @@ def solve_are(model: LinearGaussianModel, max_newton: int = 60):
     for _ in range(200):
         if spectral_abscissa(model.closed_loop(P)) < 0:
             break
-        P = project_psd(_mobius_step(phi, P)[1])
+        P = _mobius_span(phi, P)[1][0]
         if not np.all(np.isfinite(P)) or np.linalg.norm(P) > 1e12:
             raise NoStabilizingSolution(
                 "Riccati flow is diverging; no stabilizing iterate exists")
         # squaring stops at |Phi|_1 ~ 1e150, where a step on |P| <= 1e12
         # cannot overflow; the steps then repeat
-        if np.linalg.norm(phi, 1) < 1e75:
+        if np.linalg.norm(phi[0], 1) < 1e75:
             phi = phi @ phi
     else:
         raise NoStabilizingSolution("Riccati flow failed to reach a stabilizing iterate")
@@ -524,6 +579,33 @@ def symmetric_sqrt(Q) -> np.ndarray:
         raise NotPSD(f"matrix has eigenvalue {w[0]:.3e} below -{clamp_tol:.3e}")
     w = np.sqrt(np.maximum(w, 0.0))
     return (V * w) @ V.T
+
+
+def _check_covariance(Q, d: int, name: str = "Q") -> np.ndarray:
+    """``Q`` as a d x d covariance, symmetrized and PSD-projected.
+
+    ``Q`` is a (d, d) array (or a number at d = 1).  Eigenvalues within the
+    clamp tolerance of :func:`symmetric_sqrt`, ``1e-10 max |lambda|``, below
+    zero are treated as roundoff and clamped.
+
+    Raises
+    ------
+    ValueError
+        If ``Q`` has another shape.
+    NotPSD
+        If ``Q`` has a non-finite entry or an eigenvalue below the tolerance.
+    """
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (d, d) and not (d == 1 and Q.ndim == 0):
+        raise ValueError(f"{name} must be a {d} x {d} matrix (d = {d}), got shape {Q.shape}")
+    Q = Q.reshape(d, d)
+    if not np.isfinite(Q).all():
+        raise NotPSD(f"{name} has non-finite entries")
+    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    clamp_tol = 1e-10 * max(abs(w[0]), abs(w[-1]))
+    if w[0] < -clamp_tol:
+        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e} below -{clamp_tol:.3e}")
+    return project_psd(Q)
 
 
 def _bottleneck_match(D: np.ndarray) -> float:

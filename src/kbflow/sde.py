@@ -11,7 +11,8 @@ This module owns the plumbing shared by every simulator in the package:
 * :class:`Scheme` — the time-stepping schemes of the law-level kernels in
   :mod:`kbflow._engines` (Euler-Maruyama and tamed Euler).
 * :func:`project_psd` — symmetrize-and-clamp projection used after every
-  covariance update.
+  covariance update, and its batched form :func:`_project_psd_stack` (with
+  :func:`_symmetric_sqrt_stack`) for (B, d, d) stacks.
 """
 
 from __future__ import annotations
@@ -190,3 +191,77 @@ def project_psd(M: np.ndarray, clamp: float = 0.0) -> np.ndarray:
         return sym
     w = np.maximum(w, 0.0)
     return (V * w) @ V.T
+
+
+# ---------------------------------------------------------------------------
+# symmetric matrix stacks (the arithmetic of project_psd / symmetric_sqrt)
+# ---------------------------------------------------------------------------
+
+def _swap(M):
+    return M.swapaxes(-1, -2)
+
+
+def _sym(M):
+    """Symmetric part of each matrix of a stack; a 1x1 matrix is its own."""
+    return M if M.shape[-1] == 1 else 0.5 * (M + _swap(M))
+
+
+def _mm(a, b):
+    """``a @ b``.  A contraction of length 1 is the broadcast product, the
+    same numbers without numpy's per-matrix matmul loop (d = 1, d_y = 1);
+    a 0-d ``a`` stands for a 1x1 matrix."""
+    return a * b if a.ndim == 0 or a.shape[-1] == 1 else a @ b
+
+
+def _spectral_map(M, fn, keep_psd: bool, eig=None):
+    """Symmetrize each matrix of a (B, d, d) stack and map its spectrum by
+    ``fn``, as :func:`project_psd` (``keep_psd``: a matrix with no negative
+    eigenvalue is returned symmetrized, unchanged) and
+    :func:`kbflow.model.symmetric_sqrt` do for one matrix (at d = 1 the map
+    of the single entry is the same number).  Non-finite (frozen) matrices
+    come out NaN instead of tripping eigh.
+
+    Returns ``(out, eig)``.  For ``keep_psd`` maps ``eig = (w, V, kept)``:
+    the ``eigh`` of each symmetrized matrix, and which finite matrices came
+    out unchanged, so that ``(w, V)`` is the ``eigh`` of ``out`` there
+    (otherwise, and at d = 1 where no ``eigh`` runs, ``eig`` is None).
+    Given such an ``eig``, the map reuses its ``(w, V)`` where ``kept`` and
+    runs ``eigh`` only on the other matrices.
+    """
+    sym = _sym(M)
+    if M.shape[-1] == 1:
+        return fn(sym), None
+    finite = np.isfinite(sym).all(axis=(1, 2))
+    all_finite = finite.all()
+    if not all_finite:
+        sym = np.where(finite[:, None, None], sym, np.eye(M.shape[-1]))
+    if eig is None:
+        w, V = np.linalg.eigh(sym)
+    else:
+        w, V, kept = eig
+        if not kept.all():
+            w, V = w.copy(), V.copy()
+            w[~kept], V[~kept] = np.linalg.eigh(sym[~kept])
+    kept = w[:, 0] >= 0.0
+    if keep_psd and all_finite and kept.all():
+        return sym, (w, V, kept)
+    out = (V * fn(w)[:, None, :]) @ _swap(V)
+    if keep_psd:
+        out = np.where(kept[:, None, None], sym, out)
+    if not all_finite:
+        out[~finite] = np.nan
+    return out, (w, V, kept & finite) if keep_psd else None
+
+
+def _project_psd_stack(M, with_eig: bool = False):
+    """:func:`project_psd` of each matrix of a stack; ``with_eig`` also
+    returns the ``eig`` of :func:`_spectral_map`."""
+    out, eig = _spectral_map(M, lambda w: np.maximum(w, 0.0), keep_psd=True)
+    return (out, eig) if with_eig else out
+
+
+def _symmetric_sqrt_stack(M, eig=None):
+    """:func:`kbflow.model.symmetric_sqrt` of each matrix of a PSD stack,
+    reusing a projection's ``eig`` (see :func:`_spectral_map`)."""
+    return _spectral_map(M, lambda w: np.sqrt(np.maximum(w, 0.0)), keep_psd=False,
+                         eig=eig)[0]

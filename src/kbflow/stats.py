@@ -33,9 +33,9 @@ from scipy.stats import norm
 
 from . import _engines, io
 from .ensemble import Inflation, inflated_riccati_flow
-from .errors import ConfigError
+from .errors import ConfigError, NotPSD
 from .kalman import riccati_flow
-from .model import LinearGaussianModel, ScalarModel, solve_are
+from .model import LinearGaussianModel, ScalarModel, _check_covariance, solve_are
 from .scalar import (clt_variance_oracle, contraction_rate, equilibria,
                      invariant_density, lyapunov_bounds, lyapunov_exponent,
                      moment_threshold)
@@ -332,14 +332,13 @@ def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
     if not ok:
         raise ConfigError(f"options.Q must be {form}, got shape {Q.shape}")
     Q = Q.reshape(d, d)
-    if not np.isfinite(Q).all():
-        raise ConfigError("options.Q has non-finite entries")
+    try:
+        _check_covariance(Q, d, "options.Q")
+    except NotPSD as exc:
+        raise ConfigError(str(exc)) from exc
     scale = max(1.0, float(np.abs(Q).max()))
     if np.abs(Q - Q.T).max() > 1e-12 * scale:
         raise ConfigError("options.Q is not symmetric")
-    w = np.linalg.eigvalsh(Q)
-    if w[0] < -1e-10 * max(1.0, w[-1]):
-        raise ConfigError(f"options.Q must be PSD, got eigenvalue {w[0]:.3g}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from conftest import random_model, random_psd, scalar_lg
-from kbflow import NoiseStream, TimeGrid, _engines, project_psd, riccati_flow, symmetric_sqrt
+from kbflow import (Inflation, LinearGaussianModel, NoiseStream, TimeGrid, _engines, kalman_run,
+                    project_psd, riccati_flow, sde, symmetric_sqrt)
 from kbflow._engines import (
     _mm,
     _project_psd_stack,
@@ -241,7 +242,15 @@ _KERNEL_CASES = {
     "law_nd_without_mean": lambda: law_cov_paths_nd(
         random_model(2, seed=31, stabilize=1.0), kappa=0, N=8, Q=np.eye(2), grid=GRID,
         seed=5, trials=5, chunk=3, with_mean=False, integral_from=10),
+    # 4 normals per step: blocks of 8192 steps, the second one partial
+    "kalman_run": lambda: _filter_path(kalman_run(
+        random_model(2, seed=31, stabilize=1.0), np.zeros(2), np.eye(2), 6,
+        TimeGrid(0.0, 1e-3, 10000))),
 }
+
+
+def _filter_path(states):
+    return {"X": np.array([s.X for s in states]), "Z": np.array([s.Z for s in states])}
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
@@ -258,3 +267,47 @@ def test_block_length_is_not_part_of_the_result(case, monkeypatch):
         # every trial stops early in the first block: the kernel breaks out
         # with most of the block unused
         assert np.all((blocked["diverged_step"] > 0) & (blocked["diverged_step"] < 100))
+
+
+# ---------------------------------------------------------------------------
+# eigendecomposition reuse in the law kernel
+# ---------------------------------------------------------------------------
+
+_STIFF_D2 = LinearGaussianModel([[1.0, 5.0], [0.0, -1.0]], [[1.0, 0.0]], np.eye(2), [[1.0]])
+_BLOWUP_D2 = LinearGaussianModel([[30.0, 0.0], [0.0, 2.0]], [[1.0, 0.0]], np.eye(2), [[1.0]])
+
+
+@pytest.mark.parametrize("model, kappa, N, dt, inflation, expect", [
+    (_D2, 0, 8, 1e-2, None, "plain"),
+    (_D2, 0, 8, 1e-2, Inflation(xi=0.5), "plain"),
+    (_D2, 1, 8, 1e-2, None, "plain"),
+    (_D2, 1, 8, 1e-2, Inflation(xi=0.5), "plain"),
+    (_STIFF_D2, 0, 1, 5e-2, None, "clamps"),
+    (_STIFF_D2, 1, 1, 5e-2, Inflation(xi=0.5), "clamps"),
+    (_BLOWUP_D2, 1, 2, 1e-1, None, "diverges"),
+])
+def test_law_kernel_root_reuse_is_bitwise(model, kappa, N, dt, inflation, expect,
+                                          monkeypatch):
+    # the root of P at step k + 1 reuses the eigh of step k's projection
+    # wherever it kept P; forcing a fresh eigh every step changes no bit
+    def run():
+        return law_cov_paths_nd(model, kappa, N=N, Q=np.eye(2), grid=TimeGrid(0.0, dt, 300),
+                                seed=5, trials=8, chunk=3, inflation=inflation)
+
+    clamped = []
+
+    def counting_projection(M, with_eig=False):
+        out, eig = sde._project_psd_stack(M, with_eig=True)
+        clamped.append(int((eig[0][:, 0] < 0.0).sum()))
+        return (out, eig) if with_eig else out
+
+    monkeypatch.setattr(_engines, "_project_psd_stack", counting_projection)
+    reused = run()
+    monkeypatch.setattr(_engines, "_symmetric_sqrt_stack",
+                        lambda M, eig=None: sde._symmetric_sqrt_stack(M))
+    fresh = run()
+    for key in reused:
+        np.testing.assert_array_equal(reused[key], fresh[key])
+    diverged = reused["diverged_step"] > 0
+    assert (sum(clamped) > 0) == (expect != "plain")
+    assert diverged.any() == (expect == "diverges") and not diverged.all()

@@ -1,17 +1,26 @@
 """Exact filter: Riccati drift/flow, co-simulated runs, semigroup E."""
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, random_psd, scalar_lg
 from kbflow import (
+    Inflation,
     LinearGaussianModel,
+    NonFinite,
+    NotPSD,
     ScalarModel,
     TimeGrid,
     check_riccati_sandwich,
     contraction_rate,
+    inflated_riccati_flow,
     kalman_run,
+    law_level_run,
     ricc_drift,
     riccati_closed_form,
     riccati_flow,
@@ -19,6 +28,8 @@ from kbflow import (
     slope_fit,
     solve_are,
 )
+from kbflow import model as kbmodel
+from kbflow.model import _hamiltonian_propagator
 
 
 def test_ricc_drift_examples():
@@ -71,6 +82,36 @@ def test_riccati_flow_large_steps_stay_exact(dt):
     np.testing.assert_allclose(numeric, exact, rtol=0.0, atol=1e-10)
 
 
+@settings(max_examples=30, deadline=None)
+@given(A=st.floats(-20.0, 20.0), R=st.floats(0.1, 5.0), S=st.floats(0.1, 5.0),
+       Q=st.floats(0.0, 10.0), log_dt=st.floats(-4.0, 0.0), steps=st.integers(1, 1500))
+@example(A=20.0, R=1.0, S=1.0, Q=0.0, log_dt=-4.0, steps=10000)  # test 01's flow
+@example(A=20.0, R=1.0, S=1.0, Q=3.7, log_dt=0.0, steps=30)      # 21 sub-steps per node
+def test_riccati_flow_is_the_closed_form_at_d1(A, R, S, Q, log_dt, steps):
+    # every node, whether it ends a span, lies inside one, or ends one of
+    # several sub-steps (dt ||Ham||_1 > 1)
+    sm, grid = ScalarModel(A=A, R=R, S=S), TimeGrid(0.0, 10.0 ** log_dt, steps)
+    numeric = np.array([s.P[0, 0] for s in riccati_flow(scalar_lg(A, R, S), [[Q]], grid)])
+    exact = riccati_closed_form(sm, Q, grid.times())
+    scale = max(1.0, Q, float(exact.max()))
+    np.testing.assert_allclose(numeric, exact, rtol=1e-10, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_riccati_flow_does_not_depend_on_the_span(d, monkeypatch):
+    # 2001 nodes: spans of the default length end with a partial span
+    m = random_model(d, seed=40 + d)
+    grid = TimeGrid(0.0, 2e-3, 2001)
+    n_sub, powers = _hamiltonian_propagator(m.A, m.S, m.R, grid.dt, grid.steps)
+    assert n_sub == 1 and 1 < len(powers) and grid.steps % len(powers)
+    Q = random_psd(d, seed=50 + d)
+    spans = np.array([s.P for s in riccati_flow(m, Q, grid)])
+    monkeypatch.setattr(kbmodel, "SPAN_MAX", 1)
+    steps = np.array([s.P for s in riccati_flow(m, Q, grid)])
+    gap = np.linalg.norm(spans - steps, axis=(1, 2)) / np.linalg.norm(steps, axis=(1, 2))
+    assert gap.max() <= 1e-12
+
+
 def test_riccati_flow_emits_psd_states():
     m = random_model(3, seed=8)
     for s in riccati_flow(m, np.zeros((3, 3)), TimeGrid(0.0, 0.01, 100)):
@@ -114,6 +155,51 @@ def test_kalman_run_noiseless_exact_init():
                      grid=TimeGrid(0.0, 1e-3, 200), m0=[0.0], P0=[[0.0]])
     for s in out:
         assert abs(s.Z[0]) < 1e-9
+
+
+@pytest.mark.parametrize("A, H, R1, dt, steps, step", [
+    ([[50.0]], [[1.0]], [[1.0]], 1.0, 300, 181),
+    ([[3.0, 1.0], [0.0, 2.0]], [[1.0, 0.0]], [[1.0]], 1.0, 2000, 512),
+    ([[0.5, 0.0], [0.0, 600.0]], [[1.0, 1.0]], [[0.01]], 0.05, 400, 207),
+])
+def test_kalman_run_divergence_step(A, H, R1, dt, steps, step):
+    # the step at which the signal or the filter overflows, as the per-step
+    # check of the earlier implementation found it; no warning on the way
+    m = LinearGaussianModel(A, H, np.eye(len(A)), R1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as info:
+            kalman_run(m, np.zeros(m.d), np.eye(m.d), 3, TimeGrid(0.0, dt, steps))
+    assert info.value.step == step
+    assert info.value.t == pytest.approx(step * dt)
+
+
+_Q_ENTRY_POINTS = {
+    "riccati_flow": lambda m, Q: riccati_flow(m, Q, TimeGrid(0.0, 0.01, 5)),
+    "inflated_riccati_flow": lambda m, Q: inflated_riccati_flow(
+        m, 1.0, Q, TimeGrid(0.0, 0.01, 5), Inflation(xi=0.5)),
+    "kalman_run": lambda m, Q: kalman_run(m, np.zeros(2), Q, 0, TimeGrid(0.0, 0.01, 5)),
+    "kalman_run_P0": lambda m, Q: kalman_run(m, np.zeros(2), np.eye(2), 0,
+                                             TimeGrid(0.0, 0.01, 5), P0=Q),
+    "semigroup_E": lambda m, Q: semigroup_E(m, Q, 0.0, 0.5),
+    "check_riccati_sandwich": lambda m, Q: check_riccati_sandwich(m, Q, tau=1.0, t=2.0),
+    "law_level_run": lambda m, Q: law_level_run(m, 1.0, Q, np.zeros(2),
+                                                TimeGrid(0.0, 0.01, 5), 5, streams=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_Q_ENTRY_POINTS))
+def test_initial_covariance_is_checked(entry):
+    call, m = _Q_ENTRY_POINTS[entry], random_model(2, seed=60, stabilize=0.5)
+    with pytest.raises(NotPSD, match="eigenvalue"):
+        call(m, np.diag([1.0, -5.0]))
+    with pytest.raises(NotPSD, match="non-finite"):
+        call(m, np.full((2, 2), np.nan))
+    for bad in (1.0, np.eye(3)):
+        with pytest.raises(ValueError, match=r"2 x 2 matrix \(d = 2\), got shape"):
+            call(m, bad)
+    # a negative eigenvalue within the clamp tolerance is roundoff
+    call(m, np.diag([1.0, -1e-12]))
 
 
 def test_kalman_run_stationary_error_variance():
