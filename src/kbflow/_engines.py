@@ -21,15 +21,20 @@ Trials are simulated in fixed-size chunks; the chunk index plays the
 trial-index role in the noise-stream addresses, so results are
 deterministic for a given (seed, chunk size) and independent of scheduling.
 
-All three kernels, and :func:`kbflow.kalman.kalman_run`, take their
-per-step noise from :func:`_step_noise`, which draws each channel a block
-of steps at a time.  A ``(L,) + shape`` draw gives the numbers of L
-successive ``shape`` draws, so the block length L is not part of any stream
-address and the results are those of per-step draws, bit for bit.
+All three kernels, and :func:`kbflow.kalman.kalman_run`, take their noise
+from :func:`_step_noise`, which draws each channel a block of steps at a
+time.  A ``(L,) + shape`` draw gives the numbers of L successive ``shape``
+draws, so the block length L is not part of any stream address and the
+results are those of per-step draws, bit for bit.  The nd kernels compute
+the noise terms that do not depend on the state (the noise arrays times
+the noise roots) once per block, as one stacked product on the
+``(L,) + shape`` arrays, and then step through the block's rows; a stacked
+product gives each row the numbers of the per-step product.
 
 All engines freeze a trial at its first non-finite value (the state turns
 NaN and stays NaN) and report the divergence step per trial; callers decide
-how to aggregate divergent trials.
+how to aggregate divergent trials.  The nd kernels test finiteness once per
+step, by one sum per state stack (:func:`kbflow.sde._nonfinite_trials`).
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import math
 import numpy as np
 
 from .model import LinearGaussianModel, symmetric_sqrt
-from .sde import (NoiseStream, Scheme, TimeGrid, _mm, _project_psd_stack, _swap, _sym,
-                  _symmetric_sqrt_stack)
+from .sde import (NoiseStream, Scheme, TimeGrid, _mm, _nonfinite_trials, _project_psd_stack,
+                  _swap, _sym, _symmetric_sqrt_stack)
 
 #: Default number of trials simulated per noise-stream chunk.
 CHUNK_SIZE = 1024
@@ -137,23 +142,28 @@ def _truth_channels(seed: int, truth_seed, c: int, first_chunk: int):
 
 
 def _step_noise(channels, steps: int, dt: float):
-    """Per-step Brownian increments of a kernel, drawn in blocks of steps.
+    """Brownian increments of a kernel's steps, drawn in blocks of steps.
 
-    ``channels`` is a sequence of ``(stream, shape tuple)`` pairs; a channel whose
-    stream is None yields None.  Yields ``steps`` tuples, each with one
-    N(0, dt) array of the channel's shape per channel, equal bit for bit to
-    ``stream.increments(shape, dt)`` called once per step.  Every stream
-    draws a block of L = max(1, NOISE_BLOCK // normals per step) steps with
-    one call.
+    ``channels`` is a sequence of ``(stream, shape tuple)`` pairs.  Yields
+    ``(k0, arrays)`` per block of the n = min(L, steps - k0) steps from step
+    ``k0`` on, with one N(0, dt) array of shape ``(n,) + shape`` per channel
+    (None for a channel whose stream is None).  Row i of an array equals
+    ``stream.increments(shape, dt)`` of step ``k0 + i`` bit for bit.  Every
+    stream draws a block of L = max(1, NOISE_BLOCK // normals per step)
+    steps with one call; :func:`_rows` steps through a block.
     """
     per_step = sum(math.prod(shape) for s, shape in channels if s is not None)
     L = max(1, NOISE_BLOCK // per_step)
     for k0 in range(0, steps, L):
         n = min(L, steps - k0)
-        arrays = [None if s is None else s.increments((n,) + shape, dt)
-                  for s, shape in channels]
-        for i in range(n):
-            yield tuple(None if a is None else a[i] for a in arrays)
+        yield k0, [None if s is None else s.increments((n,) + shape, dt)
+                   for s, shape in channels]
+
+
+def _rows(arrays):
+    """Per-step tuples of a block's arrays (a None array gives None rows)."""
+    n = next(len(a) for a in arrays if a is not None)
+    return zip(*((None,) * n if a is None else a for a in arrays))
 
 
 def _scalar_coeffs(model: LinearGaussianModel):
@@ -255,40 +265,41 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
         dev = X - X_bar[:, None]
         P_hat = np.sum(dev * dev, axis=1) / N
         rec(0, P_hat, X_bar)
-        draws = _step_noise([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
-                            K, dt)
-        for k, (dVi, dV, dW, dWi) in enumerate(draws):
-            if acc is not None and k >= integral_from:
-                np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
-            gain = (P_hat * H / R1)[:, None]
-            if frame == "error":
-                sig_noise = sqrt_R * (dVi - dV[:, None])
-                if variant is Variant.VANILLA:
-                    innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
+        blocks = _step_noise([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
+                             K, dt)
+        for k0, block in blocks:
+            for k, (dVi, dV, dW, dWi) in enumerate(_rows(block), k0):
+                if acc is not None and k >= integral_from:
+                    np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
+                gain = (P_hat * H / R1)[:, None]
+                if frame == "error":
+                    sig_noise = sqrt_R * (dVi - dV[:, None])
+                    if variant is Variant.VANILLA:
+                        innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
+                    else:
+                        innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
+                    X = X + dt * A * X + sig_noise + gain * innov
                 else:
-                    innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
-                X = X + dt * A * X + sig_noise + gain * innov
-            else:
-                dY = (H * truth * dt + sqrt_R1 * dW)[:, None]
-                if variant is Variant.VANILLA:
-                    innov = dY - H * X * dt - sqrt_R1 * dWi
-                else:
-                    innov = dY - H * (X + X_bar[:, None]) * 0.5 * dt
-                X = X + dt * A * X + sqrt_R * dVi + gain * innov
-                truth = truth + dt * A * truth + sqrt_R * dV
+                    dY = (H * truth * dt + sqrt_R1 * dW)[:, None]
+                    if variant is Variant.VANILLA:
+                        innov = dY - H * X * dt - sqrt_R1 * dWi
+                    else:
+                        innov = dY - H * (X + X_bar[:, None]) * 0.5 * dt
+                    X = X + dt * A * X + sqrt_R * dVi + gain * innov
+                    truth = truth + dt * A * truth + sqrt_R * dV
 
-            X_bar = X.mean(axis=1)
-            dev = X - X_bar[:, None]
-            P_hat = np.sum(dev * dev, axis=1) / N
-            bad = ~np.isfinite(P_hat) | ~np.isfinite(X_bar)
-            if frame == "absolute":
-                bad |= ~np.isfinite(truth)
-            if bad.any():
-                fresh = bad & (div < 0)
-                div[fresh] = k + 1
-                X[bad] = np.nan
-                P_hat[bad] = np.nan
-            rec(k + 1, P_hat, X_bar)
+                X_bar = X.mean(axis=1)
+                dev = X - X_bar[:, None]
+                P_hat = np.sum(dev * dev, axis=1) / N
+                bad = ~np.isfinite(P_hat) | ~np.isfinite(X_bar)
+                if frame == "absolute":
+                    bad |= ~np.isfinite(truth)
+                if bad.any():
+                    fresh = bad & (div < 0)
+                    div[fresh] = k + 1
+                    X[bad] = np.nan
+                    P_hat[bad] = np.nan
+                rec(k + 1, P_hat, X_bar)
         diverged[row:row + B] = div
         if integral is not None:
             integral[row:row + B] = acc
@@ -411,46 +422,55 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
                     error[row:row + B, p] = (x - truth)[..., 0]
 
         rec(0)
-        draws = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (mean_drv, (B, d, 1)),
-                             (mat, (B, d, d))], K, dt)
-        for k, (dV, dW, dB, dM) in enumerate(draws):
-            PS = _mm(P, S)
-            PSP = _mm(PS, P)
-            if acc is not None and k >= integral_from:
-                np.add(acc, dt * (A - PS), out=acc, where=(div < 0)[:, None, None])
-            if R_root is not None:
-                sig_root = R_root
-            else:  # Sigma_kappa = R + kappa (P + xi T) S (P + xi T)
-                PiSPi = PSP if xi_T is None else _mm(_mm(P + xi_T, S), P + xi_T)
-                sig_root = _symmetric_sqrt_stack(R + kappa * PiSPi)
+        blocks = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (mean_drv, (B, d, 1)),
+                              (mat, (B, d, d))], K, dt)
+        for k0, (dV, dW, dB, dM) in blocks:
+            # the block's state-independent terms
+            sig_noise = obs_noise = mean_noise = None
             if with_mean:
-                dY = _mm(H, truth) * dt + _mm(sqrt_R1, dW)
-                gain = _mm(_mm(P if xi_T is None else P + xi_T, H_T), R1_inv)
-                x = x + dt * _mm(A, x) + _mm(gain, dY - _mm(H, x) * dt) \
-                    + mean_scale * _mm(sig_root, dB)
-                truth = truth + dt * _mm(A, truth) + _mm(sqrt_R, dV)
-            drift = _mm(A_mod, P) + _mm(P, A_mod_T) - PSP + R
-            if xi_T is not None:
-                drift = drift + source
-            drift = _sym(drift)
-            if scheme is Scheme.TAMED_EULER:
-                drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
-            # the projection's eigh of P serves as the root's wherever it
-            # kept P unchanged
-            wing = _mm(_mm(_symmetric_sqrt_stack(P, eig), dM), sig_root)
-            P, eig = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing),
-                                        with_eig=True)
-            bad = ~np.isfinite(P).all(axis=(1, 2))
-            if with_mean:
-                bad |= ~(np.isfinite(x).all(axis=(1, 2)) & np.isfinite(truth).all(axis=(1, 2)))
-            if bad.any():
-                div[bad & (div < 0)] = k + 1
-                if div.min() >= 0:
-                    break  # the rest of the records stays NaN
-                P[bad] = np.nan
+                sig_noise, obs_noise = _mm(sqrt_R, dV), _mm(sqrt_R1, dW)
+                # at kappa != 0 the root depends on P: the rows stay dB
+                mean_noise = dB if R_root is None else mean_scale * _mm(R_root, dB)
+            rows = _rows([sig_noise, obs_noise, mean_noise, dM])
+            for k, (sig_k, obs_k, mean_k, dM_k) in enumerate(rows, k0):
+                PS = _mm(P, S)
+                PSP = _mm(PS, P)
+                if acc is not None and k >= integral_from:
+                    np.add(acc, dt * (A - PS), out=acc, where=(div < 0)[:, None, None])
+                if R_root is not None:
+                    sig_root = R_root
+                else:  # Sigma_kappa = R + kappa (P + xi T) S (P + xi T)
+                    PiSPi = PSP if xi_T is None else _mm(_mm(P + xi_T, S), P + xi_T)
+                    sig_root = _symmetric_sqrt_stack(R + kappa * PiSPi)
                 if with_mean:
-                    x[bad] = np.nan
-            rec(k + 1)
+                    if R_root is None:
+                        mean_k = mean_scale * _mm(sig_root, mean_k)
+                    dY = _mm(H, truth) * dt + obs_k
+                    gain = _mm(_mm(P if xi_T is None else P + xi_T, H_T), R1_inv)
+                    x = x + dt * _mm(A, x) + _mm(gain, dY - _mm(H, x) * dt) + mean_k
+                    truth = truth + dt * _mm(A, truth) + sig_k
+                drift = _mm(A_mod, P) + _mm(P, A_mod_T) - PSP + R
+                if xi_T is not None:
+                    drift = drift + source
+                drift = _sym(drift)
+                if scheme is Scheme.TAMED_EULER:
+                    drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
+                # the projection's eigh of P serves as the root's wherever it
+                # kept P unchanged
+                wing = _mm(_mm(_symmetric_sqrt_stack(P, eig), dM_k), sig_root)
+                P, eig = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing),
+                                            with_eig=True)
+                bad = _nonfinite_trials(P, x, truth) if with_mean else _nonfinite_trials(P)
+                if bad is not None:
+                    div[bad & (div < 0)] = k + 1
+                    if div.min() >= 0:
+                        break  # the rest of the records stays NaN
+                    P[bad] = np.nan
+                    if with_mean:
+                        x[bad] = np.nan
+                rec(k + 1)
+            if div.min() >= 0:
+                break
         diverged[row:row + B] = div
         row += B
 
@@ -491,7 +511,7 @@ def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
 # ---------------------------------------------------------------------------
 
 def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
-                     R=None, inflation=None):
+                     R=None, inflation=None, dev=None, P_hat=None):
     """One Euler step of an interacting particle system on (B, d, M) stacks.
 
     ``aX`` and ``hX`` are the drift and the observation evaluated at the
@@ -503,21 +523,30 @@ def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
     The gain is the sample cross-covariance of the particles and ``hX``
     times ``R1^{-1}``; ``inflation = (xi*T, H)`` (linear observation
     ``hX = H X``) makes it ``(P_hat + xi*T) H' R1^{-1}``.
+
+    ``dev`` and ``P_hat`` are the cloud's deviations ``X - X_bar`` and its
+    sample covariance ``dev dev' / N``; the kernel passes the ones it
+    computed after the previous step, and they are computed here when not
+    given.  Sample means are ``np.add.reduce(X, axis) / M``, the arithmetic
+    of ``X.mean(axis)`` without its Python wrapper.
     """
-    N = X.shape[-1] - 1
-    dev = X - X.mean(axis=-1, keepdims=True)
-    h_bar = hX.mean(axis=-1, keepdims=True)
+    M = X.shape[-1]
+    N = M - 1
+    if dev is None:
+        dev = X - np.add.reduce(X, -1, keepdims=True) / M
+    h_bar = np.add.reduce(hX, -1, keepdims=True) / M
+    if (inflation is not None or variant is Variant.TRANSPORT) and P_hat is None:
+        P_hat = dev @ _swap(dev) / N
     if inflation is None:
         gain = dev @ _swap(hX - h_bar) / N @ R1_inv
     else:
         xi_T, H = inflation
-        gain = (dev @ _swap(dev) / N + xi_T) @ H.T @ R1_inv
+        gain = (P_hat + xi_T) @ H.T @ R1_inv
     if variant is Variant.VANILLA:
         innov = dY - hX * dt - obs_noise
     else:
         innov = dY - 0.5 * (hX + h_bar) * dt
     if variant is Variant.TRANSPORT:
-        P_hat = dev @ _swap(dev) / N
         # frozen (NaN) trials would make the SVD fail; they stay NaN anyway
         P_hat = np.where(np.isfinite(P_hat), P_hat, 0.0)
         noise = 0.5 * (R @ np.linalg.pinv(P_hat, rcond=PINV_RCOND)) @ dev * dt + noise
@@ -599,9 +628,9 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
         div = np.full(B, -1, dtype=int)
 
         def stats():
-            X_bar = X.mean(axis=2, keepdims=True)
+            X_bar = np.add.reduce(X, 2, keepdims=True) / M
             dev = X - X_bar
-            return X_bar, dev @ _swap(dev) / N
+            return X_bar, dev, dev @ _swap(dev) / N
 
         def rec(k, X_bar, P_hat):
             p = rec_pos[k]
@@ -611,34 +640,44 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
                 if error is not None:
                     error[row:row + B, p] = (X_bar - truth)[..., 0]
 
-        rec(0, *stats())
-        draws = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (p_sig, (B, d, M)),
-                             (p_obs, (B, d_y, M))], K, dt)
-        for k, (dV, dW, dVi, dWi) in enumerate(draws):
-            if dVi is None:
-                dVi = 0.0
+        X_bar, dev, P_hat = stats()
+        rec(0, X_bar, P_hat)
+        blocks = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (p_sig, (B, d, M)),
+                              (p_obs, (B, d_y, M))], K, dt)
+        for k0, (dV, dW, dVi, dWi) in blocks:
+            # the block's state-independent terms
             obs_noise = None if dWi is None else sqrt_R1 @ dWi
+            obs = sqrt_R1 @ dW
             if frame == "error":
-                noise = sqrt_R @ (dVi - dV)
-                dY = sqrt_R1 @ dW
+                noise = sqrt_R @ ((0.0 if dVi is None else dVi) - dV)
+                sig = None
             else:
-                noise = 0.0 if p_sig is None else sqrt_R @ dVi
-                dY = H @ truth * dt + sqrt_R1 @ dW
-                truth = truth + dt * (A @ truth) + sqrt_R @ dV
-            X = _particle_update(X, A @ X, H @ X, dY, noise, dt, variant, R1_inv,
-                                 obs_noise, R, gain_inflation)
+                noise = None if dVi is None else sqrt_R @ dVi
+                sig = sqrt_R @ dV
+            for k, (obs_k, noise_k, sig_k, obs_noise_k) in enumerate(
+                    _rows([obs, noise, sig, obs_noise]), k0):
+                if frame == "error":
+                    dY = obs_k
+                else:
+                    dY = H @ truth * dt + obs_k
+                    truth = truth + dt * (A @ truth) + sig_k
+                X = _particle_update(X, A @ X, H @ X, dY, 0.0 if noise_k is None else noise_k,
+                                     dt, variant, R1_inv, obs_noise_k, R, gain_inflation,
+                                     dev, P_hat)
 
-            # a finite cloud whose second moments overflow counts as diverged
-            X_bar, P_hat = stats()
-            bad = ~np.isfinite(P_hat).all(axis=(1, 2))
-            if frame == "absolute":
-                bad |= ~np.isfinite(truth).all(axis=(1, 2))
-            if bad.any():
-                div[bad & (div < 0)] = k + 1
-                X[bad] = np.nan
-                X_bar[bad] = np.nan
-                P_hat[bad] = np.nan
-            rec(k + 1, X_bar, P_hat)
+                # a finite cloud whose second moments overflow counts as diverged
+                X_bar, dev, P_hat = stats()
+                bad = _nonfinite_trials(P_hat) if error is None \
+                    else _nonfinite_trials(P_hat, truth)
+                if bad is not None:
+                    div[bad & (div < 0)] = k + 1
+                    if div.min() >= 0:
+                        break  # the rest of the records stays NaN
+                    X[bad] = np.nan
+                    X_bar[bad] = np.nan
+                    dev[bad] = np.nan
+                    P_hat[bad] = np.nan
+                rec(k + 1, X_bar, P_hat)
             if div.min() >= 0:
                 break
         diverged[row:row + B] = div

@@ -1,10 +1,10 @@
 """Classical RK4 steps and adaptive RK4 with step-doubling error control.
 
-Internal helper for the two flows that are not Riccati flows: the scalar
-CLT variance oracle (:func:`adaptive_rk4`) and the empirical stochastic
-semigroup along a realized ensemble path (:func:`rk4_step`).  (Every
-deterministic Riccati object uses the exact Hamiltonian propagator of
-:mod:`kbflow.model` instead.)  The right-hand sides are smooth, so classical
+Internal helper for the one flow that is not a Riccati flow: the scalar
+CLT variance oracle (:func:`adaptive_rk4`).  (Every deterministic Riccati
+object uses the exact Hamiltonian propagator of :mod:`kbflow.model`, and
+:func:`kbflow.ensemble.stochastic_semigroup` builds its RK4 steps as
+matrices.)  The right-hand sides are smooth, so classical
 RK4 with Richardson step doubling gives reliable local error estimates: one
 step of size ``h`` is compared against two steps of size ``h/2`` and the
 difference over 15 estimates the local error of the fine result.  Steps are

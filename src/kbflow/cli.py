@@ -417,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "StudySpec JSON")
     p_study.add_argument("spec", help="StudySpec JSON path")
     p_study.add_argument("--workers", type=int, default=None,
-                         help="worker pool size (default: KBFLOW_WORKERS or 1)")
+                         help="worker pool size (default: KBFLOW_WORKERS, else the "
+                         "usable CPUs; at most the study's chunk count)")
     p_study.add_argument("--out", type=str, default=None)
     p_study.add_argument("--seed", type=int, default=None)
     p_study.add_argument("--gnuplot", action="store_true",

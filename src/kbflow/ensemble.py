@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engines, _ode
+from . import _engines
 from ._engines import (MATRIX_DRIVER, MEAN_DRIVER, PARTICLE_INIT, PARTICLE_OBS,  # noqa: F401
                        PARTICLE_SIGNAL, Variant, _inflated_drift_terms)
 from .errors import BoundNotApplicable, NonFinite
 from .kalman import RiccatiState, _mobius_flow
-from .model import LinearGaussianModel, _check_covariance, log_norm, symmetric_sqrt
-from .sde import NoiseStream, TimeGrid, _project_psd_stack, project_psd
+from .model import LinearGaussianModel, _check_covariance, symmetric_sqrt
+from .sde import NoiseStream, TimeGrid, _project_psd_stack, _sym, project_psd
 
 
 @dataclass(frozen=True)
@@ -445,6 +445,14 @@ def stochastic_semigroup(model: LinearGaussianModel, path, s: float, t: float) -
     every step.  Also accumulates ``int mu(A - P_hat S) du`` (logarithmic
     norm, by Simpson per interval) and ``int Tr(A - P_hat S) du`` (exact for
     the interpolant), whose exponential equals ``det E_hat``.
+
+    The generator is linear in ``E``, so the RK4 step over an interval of
+    length ``h`` is the matrix ``Phi = I + (h/6)(k1 + 2 k2 + 2 k3 + k4)``
+    with ``k1 = G0``, ``k2 = Gm (I + (h/2) k1)``, ``k3 = Gm (I + (h/2) k2)``
+    and ``k4 = G1 (I + h k3)`` (``G0``, ``Gm``, ``G1`` the generator at the
+    interval's start, midpoint and end).  Every interval's ``Phi`` is one
+    stacked product, all log-norms one stacked ``eigvalsh`` and the trace
+    integral one sum; only the ordered product ``E <- Phi E`` is a loop.
     """
     if isinstance(path, TrajectoryRecord):
         times, covs = path.t, path.cov
@@ -462,35 +470,28 @@ def stochastic_semigroup(model: LinearGaussianModel, path, s: float, t: float) -
         return StochasticSemigroup(s=s, t=t, E_hat=E, log_norm_integral=0.0,
                                    trace_integral=0.0)
 
-    def P_at(u):
-        i = np.searchsorted(times, u, side="right") - 1
-        i = min(max(i, 0), len(times) - 2)
-        w = (u - times[i]) / (times[i + 1] - times[i])
-        return (1.0 - w) * covs[i] + w * covs[i + 1]
+    # integration nodes: path nodes inside (s, t), plus the endpoints
+    nodes = np.unique(np.concatenate([[s], times[(times > s) & (times < t)], [t]]))
+    i = np.clip(np.searchsorted(times, nodes, side="right") - 1, 0, len(times) - 2)
+    w = ((nodes - times[i]) / (times[i + 1] - times[i]))[:, None, None]
+    P = (1.0 - w) * covs[i] + w * covs[i + 1]
+    h = np.diff(nodes)
+    hm = h[:, None, None]
+    A, S, I = model.A, model.S, np.eye(d)
+    G = A - P @ S                               # at the nodes
+    Gm = A - (0.5 * (P[:-1] + P[1:])) @ S       # at the midpoints
+    G0, G1 = G[:-1], G[1:]
+    k2 = Gm @ (I + 0.5 * hm * G0)
+    k3 = Gm @ (I + 0.5 * hm * k2)
+    k4 = G1 @ (I + hm * k3)
+    phi = I + (hm / 6.0) * (G0 + 2.0 * k2 + 2.0 * k3 + k4)
+    for step in phi:
+        E = step @ E
 
-    # integration nodes: path nodes intersected with [s, t], plus endpoints
-    inner = times[(times > s) & (times < t)]
-    nodes = np.concatenate([[s], inner, [t]])
-    mu_int = 0.0
-    tr_int = 0.0
-    trA = float(np.trace(model.A))
-    for u0, u1 in zip(nodes[:-1], nodes[1:]):
-        h = u1 - u0
-        if h <= 0:
-            continue
-        P0, P1 = P_at(u0), P_at(u1)
-        Pm = 0.5 * (P0 + P1)
-
-        def G(u):
-            w = (u - u0) / h
-            return model.A - ((1.0 - w) * P0 + w * P1) @ model.S
-
-        E = _ode.rk4_step(lambda u, Y: G(u) @ Y, u0, E, h)
-        mu0 = log_norm(model.A - P0 @ model.S)
-        mu_m = log_norm(model.A - Pm @ model.S)
-        mu1 = log_norm(model.A - P1 @ model.S)
-        mu_int += (h / 6.0) * (mu0 + 4.0 * mu_m + mu1)
-        tr_int += h * (trA - 0.5 * float(np.trace((P0 + P1) @ model.S)))
+    mu = np.linalg.eigvalsh(_sym(np.concatenate([G, Gm])))[:, -1]
+    mu_nodes, mu_mid = mu[:len(G)], mu[len(G):]
+    mu_int = np.sum((h / 6.0) * (mu_nodes[:-1] + 4.0 * mu_mid + mu_nodes[1:]))
+    tr_int = np.sum(h * (np.trace(A) - 0.5 * np.trace((P[:-1] + P[1:]) @ S, axis1=1, axis2=2)))
     return StochasticSemigroup(s=float(s), t=float(t), E_hat=E,
                                log_norm_integral=float(mu_int),
                                trace_integral=float(tr_int))

@@ -18,6 +18,7 @@ This module owns the plumbing shared by every simulator in the package:
 from __future__ import annotations
 
 import enum
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -213,6 +214,25 @@ def _mm(a, b):
     return a * b if a.ndim == 0 or a.shape[-1] == 1 else a @ b
 
 
+def _nonfinite_trials(*stacks):
+    """Mask of the trials (leading axis) with a non-finite entry in any of
+    the stacks, or None when there is none.
+
+    One sum over each stack settles the common case: a finite total means
+    every entry is finite.  Only a non-finite total (a non-finite entry, or
+    finite entries whose sum overflows) builds the per-trial mask.
+    """
+    total = 0.0
+    for s in stacks:
+        total += np.add.reduce(s, axis=None)
+    if math.isfinite(total):
+        return None
+    bad = np.zeros(len(stacks[0]), dtype=bool)
+    for s in stacks:
+        bad |= ~np.isfinite(s).all(axis=tuple(range(1, s.ndim)))
+    return bad if bad.any() else None
+
+
 def _spectral_map(M, fn, keep_psd: bool, eig=None):
     """Symmetrize each matrix of a (B, d, d) stack and map its spectrum by
     ``fn``, as :func:`project_psd` (``keep_psd``: a matrix with no negative
@@ -231,10 +251,9 @@ def _spectral_map(M, fn, keep_psd: bool, eig=None):
     sym = _sym(M)
     if M.shape[-1] == 1:
         return fn(sym), None
-    finite = np.isfinite(sym).all(axis=(1, 2))
-    all_finite = finite.all()
-    if not all_finite:
-        sym = np.where(finite[:, None, None], sym, np.eye(M.shape[-1]))
+    bad = _nonfinite_trials(sym)
+    if bad is not None:
+        sym = np.where(bad[:, None, None], np.eye(M.shape[-1]), sym)
     if eig is None:
         w, V = np.linalg.eigh(sym)
     else:
@@ -243,14 +262,15 @@ def _spectral_map(M, fn, keep_psd: bool, eig=None):
             w, V = w.copy(), V.copy()
             w[~kept], V[~kept] = np.linalg.eigh(sym[~kept])
     kept = w[:, 0] >= 0.0
-    if keep_psd and all_finite and kept.all():
+    if keep_psd and bad is None and kept.all():
         return sym, (w, V, kept)
     out = (V * fn(w)[:, None, :]) @ _swap(V)
     if keep_psd:
         out = np.where(kept[:, None, None], sym, out)
-    if not all_finite:
-        out[~finite] = np.nan
-    return out, (w, V, kept & finite) if keep_psd else None
+    if bad is not None:
+        out[bad] = np.nan
+        kept &= ~bad
+    return out, (w, V, kept) if keep_psd else None
 
 
 def _project_psd_stack(M, with_eig: bool = False):

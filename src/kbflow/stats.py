@@ -549,11 +549,17 @@ def _map_chunks(engine, trials: int, chunk: int, workers: int,
 
 
 def default_workers() -> int:
-    """Worker count from KBFLOW_WORKERS (default 1 = inline)."""
+    """Worker count: ``KBFLOW_WORKERS`` if it is set to an integer, else the
+    number of CPUs this process may run on (``os.sched_getaffinity``, or
+    ``os.cpu_count()`` where that is missing).  :func:`_map_chunks` caps it
+    at the study's chunk count, so a one-chunk study runs in process."""
     try:
-        return max(1, int(os.environ.get("KBFLOW_WORKERS", "1")))
-    except ValueError:
-        return 1
+        return max(1, int(os.environ["KBFLOW_WORKERS"]))
+    except (KeyError, ValueError):
+        pass
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from kbflow import (Inflation, LinearGaussianModel, NoiseStream, TimeGrid, _engi
                     project_psd, riccati_flow, sde, symmetric_sqrt)
 from kbflow._engines import (
     _mm,
+    _nonfinite_trials,
     _project_psd_stack,
     _symmetric_sqrt_stack,
     law_cov_paths_1d,
@@ -207,17 +208,60 @@ def test_step_noise_equals_per_step_increments():
     assert steps % L
     blocked = [None if s is None else NoiseStream(3, 1, f"c{i}") for i, s in enumerate(shapes)]
     plain = [None if s is None else NoiseStream(3, 1, f"c{i}") for i, s in enumerate(shapes)]
-    draws = _engines._step_noise([(st, s or ()) for st, s in zip(blocked, shapes)], steps, dt)
-    for k, draw in enumerate(draws):
-        for stream, s, got in zip(plain, shapes, draw):
-            if stream is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, stream.increments(s, dt))
-        # only the block holding step k has been drawn
-        assert blocked[0].cursor == min(steps, (k // L + 1) * L) * 14
-    assert k == steps - 1
+    blocks = _engines._step_noise([(st, s or ()) for st, s in zip(blocked, shapes)], steps, dt)
+    k = 0
+    for k0, arrays in blocks:
+        assert k0 == k
+        # only the block from step k0 on has been drawn
+        assert blocked[0].cursor == min(steps, k0 + L) * 14
+        for draw in _engines._rows(arrays):
+            for stream, s, got in zip(plain, shapes, draw):
+                if stream is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, stream.increments(s, dt))
+            k += 1
+    assert k == steps
     assert [s.cursor for s in blocked if s] == [s.cursor for s in plain if s]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1])
+def test_nonfinite_trials_flags_exactly_the_bad_trial(value, which):
+    stacks = [np.ones((5, 2, 2)), np.ones((5, 2, 1))]
+    assert _nonfinite_trials(*stacks) is None
+    stacks[which][3, 1, 0] = value
+    np.testing.assert_array_equal(_nonfinite_trials(*stacks), [0, 0, 0, 1, 0])
+
+
+def test_nonfinite_trials_overflowing_sum_flags_nothing():
+    # every entry is finite but their sum overflows: the exact mask decides
+    huge = np.full((4, 2, 2), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.add.reduce(huge, axis=None))
+        assert _nonfinite_trials(huge) is None
+        assert _nonfinite_trials(np.ones((4, 1, 1)), huge) is None
+        huge[2, 0, 1] = -np.inf
+        np.testing.assert_array_equal(_nonfinite_trials(huge), [0, 0, 1, 0])
+
+
+_ENTRIES = st.one_of(st.floats(-1e308, 1e308), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3)),
+                elements=_ENTRIES),
+       x=arrays(float, st.tuples(st.just(6), st.integers(1, 3), st.just(1)), elements=_ENTRIES))
+def test_nonfinite_trials_is_the_per_trial_mask(P, x):
+    # the mask the kernels built at every step before the one-sum test
+    x = x[:len(P)]
+    expected = ~(np.isfinite(P).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _nonfinite_trials(P, x)
+    if expected.any():
+        np.testing.assert_array_equal(got, expected)
+    else:
+        assert got is None
 
 
 _STIFF = scalar_lg(A=60.0)
@@ -239,6 +283,12 @@ _KERNEL_CASES = {
     "law_nd": lambda: law_cov_paths_nd(
         random_model(2, seed=31, stabilize=1.0), kappa=1, N=8, Q=np.eye(2), grid=GRID,
         seed=5, trials=5, chunk=3),
+    "particle_nd_error_transport": lambda: particle_cov_paths_nd(
+        random_model(2, seed=31, stabilize=1.0), "transport", N=6, grid=GRID, seed=7,
+        trials=5, chunk=2),
+    "law_nd_kappa0_with_mean": lambda: law_cov_paths_nd(
+        random_model(2, seed=31, stabilize=1.0), kappa=0, N=8, Q=np.eye(2), grid=GRID,
+        seed=5, trials=5, chunk=3, x0=[0.5, -0.5]),
     "law_nd_without_mean": lambda: law_cov_paths_nd(
         random_model(2, seed=31, stabilize=1.0), kappa=0, N=8, Q=np.eye(2), grid=GRID,
         seed=5, trials=5, chunk=3, with_mean=False, integral_from=10),

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_model, random_psd, scalar_lg
 from kbflow import (
@@ -258,6 +259,63 @@ def test_stochastic_semigroup_accepts_plain_path():
     # frozen P=1=P_inf: E = e^{-t}
     assert sg.E_hat[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
     assert sg.log_rate == pytest.approx(-1.0, abs=1e-6)
+
+
+def _semigroup_by_interval(model, times, covs, s, t):
+    """Reference: one RK4 step of E, one Simpson sum of log-norms and one
+    trace term per interval of the interpolated path, accumulated in order."""
+    def P_at(u):
+        i = min(max(np.searchsorted(times, u, side="right") - 1, 0), len(times) - 2)
+        w = (u - times[i]) / (times[i + 1] - times[i])
+        return (1.0 - w) * covs[i] + w * covs[i + 1]
+
+    def log_norm(M):
+        return np.linalg.eigvalsh(0.5 * (M + M.T))[-1]
+
+    A, S = model.A, model.S
+    nodes = np.concatenate([[s], times[(times > s) & (times < t)], [t]])
+    E, mu_int, tr_int = np.eye(model.d), 0.0, 0.0
+    for u0, u1 in zip(nodes[:-1], nodes[1:]):
+        h = u1 - u0
+        P0, P1 = P_at(u0), P_at(u1)
+        Pm = 0.5 * (P0 + P1)
+        G0, Gm, G1 = A - P0 @ S, A - Pm @ S, A - P1 @ S
+        k1 = G0 @ E
+        k2 = Gm @ (E + 0.5 * h * k1)
+        k3 = Gm @ (E + 0.5 * h * k2)
+        k4 = G1 @ (E + h * k3)
+        E = E + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mu_int += (h / 6.0) * (log_norm(G0) + 4.0 * log_norm(Gm) + log_norm(G1))
+        tr_int += h * (np.trace(A) - 0.5 * np.trace((P0 + P1) @ S))
+    return E, mu_int, tr_int
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.1234, 0.87777), (0.305, 0.3051), (0.0, 0.5)])
+def test_stochastic_semigroup_matches_the_interval_loop(s, t):
+    # s and t on or off the path's nodes, and both inside one interval
+    m = random_model(2, seed=12, stabilize=0.5)
+    rec = run_enkf(m, "vanilla", N=8, grid=TimeGrid(0.0, 1e-2, 100), seeds=5)
+    sg = stochastic_semigroup(m, rec, s, t)
+    E, mu_int, tr_int = _semigroup_by_interval(m, rec.t, rec.cov, s, t)
+    np.testing.assert_allclose(sg.E_hat, E, rtol=1e-12, atol=1e-12 * np.abs(E).max())
+    assert sg.log_norm_integral == pytest.approx(mu_int, rel=1e-12, abs=1e-15)
+    assert sg.trace_integral == pytest.approx(tr_int, rel=1e-12, abs=1e-15)
+    assert (sg.s, sg.t) == (s, t)
+
+
+def test_stochastic_semigroup_on_a_constant_path_is_the_matrix_exponential():
+    # with P constant the generator is constant and E = expm((A - P S) t);
+    # RK4 steps of h = 0.01 leave an error of order h^4
+    m = random_model(2, seed=8, stabilize=0.5)
+    P = random_psd(2, seed=9)
+    times = np.linspace(0.0, 2.0, 201)
+    sg = stochastic_semigroup(m, (times, np.broadcast_to(P, (201, 2, 2))), 0.0, 2.0)
+    exact = expm((m.A - P @ m.S) * 2.0)
+    np.testing.assert_allclose(sg.E_hat, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
+    G = m.A - P @ m.S
+    assert sg.trace_integral == pytest.approx(2.0 * np.trace(G), rel=1e-12)
+    mu = np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
+    assert sg.log_norm_integral == pytest.approx(2.0 * mu, rel=1e-12)
 
 
 def test_liouville_bound_values():

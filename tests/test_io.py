@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_model
 from kbflow import TimeGrid, run_enkf
@@ -144,3 +147,75 @@ def test_float_formatting_survives_extreme_values(tmp_path):
     path = write_columns_csv(tmp_path / "ext.csv", {"v": vals})
     back = load_columns_csv(path)
     np.testing.assert_array_equal(back["v"], vals)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), K=st.integers(1, 6), d=st.integers(1, 3), with_extras=st.booleans())
+def test_trajectory_csv_round_trip_is_bit_exact(tmp_path_factory, data, K, d, with_extras):
+    # every float, nan and +-inf included, comes back with its bits (a nan
+    # as a nan); the covariance is stored as its upper triangle
+    t = data.draw(arrays(float, K, elements=_ANY_FLOAT))
+    mean, error = (data.draw(arrays(float, (K, d), elements=_ANY_FLOAT)) for _ in range(2))
+    cov = data.draw(arrays(float, (K, d, d), elements=_ANY_FLOAT))
+    upper = np.triu_indices(d)
+    cov = np.swapaxes(cov, 1, 2)
+    cov[:, upper[0], upper[1]] = np.swapaxes(cov, 1, 2)[:, upper[0], upper[1]]
+    extras = None
+    if with_extras:
+        extras = {"variant": "vanilla", "N": 7, "xi": data.draw(_ANY_FLOAT),
+                  "kappa": data.draw(_ANY_FLOAT),
+                  "mu_closed_loop": data.draw(arrays(float, K, elements=_ANY_FLOAT)),
+                  "diverged_at": data.draw(st.none() | _ANY_FLOAT)}
+    path = tmp_path_factory.mktemp("traj") / "traj.csv"
+    back = load_trajectory_csv(write_trajectory_csv(path, t, mean, cov, error, extras))
+    for key, sent in (("t", t), ("mean", mean), ("error", error), ("cov", cov)):
+        np.testing.assert_array_equal(back[key], sent)
+        assert np.array_equal(np.signbit(back[key]), np.signbit(sent)) or np.isnan(sent).any()
+    if with_extras:
+        np.testing.assert_array_equal(back["mu_closed_loop"], extras["mu_closed_loop"])
+        for key in ("xi", "kappa", "diverged_at"):
+            np.testing.assert_array_equal(np.array(back[key], dtype=float),
+                                          np.array(extras[key], dtype=float))
+
+
+def _encoded(value):
+    # the summary's documented encoding of +-inf
+    if isinstance(value, float) and math.isinf(value):
+        return "Divergent" if value > 0 else "-Divergent"
+    if isinstance(value, dict):
+        return {k: _encoded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_encoded(v) for v in value]
+    return value
+
+
+_LEAVES = st.one_of(_ANY_FLOAT, st.integers(-10 ** 6, 10 ** 6), st.none(), st.text(max_size=5))
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                      | st.dictionaries(st.text(max_size=5), kids, max_size=4), max_leaves=12)
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a)
+                                                       == math.copysign(1, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=st.dictionaries(st.text(max_size=5), _TREES, max_size=5))
+def test_summary_json_round_trip_is_bit_exact(tmp_path_factory, tree):
+    # floats come back with their bits, nan as nan, +-inf as the Divergent
+    # markers; numpy arrays and scalars are written as their lists/values
+    path = tmp_path_factory.mktemp("summary") / "summary.json"
+    assert _same(load_summary_json(write_summary_json(path, tree)), _encoded(tree))
+    arrays_in = {"a": np.array([1.5, -0.0, np.nan, np.inf]), "b": np.float64(0.1),
+                 "c": np.int64(3)}
+    back = load_summary_json(write_summary_json(path, arrays_in))
+    assert _same(back, {"a": [1.5, -0.0, math.nan, "Divergent"], "b": 0.1, "c": 3})

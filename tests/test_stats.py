@@ -6,6 +6,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from conftest import scalar_lg
@@ -14,6 +17,7 @@ from kbflow.stats import (
     MomentAccumulator,
     StudySpec,
     decorrelation_stride,
+    default_workers,
     hill_tail_index,
     ks_distance,
     moment_doubling_ratios,
@@ -108,6 +112,26 @@ def test_moment_accumulator_merge_equals_single_pass():
     for p in range(2, 6):
         assert merged.central_moment(p) == pytest.approx(
             one.central_moment(p), rel=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), order=st.integers(2, 6),
+       x=arrays(float, st.integers(2, 120), elements=st.floats(-1e3, 1e3)))
+def test_moment_accumulator_merge_of_any_split_is_the_single_pass(data, order, x):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(x)), max_size=5)))
+    one = MomentAccumulator(order=order).add(x)
+    merged = MomentAccumulator(order=order)
+    for piece in np.split(x, cuts):
+        merged.merge(MomentAccumulator(order=order).add(piece))
+    assert merged.n == one.n == len(x)
+    scale = max(1.0, float(np.abs(x).max()))
+    assert merged.mean == pytest.approx(one.mean, rel=1e-12, abs=1e-12 * scale)
+    dev = np.abs(x - x.mean())
+    for p in range(2, order + 1):
+        # relative to the p-th absolute moment, not to a central moment that
+        # cancels to ~0, plus the p-th power of a rounding of the mean
+        tol = 1e-8 * float(np.mean(dev ** p)) + (1e-12 * scale) ** p
+        assert abs(merged.central_moment(p) - one.central_moment(p)) <= tol, p
 
 
 def test_moment_accumulator_validation():
@@ -230,6 +254,18 @@ def test_study_worker_count_does_not_change_results():
     s2 = run_study(spec, workers=2)
     assert json.dumps(s1.to_dict(), sort_keys=True) == \
         json.dumps(s2.to_dict(), sort_keys=True)
+
+
+def test_default_workers_is_the_env_value_or_the_usable_cpus(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("KBFLOW_WORKERS", raising=False)
+    assert default_workers() == cpus
+    monkeypatch.setenv("KBFLOW_WORKERS", "3")
+    assert default_workers() == 3
+    monkeypatch.setenv("KBFLOW_WORKERS", "0")
+    assert default_workers() == 1
+    monkeypatch.setenv("KBFLOW_WORKERS", "many")
+    assert default_workers() == cpus
 
 
 _SCHEDULED_SPECS = {
