@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -150,7 +151,8 @@ def _step_noise(channels, steps: int, dt: float):
     (None for a channel whose stream is None).  Row i of an array equals
     ``stream.increments(shape, dt)`` of step ``k0 + i`` bit for bit.  Every
     stream draws a block of L = max(1, NOISE_BLOCK // normals per step)
-    steps with one call; :func:`_rows` steps through a block.
+    steps with one call; :func:`_rows` steps through a block, and
+    :func:`_step_rows` through every block's rows.
     """
     per_step = sum(math.prod(shape) for s, shape in channels if s is not None)
     L = max(1, NOISE_BLOCK // per_step)
@@ -164,6 +166,12 @@ def _rows(arrays):
     """Per-step tuples of a block's arrays (a None array gives None rows)."""
     n = next(len(a) for a in arrays if a is not None)
     return zip(*((None,) * n if a is None else a for a in arrays))
+
+
+def _step_rows(channels, steps: int, dt: float):
+    """The rows of :func:`_step_noise`'s blocks, one tuple per step, for
+    loops that take no per-block terms."""
+    return itertools.chain.from_iterable(_rows(a) for _, a in _step_noise(channels, steps, dt))
 
 
 def _scalar_coeffs(model: LinearGaussianModel):
@@ -265,41 +273,40 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
         dev = X - X_bar[:, None]
         P_hat = np.sum(dev * dev, axis=1) / N
         rec(0, P_hat, X_bar)
-        blocks = _step_noise([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
-                             K, dt)
-        for k0, block in blocks:
-            for k, (dVi, dV, dW, dWi) in enumerate(_rows(block), k0):
-                if acc is not None and k >= integral_from:
-                    np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
-                gain = (P_hat * H / R1)[:, None]
-                if frame == "error":
-                    sig_noise = sqrt_R * (dVi - dV[:, None])
-                    if variant is Variant.VANILLA:
-                        innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
-                    else:
-                        innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
-                    X = X + dt * A * X + sig_noise + gain * innov
+        draws = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
+                           K, dt)
+        for k, (dVi, dV, dW, dWi) in enumerate(draws):
+            if acc is not None and k >= integral_from:
+                np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
+            gain = (P_hat * H / R1)[:, None]
+            if frame == "error":
+                sig_noise = sqrt_R * (dVi - dV[:, None])
+                if variant is Variant.VANILLA:
+                    innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
                 else:
-                    dY = (H * truth * dt + sqrt_R1 * dW)[:, None]
-                    if variant is Variant.VANILLA:
-                        innov = dY - H * X * dt - sqrt_R1 * dWi
-                    else:
-                        innov = dY - H * (X + X_bar[:, None]) * 0.5 * dt
-                    X = X + dt * A * X + sqrt_R * dVi + gain * innov
-                    truth = truth + dt * A * truth + sqrt_R * dV
+                    innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
+                X = X + dt * A * X + sig_noise + gain * innov
+            else:
+                dY = (H * truth * dt + sqrt_R1 * dW)[:, None]
+                if variant is Variant.VANILLA:
+                    innov = dY - H * X * dt - sqrt_R1 * dWi
+                else:
+                    innov = dY - H * (X + X_bar[:, None]) * 0.5 * dt
+                X = X + dt * A * X + sqrt_R * dVi + gain * innov
+                truth = truth + dt * A * truth + sqrt_R * dV
 
-                X_bar = X.mean(axis=1)
-                dev = X - X_bar[:, None]
-                P_hat = np.sum(dev * dev, axis=1) / N
-                bad = ~np.isfinite(P_hat) | ~np.isfinite(X_bar)
-                if frame == "absolute":
-                    bad |= ~np.isfinite(truth)
-                if bad.any():
-                    fresh = bad & (div < 0)
-                    div[fresh] = k + 1
-                    X[bad] = np.nan
-                    P_hat[bad] = np.nan
-                rec(k + 1, P_hat, X_bar)
+            X_bar = X.mean(axis=1)
+            dev = X - X_bar[:, None]
+            P_hat = np.sum(dev * dev, axis=1) / N
+            bad = ~np.isfinite(P_hat) | ~np.isfinite(X_bar)
+            if frame == "absolute":
+                bad |= ~np.isfinite(truth)
+            if bad.any():
+                fresh = bad & (div < 0)
+                div[fresh] = k + 1
+                X[bad] = np.nan
+                P_hat[bad] = np.nan
+            rec(k + 1, P_hat, X_bar)
         diverged[row:row + B] = div
         if integral is not None:
             integral[row:row + B] = acc

@@ -189,13 +189,12 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
     truths[0] = truth = m0 + symmetric_sqrt(P0) @ init.normals(d)
     # a divergence is found after the loop, at the first non-finite node
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _engines._step_noise([(signal, (d,)), (obs, (model.d_y,))], K, dt)
-        for k0, block in blocks:
-            for k, (dV, dW) in enumerate(_engines._rows(block), k0):
-                dY = H @ truth * dt + sqrt_R1 @ dW
-                x = x + dt * (A @ x) + gains[k] @ (dY - H @ x * dt)
-                truth = truth + dt * (A @ truth) + sqrt_R @ dV
-                xs[k + 1], truths[k + 1] = x, truth
+        draws = _engines._step_rows([(signal, (d,)), (obs, (model.d_y,))], K, dt)
+        for k, (dV, dW) in enumerate(draws):
+            dY = H @ truth * dt + sqrt_R1 @ dW
+            x = x + dt * (A @ x) + gains[k] @ (dY - H @ x * dt)
+            truth = truth + dt * (A @ truth) + sqrt_R @ dV
+            xs[k + 1], truths[k + 1] = x, truth
     bad = ~(np.isfinite(xs[1:]).all(axis=1) & np.isfinite(truths[1:]).all(axis=1))
     times = grid.times().tolist()
     if bad.any():
