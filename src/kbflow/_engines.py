@@ -9,13 +9,22 @@ mean/covariance diffusion.  The single-run functions of
 :func:`~kbflow.ensemble.law_level_run` build their records from the kernel
 outputs, and :func:`~kbflow.ensemble.nonlinear_step` applies the kernels'
 particle update once.  :func:`law_cov_paths_1d` is the d = 1 adapter of
-:func:`law_cov_paths_nd` (scalar arguments and outputs) behind the d = 1
-law-level studies of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d`
-is a scalar copy of the particle kernel behind the d = 1 particle studies:
-on the nd kernel those studies ran 13-17 % slower, and the cheaper linear
-gain ``P_hat H' R1^{-1}`` that would close the gap breaks the bitwise
-agreement of :func:`~kbflow.ensemble.nonlinear_step` with a one-step
-:func:`~kbflow.ensemble.run_enkf`.
+:func:`law_cov_paths_nd` (scalar arguments and outputs, no mean) behind the
+d = 1 law-level studies of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d`
+is a scalar copy of the particle kernel (error frame, no mean) behind the
+d = 1 particle studies: on the nd kernel those studies ran 13-17 % slower,
+and the cheaper linear gain ``P_hat H' R1^{-1}`` that would close the gap
+breaks the bitwise agreement of :func:`~kbflow.ensemble.nonlinear_step`
+with a one-step :func:`~kbflow.ensemble.run_enkf`.  A d = 1 run that needs
+the mean or the absolute frame takes the nd kernels.
+
+The particle kernels step a cloud in one of two frames.  The error frame
+steps the truth-relative coordinates ``U^i = X^i - signal``: the sample
+covariance and the mean error do not depend on the common shift, and the
+values stay bounded for exponentially unstable signals, whose path is never
+formed.  The absolute frame (:func:`particle_cov_paths_nd` only, the frame
+of :func:`~kbflow.ensemble.run_enkf`) steps the particles and the signal
+themselves.
 
 Trials are simulated in fixed-size chunks; the chunk index plays the
 trial-index role in the noise-stream addresses, so results are
@@ -196,35 +205,32 @@ def _quiet_divergence(engine):
 # d = 1, particle level
 # ---------------------------------------------------------------------------
 
-# d = 1 fast path: particle_cov_paths_nd takes 35-45 % (vanilla) and 45-70 %
-# (deterministic) longer per step here (B = 1024, N = 10, error frame; medians
-# of 7 interleaved runs, three times, on a 2-core x86-64 host).
+# d = 1 fast path: particle_cov_paths_nd takes 24-38 % longer per step here
+# (the contraction shape B = 200, N = 40 and the bias shapes B = 1024, N = 10;
+# medians of 11 interleaved rounds in one process, on a 2-core x86-64 host).
 @_quiet_divergence
 def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
                           grid: TimeGrid, seed: int, trials: int,
-                          chunk: int = CHUNK_SIZE, frame: str = "error",
-                          m0: float = 0.0, P0: float = 1.0,
-                          record_indices=None, with_mean: bool = False,
-                          integral_from: int | None = None,
+                          chunk: int = CHUNK_SIZE, P0: float = 1.0,
+                          record_indices=None, integral_from: int | None = None,
                           init: str = "iid", first_chunk: int = 0):
-    """Batch of scalar particle-filter paths (vanilla/deterministic).
+    """Batch of scalar particle-filter paths (vanilla/deterministic), in the
+    error frame.
 
-    ``frame="error"`` simulates the truth-relative particle coordinates
-    ``U^i = X^i - signal`` (the sample covariance and the error are
-    invariant to the common shift), which keeps values bounded for
-    exponentially unstable signals.  ``frame="absolute"`` simulates the
-    particles themselves.  ``init`` is ``"iid"`` or ``"matched"`` (sample
-    moments exactly m0/P0; requires N >= 1).
+    The signal and the particles start from N(0, P0).  ``init`` is ``"iid"``
+    or ``"matched"`` (the cloud's sample variance is exactly P0).
 
-    With ``with_mean`` the ``mean`` output holds the sample mean in the
-    absolute frame and the mean *error* in the error frame.
+    Returns ``t``, ``cov`` (trials, n_rec: the sample variance with divisor
+    N) and ``diverged_step``; with ``integral_from`` also ``integral``
+    (trials,), the closed-loop integral ``int (A - S P) du`` from grid node
+    ``integral_from`` on, over the steps before the trial diverges.
     """
     A, H, R, R1, S = _scalar_coeffs(model)
     variant = Variant.parse(variant)
     if variant is Variant.TRANSPORT:
         raise ValueError("scalar particle engine covers the noisy variants only")
-    if frame not in ("error", "absolute"):
-        raise ValueError(f"unknown frame {frame!r}")
+    if init not in ("iid", "matched"):
+        raise ValueError(f"unknown init {init!r}")
     sqrt_R, sqrt_R1 = math.sqrt(R), math.sqrt(R1)
     dt = grid.dt
     K = grid.steps
@@ -233,7 +239,6 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
     n_rec = len(record_indices)
 
     cov = np.empty((trials, n_rec))
-    mean = np.empty((trials, n_rec)) if with_mean else None
     diverged = np.full(trials, -1, dtype=int)
     integral = np.zeros(trials) if integral_from is not None else None
 
@@ -248,73 +253,54 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
 
         G = p_init.normals((B, M))
         if init == "matched":
-            G = G - G.mean(axis=1, keepdims=True)
-            G *= np.sqrt(P0 / (np.sum(G * G, axis=1, keepdims=True) / N))
-            X = m0 + G
-        elif init == "iid":
-            X = m0 + math.sqrt(P0) * G
+            X = G - G.mean(axis=1, keepdims=True)
+            X *= np.sqrt(P0 / (np.sum(X * X, axis=1, keepdims=True) / N))
         else:
-            raise ValueError(f"unknown init {init!r}")
-        truth = m0 + math.sqrt(P0) * t_init.normals(B)
-        if frame == "error":
-            X = X - truth[:, None]
+            X = math.sqrt(P0) * G
+        truth = math.sqrt(P0) * t_init.normals(B)
+        X = X - truth[:, None]
 
         div = np.full(B, -1, dtype=int)
         acc = np.zeros(B) if integral is not None else None
 
-        def rec(k, P_hat, X_bar):
+        def rec(k, P_hat):
             p = rec_pos[k]
             if p >= 0:
                 cov[row:row + B, p] = P_hat
-                if with_mean:
-                    mean[row:row + B, p] = X_bar
 
         X_bar = X.mean(axis=1)
         dev = X - X_bar[:, None]
         P_hat = np.sum(dev * dev, axis=1) / N
-        rec(0, P_hat, X_bar)
+        rec(0, P_hat)
         draws = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
                            K, dt)
         for k, (dVi, dV, dW, dWi) in enumerate(draws):
             if acc is not None and k >= integral_from:
                 np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
             gain = (P_hat * H / R1)[:, None]
-            if frame == "error":
-                sig_noise = sqrt_R * (dVi - dV[:, None])
-                if variant is Variant.VANILLA:
-                    innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
-                else:
-                    innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
-                X = X + dt * A * X + sig_noise + gain * innov
+            sig_noise = sqrt_R * (dVi - dV[:, None])
+            if variant is Variant.VANILLA:
+                innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
             else:
-                dY = (H * truth * dt + sqrt_R1 * dW)[:, None]
-                if variant is Variant.VANILLA:
-                    innov = dY - H * X * dt - sqrt_R1 * dWi
-                else:
-                    innov = dY - H * (X + X_bar[:, None]) * 0.5 * dt
-                X = X + dt * A * X + sqrt_R * dVi + gain * innov
-                truth = truth + dt * A * truth + sqrt_R * dV
+                innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
+            X = X + dt * A * X + sig_noise + gain * innov
 
             X_bar = X.mean(axis=1)
             dev = X - X_bar[:, None]
             P_hat = np.sum(dev * dev, axis=1) / N
             bad = ~np.isfinite(P_hat) | ~np.isfinite(X_bar)
-            if frame == "absolute":
-                bad |= ~np.isfinite(truth)
             if bad.any():
                 fresh = bad & (div < 0)
                 div[fresh] = k + 1
                 X[bad] = np.nan
                 P_hat[bad] = np.nan
-            rec(k + 1, P_hat, X_bar)
+            rec(k + 1, P_hat)
         diverged[row:row + B] = div
         if integral is not None:
             integral[row:row + B] = acc
         row += B
 
     out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": diverged}
-    if with_mean:
-        out["mean"] = mean
     if integral is not None:
         out["integral"] = integral
     return out
@@ -492,23 +478,20 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
 
 def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
                      grid: TimeGrid, seed: int, trials: int, chunk: int = CHUNK_SIZE,
-                     scheme=None, record_indices=None, with_mean: bool = False,
-                     x0: float = 0.0, m0: float = 0.0, P0: float | None = None,
-                     integral_from: int | None = None, first_chunk: int = 0):
-    """:func:`law_cov_paths_nd` at d = 1, with scalar arguments and outputs.
+                     record_indices=None, integral_from: int | None = None,
+                     first_chunk: int = 0):
+    """:func:`law_cov_paths_nd` at d = 1 without the mean, with scalar
+    arguments and outputs.
 
     Returns ``t``, ``cov`` (trials, n_rec) and ``diverged_step``; with
-    ``with_mean`` also ``mean``/``error`` (trials, n_rec), and with
-    ``integral_from`` the scalar ``integral`` (trials,).
+    ``integral_from`` also the scalar ``integral`` (trials,).
     """
     _scalar_coeffs(model)
     out = law_cov_paths_nd(
         model, kappa, N=N, Q=np.full((1, 1), float(Q)), grid=grid, seed=seed,
-        trials=trials, chunk=chunk, scheme=scheme, record_indices=record_indices,
-        first_chunk=first_chunk, x0=x0, m0=m0,
-        P0=None if P0 is None else np.full((1, 1), float(P0)),
-        with_mean=with_mean, integral_from=integral_from)
-    matrix_axes = {"cov": 2, "mean": 1, "error": 1, "integral": 2}
+        trials=trials, chunk=chunk, record_indices=record_indices,
+        first_chunk=first_chunk, with_mean=False, integral_from=integral_from)
+    matrix_axes = {"cov": 2, "integral": 2}
     return {key: value.reshape(value.shape[:value.ndim - matrix_axes[key]])
             if key in matrix_axes else value for key, value in out.items()}
 
@@ -569,9 +552,14 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
                           inflation=None):
     """Batch of particle-filter paths in dimension d, all three variants.
 
-    Same conventions as the scalar engine.  ``init`` is ``"iid"``,
-    ``"matched"`` or an array of initial clouds, shape (trials, d, N+1).
-    The signal starts from N(m0, P0).  ``truth_seed`` addresses the
+    ``frame="error"`` simulates the truth-relative particle coordinates
+    ``U^i = X^i - signal``: the sample covariance and the mean error do not
+    depend on the common shift, and the values stay bounded for
+    exponentially unstable signals, whose path is never formed.
+    ``frame="absolute"`` simulates the particles and the signal themselves.
+    The signal starts from N(m0, P0), and so does each particle with
+    ``init="iid"``; ``init`` may instead be an array of initial clouds,
+    shape (trials, d, N+1).  ``truth_seed`` addresses the
     signal/observation channels under their own seed, at the chunk index
     counted from ``first_chunk``.  ``inflation`` (vanilla/deterministic
     only) puts ``P_hat + xi*T`` in the gain.
@@ -598,7 +586,10 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
     m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
     P0 = np.eye(d) if P0 is None else np.asarray(P0, dtype=float)
     P0_root = symmetric_sqrt(P0)
-    if not isinstance(init, str) and np.shape(init) != (trials, d, M):
+    if isinstance(init, str):
+        if init != "iid":
+            raise ValueError(f"unknown init {init!r}; expected 'iid' or an array of clouds")
+    elif np.shape(init) != (trials, d, M):
         raise ValueError(f"initial clouds must have shape {(trials, d, M)}, "
                          f"got {np.shape(init)}")
     record_indices, rec_pos = _record_positions(K, record_indices)
@@ -617,15 +608,7 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
         t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c, first_chunk)
 
         if isinstance(init, str):
-            G = NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
-            if init == "matched":
-                G = G - G.mean(axis=2, keepdims=True)
-                w, V = np.linalg.eigh(G @ _swap(G) / N)
-                X = m0[:, None] + P0_root @ (V @ (w[..., None] ** -0.5 * _swap(V))) @ G
-            elif init == "iid":
-                X = m0[:, None] + P0_root @ G
-            else:
-                raise ValueError(f"unknown init {init!r}")
+            X = m0[:, None] + P0_root @ NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
         else:
             X = np.array(init[row:row + B], dtype=float)
         truth = m0[:, None] + P0_root @ t_init.normals((B, d, 1))

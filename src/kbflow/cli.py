@@ -160,7 +160,9 @@ def _parse_run_config(doc: dict, args) -> dict:
             raise ConfigError(f"unknown scheme {cfg['scheme']!r}; "
                               f"expected one of {sorted(names)}")
         cfg["_scheme"] = names[cfg["scheme"]]
-    cfg.setdefault("seed", 0)
+    seed = cfg.setdefault("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     cfg.setdefault("xi", 0.0)
     if not (float(cfg["xi"]) >= 0):
         raise ConfigError(f"xi must be >= 0, got {cfg['xi']}")

@@ -144,7 +144,7 @@ class EnsembleStreams:
 # ---------------------------------------------------------------------------
 
 def nonlinear_step(a, h, noise, state: EnsembleState, dY, dt: float,
-                   streams: EnsembleStreams, variant=None) -> EnsembleState:
+                   streams: EnsembleStreams) -> EnsembleState:
     """One Euler step of the heuristic nonlinear ensemble.
 
     ``a`` and ``h`` are columnwise evaluators (map d x M arrays to d x M /
@@ -156,7 +156,7 @@ def nonlinear_step(a, h, noise, state: EnsembleState, dY, dt: float,
     nonlinear evaluators — this is a simulator only.
     """
     R, R1 = (np.asarray(M, dtype=float) for M in noise)
-    variant = state.variant if variant is None else Variant.parse(variant)
+    variant = state.variant
     d_y = R1.shape[0]
     dY = np.asarray(dY, dtype=float).reshape(d_y)
     R1_inv = np.linalg.inv(R1)
@@ -292,6 +292,8 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
     m0, P0 : optional
         Gaussian parameters for the default initial cloud *and* for the
         simulated signal's initial condition (defaults: 0 and identity).
+        ``P0`` is checked: a wrong shape raises ``ValueError``, a non-finite
+        or indefinite one ``NotPSD``.
 
     Returns
     -------
@@ -304,7 +306,7 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
         raise ValueError(f"N must be >= 1, got {N}")
     d = model.d
     m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
-    P0 = np.eye(d) if P0 is None else project_psd(np.asarray(P0, dtype=float))
+    P0 = np.eye(d) if P0 is None else _check_covariance(P0, d, "P0")
     truth_seed, particle_seed = _split_seeds(seeds)
     sampler = iid_gaussian_init(m0, P0) if x_init_sampler is None else x_init_sampler
     cloud = np.asarray(sampler(NoiseStream(particle_seed, 0, PARTICLE_INIT), N), dtype=float)

@@ -104,12 +104,12 @@ def _channel_key(channel: str) -> int:
 class NoiseStream:
     """Reproducible Gaussian increment source.
 
-    A stream is addressed by ``master_seed`` plus a ``stream_id`` of
-    ``(trial_index, channel_tag)``.  The underlying generator is a Philox
-    counter-based bit generator keyed through ``SeedSequence(master_seed,
-    spawn_key=(trial_index, crc32(channel_tag)))``, so distinct addresses
-    give independent streams and the same address always replays the same
-    sequence.  ``cursor`` counts scalar variates drawn so far.
+    A stream is addressed by ``(master_seed, trial_index, channel_tag)``.
+    The underlying generator is a Philox counter-based bit generator keyed
+    through ``SeedSequence(master_seed, spawn_key=(trial_index,
+    crc32(channel_tag)))``, so distinct addresses give independent streams
+    and the same address always replays the same sequence.  ``cursor``
+    counts scalar variates drawn so far.
     """
 
     master_seed: int
@@ -123,10 +123,6 @@ class NoiseStream:
             spawn_key=(self.trial_index, _channel_key(self.channel_tag)),
         )
         self._gen = np.random.Generator(np.random.Philox(key))
-
-    @property
-    def stream_id(self) -> tuple:
-        return (self.trial_index, self.channel_tag)
 
     def normals(self, shape) -> np.ndarray:
         """Standard normal draws of the given shape."""
@@ -174,13 +170,11 @@ class Scheme(enum.Enum):
 # PSD projection
 # ---------------------------------------------------------------------------
 
-def project_psd(M: np.ndarray, clamp: float = 0.0) -> np.ndarray:
-    """Symmetrize ``M`` and clamp eigenvalues below ``-clamp`` up to zero.
+def project_psd(M: np.ndarray) -> np.ndarray:
+    """Symmetrize ``M`` and clamp its negative eigenvalues up to zero.
 
-    Eigenvalues in ``[-clamp, 0)`` are treated as roundoff and set to zero;
-    more negative ones are also clamped (the projection is total), but the
-    distance moved is reported by the eigenvalue magnitude, and callers that
-    need a hard failure should check the input first.  The output satisfies
+    The projection is total: callers that need a hard failure on a
+    negative eigenvalue check the input first.  The output satisfies
     ``||out - sym(M)||_F <= |most negative eigenvalue|·sqrt(d)``.
     """
     M = np.asarray(M, dtype=float)

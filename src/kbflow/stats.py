@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -236,9 +237,7 @@ def stationary_covariance_samples(model: LinearGaussianModel, variant, N: int,
                                   burn_in: float | None = None,
                                   record_stride: int = 10,
                                   target_lag_corr: float = 0.1,
-                                  chunk: int = CHUNK_SIZE, workers: int = 1,
-                                  first_chunk: int = 0,
-                                  progress: list | None = None) -> dict:
+                                  chunk: int = CHUNK_SIZE, workers: int = 1) -> dict:
     """Pooled stationary occupation samples of the scalar sample covariance.
 
     Protocol: particles start i.i.d. with variance rho_plus (the Riccati
@@ -251,7 +250,6 @@ def stationary_covariance_samples(model: LinearGaussianModel, variant, N: int,
     """
     job = _stationary_job(model, N, dt, horizon, burn_in, record_stride)
     out = _map_chunks(_engines.particle_cov_paths_1d, replicas, chunk, workers,
-                      progress=progress, first_chunk=first_chunk,
                       variant=variant, seed=master_seed, **job)[0]
     return _stationary_pool(out, job, record_stride, target_lag_corr)
 
@@ -267,7 +265,7 @@ def _stationary_job(model: LinearGaussianModel, N: int, dt: float, horizon: floa
     grid = TimeGrid(0.0, dt, burn_idx + int(round(float(horizon) / dt)))
     return dict(model=model, N=N, grid=grid,
                 record_indices=np.arange(burn_idx, grid.steps + 1, record_stride),
-                frame="error", m0=0.0, P0=equilibria(sm).rho_plus, init="iid")
+                P0=equilibria(sm).rho_plus)
 
 
 def _stationary_pool(out: dict, job: dict, record_stride: int,
@@ -313,6 +311,17 @@ _ALLOWED_OPTIONS = {
     "semigroup_contraction": {"Q"},
     "clt_variance": {"Q"},
 }
+#: The range of each numeric option, as (test, description); ``xi`` may
+#: also be a list, each entry in range.
+_OPTION_RANGES = {
+    "record_every": (lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
+    "record_stride": (lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
+    "burn_in": (lambda x: x >= 0, ">= 0"),
+    "horizon": (lambda x: x > 0, "> 0"),
+    "target_lag_corr": (lambda x: 0 < x < 1, "in (0, 1)"),
+    "confidence": (lambda x: 0 < x < 1, "in (0, 1)"),
+    "xi": (lambda x: x >= 0, ">= 0"),
+}
 _SPEC_KEYS = {"kind", "model", "grid", "master_seed", "trials", "N",
               "variant", "kappa", "out", "chunk", "options"}
 
@@ -339,6 +348,14 @@ def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
     scale = max(1.0, float(np.abs(Q).max()))
     if np.abs(Q - Q.T).max() > 1e-12 * scale:
         raise ConfigError("options.Q is not symmetric")
+
+
+def _check_option_range(key: str, value) -> None:
+    ok, what = _OPTION_RANGES[key]
+    values = value if key == "xi" and isinstance(value, (list, tuple)) else [value]
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(float(v)):
+            raise ConfigError(f"options.{key} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -416,6 +433,8 @@ class StudySpec:
         if "Q" in self.options:
             _check_initial_covariance(self.options["Q"], model.d,
                                       scalar=self.kind in _SCALAR_KINDS)
+        for key in _OPTION_RANGES.keys() & self.options.keys():
+            _check_option_range(key, self.options[key])
 
     def lg_model(self) -> LinearGaussianModel:
         return LinearGaussianModel.from_dict(self.model)
@@ -499,12 +518,11 @@ def _timed_chunk(engine, kw: dict):
 
 
 def _map_chunks(engine, trials: int, chunk: int, workers: int,
-                progress: list | None = None, first_chunk: int = 0,
-                jobs=({},), **kw) -> list[dict]:
+                progress: list | None = None, jobs=({},), **kw) -> list[dict]:
     """Run every job of a study over trial chunks, in one pass.
 
     Job ``j`` runs the batch engine ``engine`` with ``trials``, ``chunk``,
-    ``first_chunk`` and the keyword arguments ``kw``, each updated by
+    ``first_chunk = 0`` and the keyword arguments ``kw``, each updated by
     ``jobs[j]``; its trials are split into chunks of ``chunk``.  With more
     than one worker and more than one chunk, the chunks of all jobs share
     one process pool; otherwise they run in this process.  Returns one
@@ -515,11 +533,9 @@ def _map_chunks(engine, trials: int, chunk: int, workers: int,
     """
     tasks = []  # (job, chunk index, engine keywords)
     for j, over in enumerate(jobs):
-        job = {**kw, "trials": trials, "chunk": chunk, "first_chunk": first_chunk, **over}
-        n, size, first = job["trials"], job["chunk"], job["first_chunk"]
-        for i in range((n + size - 1) // size):
-            tasks.append((j, first + i, dict(job, trials=min(size, n - i * size),
-                                             first_chunk=first + i)))
+        job = {**kw, "trials": trials, "chunk": chunk, "first_chunk": 0, **over}
+        for c, size in _engines._chunks(job["trials"], job["chunk"], job["first_chunk"]):
+            tasks.append((j, c, dict(job, trials=size, first_chunk=c)))
     parts = [{} for _ in jobs]
 
     def done(j, c, out, seconds):
@@ -601,15 +617,13 @@ def _run_bias(spec: StudySpec, model, workers, progress):
         out = _map_chunks(_engines.particle_cov_paths_1d, spec.trials,
                           spec.chunk, workers, progress=progress, model=model,
                           variant=spec.variant, N=N, grid=grid,
-                          seed=spec.master_seed, record_indices=rec,
-                          frame="error", m0=0.0, P0=float(Q[0, 0]), init="iid")[0]
+                          seed=spec.master_seed, record_indices=rec, P0=float(Q[0, 0]))[0]
         covs = out["cov"][:, :, None, None]
     else:
         out = _map_chunks(_engines.particle_cov_paths_nd, spec.trials,
                           spec.chunk, workers, progress=progress, model=model,
                           variant=spec.variant, N=N, grid=grid,
-                          seed=spec.master_seed, record_indices=rec,
-                          frame="error", m0=np.zeros(d), P0=Q, init="iid")[0]
+                          seed=spec.master_seed, record_indices=rec, P0=Q)[0]
         covs = out["cov"]
 
     per_point = []
@@ -655,7 +669,7 @@ def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
     from .scalar import riccati_closed_form
 
     phi_T = float(riccati_closed_form(sm, Q, grid.horizon))
-    n_chunks = (spec.trials + spec.chunk - 1) // spec.chunk
+    n_chunks = len(list(_engines._chunks(spec.trials, spec.chunk)))
     fig3_N = (spec.N[0], spec.N[-1])
     fig3_rec = _record_indices(grid.steps, max(1, grid.steps // 200))
     outs = _map_chunks(
@@ -693,7 +707,7 @@ def _run_invariant_ks(spec: StudySpec, model, workers, progress):
     record_stride = int(opts.get("record_stride", 10))
     job = _stationary_job(model, N, grid.dt, float(opts.get("horizon", grid.horizon)),
                           opts.get("burn_in"), record_stride)
-    n_chunks = (spec.trials + spec.chunk - 1) // spec.chunk
+    n_chunks = len(list(_engines._chunks(spec.trials, spec.chunk)))
     variants = (("vanilla", 1.0), ("deterministic", 0.0))
     outs = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk, workers,
                        progress, jobs=[{"variant": variant, "first_chunk": i * n_chunks}
@@ -850,8 +864,7 @@ def _run_semigroup_contraction(spec: StudySpec, model, workers, progress):
     out = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk,
                       workers, progress=progress, model=model,
                       variant=spec.variant, N=N, grid=grid,
-                      seed=spec.master_seed, record_indices=[grid.steps],
-                      frame="error", m0=0.0, P0=Q, init="iid",
+                      seed=spec.master_seed, record_indices=[grid.steps], P0=Q,
                       integral_from=0)[0]
     alive = out["diverged_step"] < 0
     rates = np.where(alive, out["integral"] / grid.horizon, np.inf)

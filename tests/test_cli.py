@@ -108,11 +108,17 @@ def test_run_config_validation(tmp_path, capsys):
          "grid": {"dt": 0.01}},
         {"model": str(tmp_path / "missing.json"), "variant": "exact", "grid": grid},
         {"model": str(model_path), "variant": "warp", "grid": grid},
+        {"model": str(model_path), "variant": "vanilla", "N": 8, "grid": grid, "seed": -1},
+        {"model": str(model_path), "variant": "exact", "grid": grid, "seed": 1.5},
     ]
     for doc in bad_configs:
         cfg_path = _write_json(tmp_path, doc, "bad.json")
         assert main(["run", str(cfg_path)]) == 2, doc
         assert capsys.readouterr().err.startswith("error:")
+    cfg_path = _write_json(tmp_path, {"model": str(model_path), "variant": "exact",
+                                      "grid": grid}, "good.json")
+    assert main(["run", str(cfg_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be")
 
 
 def test_run_divergence_is_reported_not_fatal(tmp_path, capsys):

@@ -27,8 +27,12 @@ def _spec(kind, model, **extra):
     _spec("moments_flow", scalar_lg(), N=[8], options={"Q": -1.0}),
     _spec("bias", random_model(2, seed=3), N=[8], trials=120, variant="vanilla",
           options={"Q": [[1.0, 2.0], [2.0, 1.0]]}),
+    # an option out of range fails before any simulation, not as a traceback
+    _spec("bias", scalar_lg(), N=[8], trials=120, variant="vanilla",
+          options={"record_every": 0}),
 ], ids=["lyapunov_unobserved", "fluctuation_rate_d2", "clt_variance_negative_Q",
-        "bias_negative_Q", "moments_flow_negative_Q", "bias_d2_indefinite_Q"])
+        "bias_negative_Q", "moments_flow_negative_Q", "bias_d2_indefinite_Q",
+        "bias_record_every_zero"])
 def test_scalar_study_kinds_reject_other_models_at_spec_time(tmp_path, capsys, doc):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))

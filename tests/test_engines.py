@@ -59,8 +59,7 @@ def test_record_indices_subsets_full_path():
 
 def test_with_mean_and_integral_outputs():
     out = law_cov_paths_1d(M, kappa=0, N=10, Q=1.0, grid=GRID, seed=3, trials=4,
-                           with_mean=True, integral_from=0)
-    assert out["mean"].shape == (4, 101)
+                           integral_from=0)
     assert out["integral"].shape == (4,)
     # closed-loop integrand A - S P is bounded by A: integral < A * horizon
     assert np.all(out["integral"] < M.A[0, 0] * GRID.horizon)
@@ -89,7 +88,7 @@ def test_particle_engine_mean_cov_tracks_law():
     p = particle_cov_paths_1d(M, "deterministic", N=10, grid=GRID, seed=21,
                               trials=n, record_indices=[100])
     l = law_cov_paths_1d(M, kappa=0, N=10, Q=1.0, grid=GRID, seed=22,
-                         trials=n, record_indices=[100], P0=1.0)
+                         trials=n, record_indices=[100])
     mp, ml = p["cov"][:, 0], l["cov"][:, 0]
     se = np.sqrt(mp.var() / n + ml.var() / n)
     assert abs(mp.mean() - ml.mean()) < 4 * se
@@ -99,6 +98,17 @@ def test_particle_engine_matched_init_is_exact():
     p = particle_cov_paths_1d(M, "vanilla", N=6, grid=GRID, seed=2, trials=8,
                               init="matched", P0=1.0, record_indices=[0])
     np.testing.assert_allclose(p["cov"][:, 0], 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("init", ["matched", np.zeros((3, 2, 5))], ids=["matched", "shape"])
+def test_particle_nd_init_is_iid_or_clouds(init, monkeypatch):
+    # anything else fails before the first draw
+    def no_draws(self, shape):
+        raise AssertionError("drew noise before rejecting init")
+
+    monkeypatch.setattr(NoiseStream, "normals", no_draws)
+    with pytest.raises(ValueError, match="init|initial clouds"):
+        particle_cov_paths_nd(_D2, "vanilla", N=4, grid=GRID, seed=1, trials=2, init=init)
 
 
 def test_nd_law_engine_large_N_tracks_flow():
@@ -268,13 +278,14 @@ _STIFF = scalar_lg(A=60.0)
 _KERNEL_CASES = {
     "particle_1d": lambda: particle_cov_paths_1d(
         M, "vanilla", N=10, grid=TimeGrid(0.0, 1e-2, 701), seed=4, trials=7, chunk=4,
-        with_mean=True, integral_from=3),
-    "particle_1d_absolute": lambda: particle_cov_paths_1d(
-        M, "deterministic", N=5, grid=GRID, seed=4, trials=3, frame="absolute",
-        with_mean=True),
+        integral_from=3),
     "law_1d": lambda: law_cov_paths_1d(
         M, kappa=1, N=8, Q=1.0, grid=TimeGrid(0.0, 1e-2, 1500), seed=5, trials=9, chunk=4,
-        with_mean=True, integral_from=0),
+        integral_from=0),
+    # the d = 1 path of law_level_run: the nd kernel with its mean
+    "law_nd_d1_with_mean": lambda: law_cov_paths_nd(
+        M, kappa=1, N=8, Q=np.eye(1), grid=TimeGrid(0.0, 1e-2, 1500), seed=5, trials=9,
+        chunk=4, integral_from=0),
     "particle_nd": lambda: particle_cov_paths_nd(
         random_model(2, seed=31, stabilize=1.0), "vanilla", N=6, grid=GRID, seed=7,
         trials=5, chunk=2, frame="absolute"),

@@ -24,6 +24,7 @@ from kbflow import (
     ricc_drift,
     riccati_closed_form,
     riccati_flow,
+    run_enkf,
     semigroup_E,
     slope_fit,
     solve_are,
@@ -185,6 +186,7 @@ _Q_ENTRY_POINTS = {
     "check_riccati_sandwich": lambda m, Q: check_riccati_sandwich(m, Q, tau=1.0, t=2.0),
     "law_level_run": lambda m, Q: law_level_run(m, 1.0, Q, np.zeros(2),
                                                 TimeGrid(0.0, 0.01, 5), 5, streams=1),
+    "run_enkf": lambda m, Q: run_enkf(m, "vanilla", 4, TimeGrid(0.0, 0.01, 5), seeds=1, P0=Q),
 }
 
 

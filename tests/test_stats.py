@@ -215,6 +215,25 @@ def _spec_payload(**over):
     return base
 
 
+@pytest.mark.parametrize("kind, options", [
+    ("bias", {"record_every": 0}),
+    ("moments_flow", {"record_every": 2.5}),
+    ("invariant_ks", {"record_stride": 0}),
+    ("lyapunov", {"burn_in": -1.0}),
+    ("invariant_ks", {"horizon": 0.0}),
+    ("invariant_ks", {"target_lag_corr": 1.0}),
+    ("bias", {"confidence": 1.5}),
+    ("bias", {"confidence": 0.0}),
+    ("inflation_sweep", {"xi": [0.5, -1.0]}),
+    ("inflation_sweep", {"xi": -1.0}),
+])
+def test_study_option_ranges_are_checked(kind, options):
+    payload = _spec_payload(kind=kind, options=options, kappa=0,
+                            variant="vanilla" if kind == "bias" else None)
+    with pytest.raises(ConfigError, match=f"options.{next(iter(options))} must be"):
+        StudySpec(**payload)
+
+
 def test_study_spec_validation():
     with pytest.raises(ConfigError):
         StudySpec(**_spec_payload(kind="nope"))
