@@ -31,6 +31,7 @@ from .model import (
 from .sde import NoiseStream, Scheme, TimeGrid, project_psd
 from .kalman import (
     KalmanState,
+    RiccatiPath,
     RiccatiState,
     SandwichReport,
     SemigroupMatrix,

@@ -184,31 +184,14 @@ def cmd_run(args) -> int:
     out = Path(cfg.get("out") or ".")
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
 
-    if variant == "exact":
-        try:
-            states = kalman_run(model, x0=np.zeros(d), Q=np.eye(d),
-                                truth_seed=seed, grid=grid)
-        except NonFinite as exc:
-            return _fail(f"exact filter produced a non-finite state: {exc}",
-                         EXIT_NONFINITE)
-        t = np.array([s.t for s in states])
-        mean = np.array([s.X for s in states])
-        cov = np.array([s.P.P for s in states])
-        err = np.array([s.Z for s in states])
-        io.write_trajectory_csv(out / "trajectory.csv", t, mean, cov, err)
-        summary = {"config_echo": echo, "variant": "exact",
-                   "diverged_at": None,
-                   "final": {"t": float(t[-1]), "mean": mean[-1],
-                             "cov": cov[-1], "error": err[-1]}}
-        io.write_summary_json(out / "summary.json", summary)
-        print(f"exact run complete: t_end={t[-1]}, wrote {out / 'trajectory.csv'}")
-        return EXIT_OK
-
     inflation = None
     if float(cfg["xi"]) > 0 or "_T" in cfg:
         inflation = Inflation(xi=float(cfg["xi"]), T=cfg.get("_T"))
     try:
-        if variant == "law":
+        if variant == "exact":
+            record = kalman_run(model, x0=np.zeros(d), Q=np.eye(d),
+                                truth_seed=seed, grid=grid)
+        elif variant == "law":
             record = law_level_run(model, float(cfg["kappa"]), Q=np.eye(d),
                                    x0=np.zeros(d), grid=grid, N=int(cfg["N"]),
                                    inflation=inflation,
@@ -216,6 +199,8 @@ def cmd_run(args) -> int:
         else:
             record = run_enkf(model, variant, int(cfg["N"]), grid, seeds=seed,
                               inflation=inflation)
+    except NonFinite as exc:
+        return _fail(str(exc), EXIT_NONFINITE)
     except KBFlowError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     io.write_trajectory_csv(out / "trajectory.csv", record.t, record.mean,

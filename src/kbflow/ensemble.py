@@ -29,8 +29,8 @@ from . import _engines
 from ._engines import (MATRIX_DRIVER, MEAN_DRIVER, PARTICLE_INIT, PARTICLE_OBS,  # noqa: F401
                        PARTICLE_SIGNAL, Variant, _inflated_drift_terms)
 from .errors import BoundNotApplicable, NonFinite
-from .kalman import RiccatiState, _mobius_flow
-from .model import LinearGaussianModel, _check_covariance, symmetric_sqrt
+from .kalman import RiccatiPath, TrajectoryRecord, _kernel_record
+from .model import LinearGaussianModel, _check_covariance, _riccati_nodes, symmetric_sqrt
 from .sde import NoiseStream, TimeGrid, _project_psd_stack, _sym, project_psd
 
 
@@ -212,52 +212,6 @@ def moment_matched_init(m0, P0):
         return m0[:, None] + (root @ whiten) @ G
 
     return sampler
-
-
-# ---------------------------------------------------------------------------
-# trajectory records
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrajectoryRecord:
-    """Per-grid-point records of a filter run.
-
-    ``mean``/``cov``/``error`` hold the (sample) mean, (sample) covariance
-    and realized error ``mean - signal``; ``mu_closed_loop`` is the
-    logarithmic norm of ``A - P S`` along the run.  After a catastrophic
-    divergence at ``diverged_at``, remaining rows are NaN.
-    """
-
-    t: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-    error: np.ndarray
-    mu_closed_loop: np.ndarray
-    variant: str
-    N: int | None = None
-    xi: float = 0.0
-    kappa: float | None = None
-    diverged_at: float | None = None
-    seed: int | None = None
-
-
-@_engines._quiet_divergence
-def _kernel_record(model, grid, mean, cov, error, **fields) -> TrajectoryRecord:
-    """Record of a B = 1 kernel run.  From the first node whose mean or
-    closed-loop matrix ``A - P S`` is not finite (the divergence) on, rows
-    are NaN; a finite covariance that overflows here counts as diverged."""
-    times = grid.times()
-    closed = model.A - cov @ model.S
-    ok = np.all(np.isfinite(closed), axis=(1, 2)) & np.all(np.isfinite(mean), axis=1)
-    k = len(times) if ok.all() else int(np.argmin(ok))
-    closed = closed[:k]
-    mu = np.full(len(times), np.nan)
-    mu[:k] = np.linalg.eigvalsh(0.5 * (closed + np.swapaxes(closed, 1, 2)))[:, -1]
-    for rows in (mean, cov, error):
-        rows[k:] = np.nan
-    return TrajectoryRecord(t=times, mean=mean, cov=cov, error=error, mu_closed_loop=mu,
-                            diverged_at=None if k == len(times) else float(times[k]),
-                            **fields)
 
 
 def _split_seeds(seeds):
@@ -524,7 +478,7 @@ def liouville_bound(model: LinearGaussianModel, n: int, N: int, kappa: float) ->
 
 
 def inflated_riccati_flow(model: LinearGaussianModel, kappa: float, Q,
-                          grid: TimeGrid, inflation: Inflation) -> list[RiccatiState]:
+                          grid: TimeGrid, inflation: Inflation) -> RiccatiPath:
     """Deterministic (large-N) limit of the inflated covariance flow.
 
     For kappa=1 the flow is the nominal Riccati drift plus the PSD source
@@ -538,4 +492,6 @@ def inflated_riccati_flow(model: LinearGaussianModel, kappa: float, Q,
     if kappa not in (0, 1, 0.0, 1.0):
         raise ValueError(f"kappa must be 0 or 1, got {kappa}")
     A_mod, source = _inflated_drift_terms(model, float(kappa), inflation)
-    return _mobius_flow(A_mod, model.S, model.R + source, _check_covariance(Q, model.d), grid)
+    Q = _check_covariance(Q, model.d)
+    return RiccatiPath(grid.times(), _riccati_nodes(A_mod, model.S, model.R + source, Q,
+                                                    grid.dt, grid.steps))

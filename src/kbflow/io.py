@@ -2,9 +2,10 @@
 
 Trajectory CSV layout (one row per grid point): ``t, X_1..X_d, Z_1..Z_d,
 P_11..P_dd`` with the covariance stored as the row-major upper triangle.
-Ensemble trajectories append the run metadata columns ``variant, N, xi,
-kappa, mu_closed_loop, diverged_at`` (metadata repeats per row so the file
-stands alone).  Every writer here has a matching loader and round-trips.
+Run trajectories (exact, ensemble or law-level) append the metadata
+columns ``variant, N, xi, kappa, mu_closed_loop, diverged_at`` (metadata
+repeats per row so the file stands alone; an exact run's ``N`` is empty).
+Every writer here has a matching loader and round-trips.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ def _fmt(value) -> str:
 
 
 def write_trajectory_csv(path, t, mean, cov, error, extras: dict | None = None):
-    """Write a trajectory (exact or ensemble run) to CSV.
+    """Write a trajectory to CSV.
 
-    ``extras`` carries the constant ensemble metadata columns (variant, N,
-    xi, kappa, diverged_at) plus the per-row ``mu_closed_loop`` array; pass
-    None for an exact-filter trajectory.
+    ``extras`` (see :func:`trajectory_extras`) carries the constant run
+    metadata columns (variant, N, xi, kappa, diverged_at) plus the per-row
+    ``mu_closed_loop`` array; ``N = None`` is written as an empty cell.
+    Without ``extras`` only the state columns are written.
     """
     t = np.asarray(t, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -70,7 +72,8 @@ def write_trajectory_csv(path, t, mean, cov, error, extras: dict | None = None):
             row = [_fmt(t[k])] + [_fmt(v) for v in mean[k]] \
                 + [_fmt(v) for v in error[k]] + [_fmt(v) for v in _pack_upper(cov[k])]
             if extras is not None:
-                row += [str(extras["variant"]), str(int(extras["N"])),
+                row += [str(extras["variant"]),
+                        "" if extras["N"] is None else str(int(extras["N"])),
                         _fmt(extras["xi"]), _fmt(extras["kappa"]),
                         _fmt(mu[k]), _fmt(extras.get("diverged_at"))]
             w.writerow(row)
@@ -102,7 +105,7 @@ def load_trajectory_csv(path) -> dict:
         base = 1 + 2 * d + n_tri
         last = rows[-1]
         out["variant"] = last[base]
-        out["N"] = int(last[base + 1])
+        out["N"] = int(last[base + 1]) if last[base + 1] else None
         out["xi"] = float(last[base + 2])
         out["kappa"] = float(last[base + 3]) if last[base + 3] != "nan" else math.nan
         out["mu_closed_loop"] = np.array(mu)
@@ -111,7 +114,9 @@ def load_trajectory_csv(path) -> dict:
 
 
 def trajectory_extras(record) -> dict:
-    """Extras dict for write_trajectory_csv from a TrajectoryRecord."""
+    """Extras dict for write_trajectory_csv from a TrajectoryRecord of any
+    variant: ``kappa = None`` (the exact filter, transport) becomes nan, and
+    ``N = None`` (the exact filter) an empty cell."""
     return {
         "variant": record.variant, "N": record.N, "xi": record.xi,
         "kappa": record.kappa if record.kappa is not None else math.nan,

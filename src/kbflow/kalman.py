@@ -10,6 +10,7 @@ grid nodes at a time (:func:`kbflow.model._riccati_nodes`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,30 +22,37 @@ from .errors import NonFinite
 from .model import (LinearGaussianModel, _check_covariance, _hamiltonian_propagator,
                     _mobius_spans, _ricc, _riccati_nodes, gramians, solve_are,
                     symmetric_sqrt)
-from .sde import NoiseStream, TimeGrid, project_psd
+from .sde import NoiseStream, TimeGrid
 
 
 @dataclass
 class RiccatiState:
-    """Riccati flow sample: time ``t`` and covariance ``P`` (symmetrized and
-    PSD-clamped at construction)."""
+    """Riccati flow sample: time ``t`` and covariance ``P`` (PSD-projected
+    by its producer, not here)."""
 
     t: float
     P: np.ndarray
 
-    def __post_init__(self):
-        self.P = project_psd(np.asarray(self.P, dtype=float))
 
+@dataclass
+class RiccatiPath:
+    """A Riccati flow on a grid: node times ``t`` (K+1,) and covariances
+    ``P`` (K+1, d, d).  ``path[k]`` and iteration give :class:`RiccatiState`
+    nodes, built on access; a slice gives a shorter path."""
 
-def _riccati_states(times, nodes) -> list[RiccatiState]:
-    """States of nodes that are already symmetric PSD: built without the
-    projection of ``__post_init__``."""
-    states = []
-    for t, P in zip(times, nodes):
-        state = object.__new__(RiccatiState)
-        state.t, state.P = t, P
-        states.append(state)
-    return states
+    t: np.ndarray
+    P: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return RiccatiPath(self.t[k], self.P[k])
+        return RiccatiState(float(self.t[k]), self.P[k])
+
+    def __iter__(self):
+        return map(RiccatiState, self.t.tolist(), self.P)
 
 
 @dataclass
@@ -59,6 +67,58 @@ class KalmanState:
     X: np.ndarray
     P: RiccatiState
     Z: np.ndarray | None = None
+
+
+@dataclass
+class TrajectoryRecord:
+    """Per-grid-point records of a filter run (exact, ensemble or law-level).
+
+    ``mean``/``cov``/``error`` hold the (sample) mean, (sample) covariance
+    and realized error ``mean - signal``; ``mu_closed_loop`` is the
+    logarithmic norm of ``A - P S`` along the run.  After a catastrophic
+    divergence at ``diverged_at``, remaining rows are NaN.  ``record[k]``
+    and iteration give grid points as :class:`KalmanState`; no slicing.
+    """
+
+    t: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    error: np.ndarray
+    mu_closed_loop: np.ndarray
+    variant: str
+    N: int | None = None
+    xi: float = 0.0
+    kappa: float | None = None
+    diverged_at: float | None = None
+    seed: int | None = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k) -> KalmanState:
+        k = operator.index(k)
+        t = float(self.t[k])
+        return KalmanState(t=t, X=self.mean[k], P=RiccatiState(t, self.cov[k]),
+                           Z=self.error[k])
+
+
+@_engines._quiet_divergence
+def _kernel_record(model, grid, mean, cov, error, **fields) -> TrajectoryRecord:
+    """Record of a B = 1 run.  From the first node whose mean or
+    closed-loop matrix ``A - P S`` is not finite (the divergence) on, rows
+    are NaN; a finite covariance that overflows here counts as diverged."""
+    times = grid.times()
+    closed = model.A - cov @ model.S
+    ok = np.all(np.isfinite(closed), axis=(1, 2)) & np.all(np.isfinite(mean), axis=1)
+    k = len(times) if ok.all() else int(np.argmin(ok))
+    closed = closed[:k]
+    mu = np.full(len(times), np.nan)
+    mu[:k] = np.linalg.eigvalsh(0.5 * (closed + np.swapaxes(closed, 1, 2)))[:, -1]
+    for rows in (mean, cov, error):
+        rows[k:] = np.nan
+    return TrajectoryRecord(t=times, mean=mean, cov=cov, error=error, mu_closed_loop=mu,
+                            diverged_at=None if k == len(times) else float(times[k]),
+                            **fields)
 
 
 @dataclass
@@ -80,19 +140,12 @@ def ricc_drift(model: LinearGaussianModel, P) -> np.ndarray:
     return _ricc(model.A, model.S, model.R, np.asarray(P, dtype=float))
 
 
-def _mobius_flow(A, S, R, Q, grid: TimeGrid) -> list[RiccatiState]:
-    """Flow of ``P' = A P + P A' - P S P + R`` from a checked ``Q`` (see
-    :func:`~kbflow.model._check_covariance`), reported on ``grid``."""
-    nodes = _riccati_nodes(A, S, R, Q, grid.dt, grid.steps)
-    return _riccati_states(grid.times().tolist(), nodes)
-
-
 def _riccati_endpoint(model: LinearGaussianModel, Q, t: float) -> np.ndarray:
     """``phi_t(Q)`` by the exact propagator over ``[0, t]``."""
     return _riccati_nodes(model.A, model.S, model.R, Q, t, 1)[-1]
 
 
-def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> list[RiccatiState]:
+def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> RiccatiPath:
     """Deterministic Riccati flow from ``Q`` reported on ``grid``.
 
     Stepped by the exact Hamiltonian (Moebius) propagator of the Riccati
@@ -101,7 +154,7 @@ def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> list[RiccatiS
     sub-steps; otherwise the nodes are mapped a span at a time, each node
     ``j`` of a span straight from the span's first node by ``Phi^j`` (one
     stacked solve and one stacked PSD projection per span).  Every node is
-    symmetrized and PSD-clamped.
+    symmetrized and PSD-clamped.  Returns the nodes as a :class:`RiccatiPath`.
 
     Raises
     ------
@@ -110,7 +163,8 @@ def riccati_flow(model: LinearGaussianModel, Q, grid: TimeGrid) -> list[RiccatiS
         :func:`~kbflow.model._check_covariance`).
     """
     Q = _check_covariance(Q, model.d)
-    return _mobius_flow(model.A, model.S, model.R, Q, grid)
+    return RiccatiPath(grid.times(), _riccati_nodes(model.A, model.S, model.R, Q,
+                                                    grid.dt, grid.steps))
 
 
 def semigroup_E(model: LinearGaussianModel, Q, s: float, t: float) -> SemigroupMatrix:
@@ -138,7 +192,7 @@ def semigroup_E(model: LinearGaussianModel, Q, s: float, t: float) -> SemigroupM
 
 
 def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGrid,
-               m0=None, P0=None) -> list[KalmanState]:
+               m0=None, P0=None) -> TrajectoryRecord:
     """Co-simulate signal, observations, and the exact filter on ``grid``.
 
     The signal and observation paths are generated internally from
@@ -160,6 +214,11 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
     m0, P0 : optional
         Mean/covariance of the simulated signal's Gaussian initial condition;
         default ``m0 = 0`` and ``P0 = Q``.
+
+    Returns
+    -------
+    TrajectoryRecord
+        Variant ``"exact"``, ``seed = truth_seed``, ``cov`` the flow's nodes.
 
     Raises
     ------
@@ -196,13 +255,11 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
             truth = truth + dt * (A @ truth) + sqrt_R @ dV
             xs[k + 1], truths[k + 1] = x, truth
     bad = ~(np.isfinite(xs[1:]).all(axis=1) & np.isfinite(truths[1:]).all(axis=1))
-    times = grid.times().tolist()
     if bad.any():
         k = int(np.argmax(bad)) + 1
-        raise NonFinite(k, t=times[k], what="exact filter state")
-    Z = xs - truths
-    return [KalmanState(t=t, X=X, P=P, Z=z)
-            for t, X, P, z in zip(times, xs, _riccati_states(times, nodes), Z)]
+        raise NonFinite(k, t=float(grid.times()[k]), what="exact filter state")
+    return _kernel_record(model, grid, xs, nodes, xs - truths, variant="exact",
+                          seed=int(truth_seed))
 
 
 @dataclass

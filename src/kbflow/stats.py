@@ -350,6 +350,15 @@ def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
         raise ConfigError("options.Q is not symmetric")
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integral value (1.5, 8.7) is
+    a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_option_range(key: str, value) -> None:
     ok, what = _OPTION_RANGES[key]
     values = value if key == "xi" and isinstance(value, (list, tuple)) else [value]
@@ -395,13 +404,18 @@ class StudySpec:
             if model.S[0, 0] == 0.0:
                 raise ConfigError(f"{self.kind} needs an observed signal "
                                   "(S = H^2/R1 > 0), got H = 0")
+        for key in ("master_seed", "trials", "chunk"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        object.__setattr__(self, "N", tuple(_integer("N", n) for n in
+                                            (self.N if isinstance(self.N, (list, tuple))
+                                             else [self.N])))
+        if isinstance(self.grid, dict) and "steps" in self.grid:
+            object.__setattr__(self, "grid", {
+                **self.grid, "steps": _integer("grid.steps", self.grid["steps"])})
         try:
             self.time_grid()
         except Exception as exc:
             raise ConfigError(f"invalid grid: {exc}") from exc
-        object.__setattr__(self, "N", tuple(int(n) for n in
-                                            (self.N if isinstance(self.N, (list, tuple))
-                                             else [self.N])))
         if any(n < 1 for n in self.N):
             raise ConfigError(f"N entries must be >= 1, got {self.N}")
         if self.trials < 1:
@@ -423,7 +437,7 @@ class StudySpec:
                                   f"got {self.kappa!r}")
         if self.chunk < 1:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         unknown = set(self.options) - _ALLOWED_OPTIONS[self.kind]
         if unknown:
@@ -456,9 +470,9 @@ class StudySpec:
         return {
             "kind": self.kind, "model": copy.deepcopy(self.model),
             "grid": copy.deepcopy(self.grid),
-            "master_seed": int(self.master_seed), "trials": int(self.trials),
+            "master_seed": self.master_seed, "trials": self.trials,
             "N": list(self.N), "variant": self.variant,
-            "kappa": self.kappa, "out": self.out, "chunk": int(self.chunk),
+            "kappa": self.kappa, "out": self.out, "chunk": self.chunk,
             "options": copy.deepcopy(self.options),
         }
 
@@ -469,11 +483,7 @@ class StudySpec:
             raise ConfigError(f"unknown StudySpec keys: {sorted(unknown)}")
         if "kind" not in payload or "model" not in payload or "grid" not in payload:
             raise ConfigError("StudySpec requires kind, model, and grid")
-        kw = dict(payload)
-        if "N" in kw:
-            kw["N"] = tuple(kw["N"]) if isinstance(kw["N"], (list, tuple)) \
-                else (int(kw["N"]),)
-        return cls(**kw)
+        return cls(**payload)
 
 
 @dataclass
@@ -608,8 +618,7 @@ def _run_bias(spec: StudySpec, model, workers, progress):
     every = int(spec.options.get("record_every", max(1, grid.steps // 20)))
     z = float(norm.ppf(float(spec.options.get("confidence", 0.99))))
     rec = _record_indices(grid.steps, every)
-    flow = riccati_flow(model, Q, grid)
-    phis = np.array([flow[k].P for k in rec])
+    phis = riccati_flow(model, Q, grid).P[rec]
     times = grid.times()[rec]
     N = spec.N[0]
 
@@ -844,8 +853,8 @@ def _run_inflation_sweep(spec: StudySpec, model, workers, progress):
             infl = inflated_riccati_flow(model, kappa, Q, grid,
                                          Inflation(xi=float(xi)))
             for k in rec:
-                diff = infl[k].P - base[k].P if kappa == 1.0 \
-                    else base[k].P - infl[k].P
+                diff = infl.P[k] - base.P[k] if kappa == 1.0 \
+                    else base.P[k] - infl.P[k]
                 margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
                 per_point.append(_core_row(
                     N=None, t=float(grid.times()[k]), kappa=kappa,

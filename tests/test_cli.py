@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model, scalar_lg
+from kbflow import LinearGaussianModel, TimeGrid, kalman_run
 from kbflow.cli import main
 from kbflow.io import load_columns_csv, load_summary_json, load_trajectory_csv
 
@@ -76,6 +77,44 @@ def test_run_exact_writes_artifacts_and_reruns_identically(tmp_path, capsys):
     summary = load_summary_json(out1 / "summary.json")
     assert summary["variant"] == "exact"
     assert summary["diverged_at"] is None
+
+
+def test_run_exact_files_hold_the_record(tmp_path):
+    # the exact filter takes the common path: the record's arrays, bit for
+    # bit, with the metadata columns of an exact run
+    model = random_model(2, seed=1, stabilize=1.0)
+    cfg = {"model": str(_write_model(tmp_path, model)), "variant": "exact",
+           "grid": {"dt": 0.01, "T_end": 0.5}}
+    out = tmp_path / "out"
+    assert main(["run", str(_write_json(tmp_path, cfg, "run.json")), "--out", str(out),
+                 "--seed", "5"]) == 0
+    rec = kalman_run(model, np.zeros(2), np.eye(2), 5, TimeGrid.from_horizon(0.0, 0.5, 0.01))
+    back = load_trajectory_csv(out / "trajectory.csv")
+    assert (back["variant"], back["N"], back["xi"], back["diverged_at"]) == \
+        ("exact", None, 0.0, None)
+    assert math.isnan(back["kappa"])
+    for key, sent in (("t", rec.t), ("mean", rec.mean), ("error", rec.error),
+                      ("cov", rec.cov), ("mu_closed_loop", rec.mu_closed_loop)):
+        assert back[key].tobytes() == sent.tobytes(), key
+    summary = load_summary_json(out / "summary.json")
+    assert (summary["N"], summary["xi"], summary["kappa"]) == (None, 0.0, None)
+    final = summary["final"]
+    for key, sent in (("mean", rec.mean[-1]), ("cov", rec.cov[-1]), ("error", rec.error[-1])):
+        assert np.array(final[key]).tobytes() == sent.tobytes(), key
+    assert final["mu_closed_loop"] == rec.mu_closed_loop[-1]
+
+
+def test_run_exact_nonfinite_state_exits_4(tmp_path, capsys):
+    # the first case of test_kalman_run_divergence_step, through kbflow run
+    model = LinearGaussianModel([[50.0]], [[1.0]], [[1.0]], [[1.0]])
+    cfg = {"model": str(_write_model(tmp_path, model)), "variant": "exact",
+           "grid": {"dt": 1.0, "T_end": 300.0}, "seed": 3}
+    out = tmp_path / "out"
+    assert main(["run", str(_write_json(tmp_path, cfg, "run.json")), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step 181" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_run_ensemble_and_law(tmp_path):

@@ -30,9 +30,11 @@ def _spec(kind, model, **extra):
     # an option out of range fails before any simulation, not as a traceback
     _spec("bias", scalar_lg(), N=[8], trials=120, variant="vanilla",
           options={"record_every": 0}),
+    # a non-integral count fails before any simulation, not as a traceback
+    _spec("clt_variance", scalar_lg(), N=[8], trials=150.5),
 ], ids=["lyapunov_unobserved", "fluctuation_rate_d2", "clt_variance_negative_Q",
         "bias_negative_Q", "moments_flow_negative_Q", "bias_d2_indefinite_Q",
-        "bias_record_every_zero"])
+        "bias_record_every_zero", "clt_variance_fractional_trials"])
 def test_scalar_study_kinds_reject_other_models_at_spec_time(tmp_path, capsys, doc):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))

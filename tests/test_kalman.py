@@ -30,6 +30,7 @@ from kbflow import (
     solve_are,
 )
 from kbflow import model as kbmodel
+from kbflow.kalman import RiccatiPath, RiccatiState, TrajectoryRecord
 from kbflow.model import _hamiltonian_propagator
 
 
@@ -147,6 +148,54 @@ def test_flow_differences_contract_at_twice_the_rate():
     sel = ts >= 1.0  # past the nonlinear transient
     slope, _ = slope_fit(ts[sel], np.log(diff[sel]))
     assert slope == pytest.approx(-2 * rate, rel=0.1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_riccati_path_is_the_node_stack(d):
+    # the flow is _riccati_nodes' stack; nodes are built on access
+    m, Q = random_model(d, seed=8, stabilize=1.0), random_psd(d, seed=9)
+    grid = TimeGrid(0.0, 0.01, 40)
+    path = riccati_flow(m, Q, grid)
+    nodes = kbmodel._riccati_nodes(m.A, m.S, m.R, kbmodel._check_covariance(Q, d),
+                                   grid.dt, grid.steps)
+    assert isinstance(path, RiccatiPath) and len(path) == 41
+    assert path.P.tobytes() == nodes.tobytes()
+    np.testing.assert_array_equal(path.t, grid.times())
+    for k in (0, 17, -1):
+        node = path[k]
+        assert isinstance(node, RiccatiState)
+        assert node.t == grid.times()[k] and isinstance(node.t, float)
+        np.testing.assert_array_equal(node.P, nodes[k])
+    sub = path[::10]
+    assert isinstance(sub, RiccatiPath) and len(sub) == 5
+    np.testing.assert_array_equal(sub.P, nodes[::10])
+    np.testing.assert_array_equal(sub.t, grid.times()[::10])
+    states = list(path)
+    assert [s.t for s in states] == grid.times().tolist()
+    np.testing.assert_array_equal(np.array([s.P for s in states]), nodes)
+
+
+def test_kalman_run_record_rows_are_the_node_states():
+    m = random_model(2, seed=31, stabilize=1.0)
+    grid = TimeGrid(0.0, 0.01, 30)
+    rec = kalman_run(m, np.zeros(2), np.eye(2), 6, grid)
+    assert isinstance(rec, TrajectoryRecord) and len(rec) == 31
+    assert (rec.variant, rec.seed, rec.N, rec.xi, rec.kappa, rec.diverged_at) == \
+        ("exact", 6, None, 0.0, None, None)
+    np.testing.assert_array_equal(rec.t, grid.times())
+    assert rec.cov.tobytes() == riccati_flow(m, np.eye(2), grid).P.tobytes()
+    for k in (0, 12, -1):
+        s = rec[k]
+        assert s.t == s.P.t == rec.t[k]
+        np.testing.assert_array_equal(s.X, rec.mean[k])
+        np.testing.assert_array_equal(s.P.P, rec.cov[k])
+        np.testing.assert_array_equal(s.Z, rec.error[k])
+    assert [s.t for s in rec] == grid.times().tolist()
+    with pytest.raises(TypeError):
+        rec[1:3]
+    # the closed-loop log-norm: lambda_max of sym(A - P S) at each node
+    mu = [np.linalg.eigvalsh(0.5 * (G + G.T))[-1] for G in m.A - rec.cov @ m.S]
+    np.testing.assert_array_equal(rec.mu_closed_loop, mu)
 
 
 def test_kalman_run_noiseless_exact_init():

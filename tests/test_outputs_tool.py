@@ -1,0 +1,31 @@
+"""tools/outputs.py compare mode, on tiny files (tier-1 does not run the corpus)."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
+_spec = importlib.util.spec_from_file_location("outputs_tool", _PATH)
+outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outputs)
+
+
+def test_compare_lists_equal_moved_and_missing(tmp_path, capsys):
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    x = np.array([1.0, -2.0, np.nan])
+    np.savez(a, **{"run/x": x, "run/signed": np.array([0.0]),
+                   "doc": np.frombuffer(b"abc", np.uint8), "gone": np.zeros(2),
+                   "shape": np.zeros(2)})
+    np.savez(b, **{"run/x": x * (1.0 + np.array([0.0, 1e-15, 0.0])),
+                   "run/signed": np.array([-0.0]), "doc": np.frombuffer(b"abd", np.uint8),
+                   "new": np.zeros(2), "shape": np.zeros(3)})
+    rows = {name: (status, detail) for name, status, detail in outputs.compare(a, b)}
+    assert rows["run/x"][0] == "moved" and "max relative difference 1" in rows["run/x"][1]
+    assert rows["run/signed"] == ("moved", "equal values, other bits")
+    assert rows["doc"] == ("moved", "file bytes differ from offset 2")
+    assert rows["gone"] == ("missing", "only in A")
+    assert rows["new"] == ("missing", "only in B")
+    assert rows["shape"][0] == "moved"
+    assert outputs.main(["compare", str(a), str(b)]) == 1
+    assert outputs.main(["compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "5 equal, 0 moved, 0 missing"

@@ -234,6 +234,30 @@ def test_study_option_ranges_are_checked(kind, options):
         StudySpec(**payload)
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("master_seed", 1.5, "master_seed"),
+    ("trials", 150.5, "trials"),
+    ("chunk", 2.5, "chunk"),
+    ("N", [8.7], "N"),
+    ("grid", {"dt": 0.02, "steps": 20.5}, "grid.steps"),
+    ("trials", True, "trials"),
+])
+def test_study_counts_must_be_integers(key, value, named):
+    payload = _spec_payload(kind="clt_variance", variant=None, kappa=0, options={},
+                            **{key: value})
+    with pytest.raises(ConfigError, match=f"^{named} must be an integer"):
+        StudySpec.from_dict(payload)
+
+
+def test_study_integral_counts_are_stored_as_int():
+    spec = StudySpec(**_spec_payload(master_seed=12.0, trials=200.0, chunk=np.int64(64),
+                                     N=[10.0], grid={"dt": 0.02, "steps": 50.0}))
+    for value in (spec.master_seed, spec.trials, spec.chunk, *spec.N,
+                  spec.grid["steps"]):
+        assert type(value) is int
+    assert (spec.trials, spec.chunk, spec.N, spec.time_grid().steps) == (200, 64, (10,), 50)
+
+
 def test_study_spec_validation():
     with pytest.raises(ConfigError):
         StudySpec(**_spec_payload(kind="nope"))

@@ -1,0 +1,347 @@
+#!/usr/bin/env python3
+"""Seeded output corpus of kbflow, and a bitwise comparison of two corpora.
+
+A change that promises unchanged results is checked by running the corpus
+on the source trees before and after it, then comparing the two files::
+
+    python tools/outputs.py run --src /path/to/parent/src --out parent.npz
+    python tools/outputs.py run --src src --out change.npz
+    python tools/outputs.py compare parent.npz change.npz
+
+``run`` imports kbflow from ``--src`` and saves every output of a fixed,
+seeded corpus to one ``.npz``:
+
+* the four stepping kernels (the nd ones at d = 1, 2, 3), over variants,
+  frames, means and inflation, plus two batches with diverging trials;
+* ``run_enkf``, ``law_level_run`` and ``kalman_run``, and a stochastic
+  semigroup along one run;
+* the Riccati flows (nominal at d = 1, 2, 3 and inflated at both kappa),
+  ``semigroup_E`` and ``solve_are``;
+* ``kbflow run`` for the exact filter, a particle system and the law level;
+* the files of all eight study kinds, at small sizes.
+
+Flows and runs are read through node access (``[s.P for s in flow]``,
+``[s.X for s in run]``), so the script runs unchanged on source trees whose
+flows are lists of states and on those whose flows are stacks.  File
+contents are stored as bytes, with the temporary directory's path replaced
+by ``<tmp>``.
+
+``compare`` lists each output as ``equal`` (bit for bit), ``moved`` (with
+the largest relative difference, or the first differing byte of a file) or
+``missing`` (on one side), and exits 0 only if every output is equal.  The
+corpus takes well under a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# the corpus
+# ---------------------------------------------------------------------------
+
+class Corpus:
+    """Named output arrays.  Dicts are flattened into names joined by ``/``;
+    ``None`` is stored as an empty array and file contents as bytes."""
+
+    def __init__(self):
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def put(self, name: str, value) -> None:
+        if isinstance(value, dict):
+            for key, v in value.items():
+                self.put(f"{name}/{key}", v)
+            return
+        if value is None:
+            value = np.zeros(0)
+        elif isinstance(value, bytes):
+            value = np.frombuffer(value, dtype=np.uint8)
+        if name in self.arrays:
+            raise ValueError(f"duplicate output name {name!r}")
+        self.arrays[name] = np.asarray(value)
+
+
+def _model(kb, d: int, seed: int, stabilize: float = 0.0):
+    """Random model; controllable and observable with probability one."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d)) / np.sqrt(d) - stabilize * np.eye(d)
+    H = rng.normal(size=(d, d)) / np.sqrt(d)
+    G = rng.normal(size=(d, d)) / np.sqrt(d)
+    G1 = rng.normal(size=(d, d)) / np.sqrt(d)
+    return kb.LinearGaussianModel(A, H, G @ G.T + 0.5 * np.eye(d),
+                                  G1 @ G1.T + 0.5 * np.eye(d))
+
+
+def _scalar(kb, A: float):
+    return kb.ScalarModel(A=A, R=1.0, S=1.0).to_model()
+
+
+def _psd(d: int, seed: int) -> np.ndarray:
+    G = np.random.default_rng(seed).normal(size=(d, d))
+    return G @ G.T / d + 0.1 * np.eye(d)
+
+
+def _record(rec) -> dict:
+    return {key: getattr(rec, key) for key in
+            ("t", "mean", "cov", "error", "mu_closed_loop", "diverged_at")}
+
+
+def kernels(kb, c: Corpus) -> None:
+    eng = kb._engines
+    m1, m2 = _scalar(kb, 1.0), _model(kb, 2, 31, stabilize=1.0)
+    models = ((1, m1), (2, m2), (3, _model(kb, 3, 32, stabilize=1.0)))
+    grid = kb.TimeGrid(0.0, 1e-2, 300)
+    for variant in ("vanilla", "deterministic"):
+        c.put(f"kernel/particle_1d/{variant}", eng.particle_cov_paths_1d(
+            m1, variant, N=10, grid=grid, seed=4, trials=7, chunk=4, integral_from=3))
+    for variant in ("vanilla", "deterministic", "transport"):
+        for d, m in models:
+            for frame in ("error", "absolute"):
+                c.put(f"kernel/particle_nd/d{d}/{variant}/{frame}", eng.particle_cov_paths_nd(
+                    m, variant, N=6, grid=grid, seed=7, trials=5, chunk=2, frame=frame))
+    c.put("kernel/particle_1d/matched", eng.particle_cov_paths_1d(
+        m1, "vanilla", N=10, grid=grid, seed=4, trials=7, init="matched"))
+    for d, m in models:
+        c.put(f"kernel/particle_nd/d{d}/inflated", eng.particle_cov_paths_nd(
+            m, "deterministic", N=6, grid=grid, seed=7, trials=5, chunk=2,
+            inflation=kb.Inflation(xi=0.5)))
+    c.put("kernel/particle_nd/diverging", eng.particle_cov_paths_nd(
+        _scalar(kb, 60.0), "vanilla", N=1, grid=kb.TimeGrid(0.0, 1e-1, 3000), seed=1,
+        trials=6))
+    c.put("kernel/particle_1d/diverging", eng.particle_cov_paths_1d(
+        _scalar(kb, 20.0), "vanilla", N=2, grid=kb.TimeGrid(0.0, 1e-2, 300), seed=0,
+        trials=8))
+    for kappa in (0, 1):
+        c.put(f"kernel/law_1d/kappa{kappa}", eng.law_cov_paths_1d(
+            m1, kappa, N=8, Q=1.0, grid=grid, seed=5, trials=9, chunk=4, integral_from=0))
+        for d, m in models:
+            for with_mean in (True, False):
+                c.put(f"kernel/law_nd/d{d}/kappa{kappa}/mean{int(with_mean)}",
+                      eng.law_cov_paths_nd(m, kappa, N=8, Q=np.eye(d), grid=grid, seed=5,
+                                           trials=5, chunk=3, with_mean=with_mean,
+                                           integral_from=10))
+        c.put(f"kernel/law_nd/d2/kappa{kappa}/inflated", eng.law_cov_paths_nd(
+            m2, kappa, N=8, Q=np.eye(2), grid=grid, seed=5, trials=5, chunk=3,
+            inflation=kb.Inflation(xi=0.5)))
+
+
+def runs(kb, c: Corpus) -> None:
+    grid = kb.TimeGrid(0.0, 1e-2, 200)
+    vanilla = None
+    for d, m in ((1, _scalar(kb, 1.0)), (2, _model(kb, 2, 31, stabilize=1.0))):
+        for variant in ("vanilla", "deterministic", "transport"):
+            rec = kb.run_enkf(m, variant, 8, grid, seeds=(3, 11))
+            vanilla = rec if variant == "vanilla" else vanilla
+            c.put(f"run/run_enkf/d{d}/{variant}", _record(rec))
+        c.put(f"run/run_enkf/d{d}/inflated", _record(kb.run_enkf(
+            m, "vanilla", 8, grid, seeds=5, inflation=kb.Inflation(xi=0.3))))
+        for kappa in (0, 1):
+            c.put(f"run/law_level_run/d{d}/kappa{kappa}", _record(kb.law_level_run(
+                m, kappa, np.eye(d), np.zeros(d), grid, 8, streams=4)))
+        sg = kb.stochastic_semigroup(m, vanilla, 0.0, grid.t_end)
+        c.put(f"run/stochastic_semigroup/d{d}", {
+            "E_hat": sg.E_hat, "log_norm_integral": sg.log_norm_integral,
+            "trace_integral": sg.trace_integral})
+    for d in (1, 2, 3):
+        m = _model(kb, d, 40 + d, stabilize=0.5)
+        run = kb.kalman_run(m, np.zeros(d), _psd(d, 7), 9, kb.TimeGrid(0.0, 1e-3, 1500))
+        c.put(f"run/kalman_run/d{d}", {
+            "t": np.array([s.t for s in run]), "X": np.array([s.X for s in run]),
+            "P": np.array([s.P.P for s in run]), "Z": np.array([s.Z for s in run])})
+
+
+def theory(kb, c: Corpus) -> None:
+    grid = kb.TimeGrid(0.0, 2e-3, 500)
+    for d in (1, 2, 3):
+        m, Q = _model(kb, d, 20 + d), _psd(d, 3)
+        flow = kb.riccati_flow(m, Q, grid)
+        c.put(f"flow/riccati/d{d}", {"t": np.array([s.t for s in flow]),
+                                     "P": np.array([s.P for s in flow])})
+        for kappa in (1.0, 0.0):
+            infl = kb.inflated_riccati_flow(m, kappa, Q, grid, kb.Inflation(xi=0.5))
+            c.put(f"flow/inflated/d{d}/kappa{int(kappa)}", np.array([s.P for s in infl]))
+        sg = kb.semigroup_E(m, Q, 0.3, 1.7)
+        c.put(f"flow/semigroup_E/d{d}", {"E": sg.E, "trace_integral": sg.trace_integral})
+    c.put("flow/riccati/d1_stiff", np.array([s.P for s in kb.riccati_flow(
+        _scalar(kb, 20.0), np.zeros((1, 1)), kb.TimeGrid(0.0, 1e-4, 10000))]))
+    models = [_scalar(kb, A) for A in (-1.0, 1.0, 20.0)]
+    models += [_model(kb, d, seed) for d in (2, 3, 4) for seed in (1, 2, 3)]
+    # without signal noise the Newton iterate of these has a negative
+    # eigenvalue at rounding level, which the final projection clamps
+    for seed in (3, 12):
+        m = _model(kb, 3, seed, stabilize=1.0)
+        models.append(kb.LinearGaussianModel(m.A, m.H, np.zeros((3, 3)), m.R1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # not controllable
+        for i, m in enumerate(models):
+            c.put(f"flow/solve_are/{i}_d{m.d}", kb.solve_are(m).P)
+
+
+def _files(folder: Path, tmp: Path) -> dict:
+    return {p.name: p.read_bytes().replace(str(tmp).encode(), b"<tmp>")
+            for p in sorted(folder.iterdir())}
+
+
+def cli_runs(kb, c: Corpus, tmp: Path) -> None:
+    model = tmp / "model.json"
+    kb.save_model(_model(kb, 2, 31, stabilize=1.0), model)
+    configs = {"exact": {}, "vanilla": {"N": 8}, "law": {"N": 8, "kappa": 1}}
+    for variant, extra in configs.items():
+        out = tmp / f"run_{variant}"
+        cfg = tmp / f"run_{variant}.json"
+        cfg.write_text(json.dumps({"model": str(model), "variant": variant,
+                                   "grid": {"dt": 0.01, "T_end": 2.0}, **extra}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = kb.cli.main(["run", str(cfg), "--out", str(out), "--seed", "5"])
+        if code != 0:
+            raise RuntimeError(f"kbflow run {variant} exited {code}")
+        traj = kb.io.load_trajectory_csv(out / "trajectory.csv")
+        final = kb.io.load_summary_json(out / "summary.json")["final"]
+        c.put(f"cli/{variant}/trajectory", {k: traj[k] for k in ("t", "mean", "error", "cov")})
+        c.put(f"cli/{variant}/final", {k: np.array(final[k], dtype=float)
+                                       for k in ("t", "mean", "cov", "error")})
+        if variant != "exact":  # the exact files gain columns and keys
+            c.put(f"cli/{variant}/files", _files(out, tmp))
+
+
+def _study_specs(kb) -> dict:
+    m1, m2 = _scalar(kb, 1.0).to_dict(), _scalar(kb, 2.0).to_dict()
+    d2 = _model(kb, 2, 31, stabilize=1.0).to_dict()
+    short = {"dt": 0.02, "steps": 50}
+    return {
+        "bias_d1": dict(kind="bias", model=m1, grid=short, master_seed=12, trials=200,
+                        N=(10,), variant="vanilla", chunk=64, options={"record_every": 25}),
+        "bias_d2": dict(kind="bias", model=d2, grid=short, master_seed=13, trials=120,
+                        N=(6,), variant="deterministic", chunk=64,
+                        options={"record_every": 10}),
+        "fluctuation_rate": dict(kind="fluctuation_rate", model=m1,
+                                 grid={"dt": 0.01, "steps": 50}, master_seed=7,
+                                 trials=100, chunk=40, N=(4, 8, 16, 32), kappa=1),
+        "invariant_ks": dict(kind="invariant_ks", model=m2, grid={"dt": 1e-2, "steps": 10},
+                             master_seed=3, trials=70, chunk=40, N=(6,),
+                             options={"burn_in": 0.5, "record_stride": 2, "horizon": 20.0}),
+        "moments_flow": dict(kind="moments_flow", model=m1, grid=short, master_seed=4,
+                             trials=60, chunk=32, N=(12,), kappa=1,
+                             options={"record_every": 10}),
+        "lyapunov": dict(kind="lyapunov", model=m2, grid={"dt": 1e-3, "steps": 800},
+                         master_seed=2, trials=40, N=(6,), kappa=0,
+                         options={"burn_in": 0.2}),
+        "inflation_sweep": dict(kind="inflation_sweep", model=d2, grid=short,
+                                master_seed=0, trials=1, N=(10,),
+                                options={"xi": [0.5, 1.0], "record_every": 10}),
+        "semigroup_contraction": dict(kind="semigroup_contraction", model=m2,
+                                      grid={"dt": 1e-3, "steps": 300}, master_seed=5,
+                                      trials=150, chunk=64, N=(12,), variant="vanilla"),
+        "clt_variance": dict(kind="clt_variance", model=m1, grid={"dt": 0.01, "steps": 20},
+                             master_seed=1, trials=120, chunk=50, N=(8,), kappa=0),
+    }
+
+
+def studies(kb, c: Corpus, tmp: Path) -> None:
+    for name, spec in _study_specs(kb).items():
+        out = tmp / f"study_{name}"
+        kb.stats.run_study(kb.StudySpec(**spec, out=str(out)), workers=1)
+        c.put(f"study/{name}", _files(out, tmp))
+
+
+def run_corpus(src: Path) -> dict[str, np.ndarray]:
+    """Every corpus output of the kbflow package found in ``src``."""
+    src = src.resolve()
+    sys.path.insert(0, str(src))
+    import kbflow as kb
+    import kbflow.cli  # noqa: F401  (also binds kb.cli)
+
+    if not Path(kb.__file__).resolve().is_relative_to(src):
+        raise RuntimeError(f"kbflow was imported from {kb.__file__}, not from {src}")
+    c = Corpus()
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        tmp = Path(tmp)
+        kernels(kb, c)
+        runs(kb, c)
+        theory(kb, c)
+        cli_runs(kb, c, tmp)
+        studies(kb, c, tmp)
+    return c.arrays
+
+
+# ---------------------------------------------------------------------------
+# comparison
+# ---------------------------------------------------------------------------
+
+def _difference(a: np.ndarray, b: np.ndarray) -> str:
+    """How ``b`` moved from ``a`` (two arrays whose bytes differ)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return f"{a.dtype}{list(a.shape)} -> {b.dtype}{list(b.shape)}"
+    if a.dtype == np.uint8:
+        at = int(np.argmax(a != b))
+        return f"file bytes differ from offset {at}"
+    a, b = a.astype(float), b.astype(float)
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    if np.any(nan_a != nan_b):
+        return f"nan at {int(np.sum(nan_a != nan_b))} entries of one side only"
+    with np.errstate(invalid="ignore", over="ignore"):
+        same = (a == b) | nan_a
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.where(same, 0.0, np.abs(a - b) / scale)
+    rel = np.where(np.isnan(rel), np.inf, rel)
+    if rel.max() == 0.0:  # equal values, other bits (-0.0, nan payloads)
+        return "equal values, other bits"
+    return f"max relative difference {rel.max():.3g}"
+
+
+def compare(path_a, path_b) -> list[tuple[str, str, str]]:
+    """``(name, status, detail)`` per output, status ``equal``, ``moved``
+    or ``missing``."""
+    rows = []
+    with np.load(path_a) as A, np.load(path_b) as B:
+        for name in sorted(set(A.files) | set(B.files)):
+            if name not in B.files or name not in A.files:
+                side = "A" if name in A.files else "B"
+                rows.append((name, "missing", f"only in {side}"))
+                continue
+            a, b = A[name], B[name]
+            if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+                rows.append((name, "equal", ""))
+            else:
+                rows.append((name, "moved", _difference(a, b)))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_run = sub.add_parser("run", help="run the corpus and save its outputs")
+    p_run.add_argument("--src", type=Path, required=True,
+                       help="the source tree holding the kbflow package")
+    p_run.add_argument("--out", type=Path, required=True, help=".npz to write")
+    p_cmp = sub.add_parser("compare", help="compare two saved corpora")
+    p_cmp.add_argument("a", type=Path)
+    p_cmp.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+
+    if args.mode == "run":
+        arrays = run_corpus(args.src)
+        np.savez(args.out, **arrays)
+        print(f"{len(arrays)} outputs written to {args.out}")
+        return 0
+    rows = compare(args.a, args.b)
+    for name, status, detail in rows:
+        print(f"{status:8s} {name}" + (f"  ({detail})" if detail else ""))
+    counts = {s: sum(1 for _, status, _ in rows if status == s)
+              for s in ("equal", "moved", "missing")}
+    print(", ".join(f"{n} {s}" for s, n in counts.items()))
+    return 0 if counts["equal"] == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
