@@ -52,6 +52,7 @@ from .ensemble import (
     liouville_bound,
     moment_matched_init,
     run_enkf,
+    run_nonlinear,
     stochastic_semigroup,
 )
 from .scalar import (

@@ -7,16 +7,18 @@ mean/covariance diffusion.  The single-run functions of
 :mod:`kbflow.ensemble` are B = 1 calls of these two kernels:
 :func:`~kbflow.ensemble.run_enkf` and
 :func:`~kbflow.ensemble.law_level_run` build their records from the kernel
-outputs, and :func:`~kbflow.ensemble.nonlinear_step` applies the kernels'
-particle update once.  :func:`law_cov_paths_1d` is the d = 1 adapter of
-:func:`law_cov_paths_nd` (scalar arguments and outputs, no mean) behind the
-d = 1 law-level studies of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d`
-is a scalar copy of the particle kernel (error frame, no mean) behind the
-d = 1 particle studies: on the nd kernel those studies ran 13-17 % slower,
-and the cheaper linear gain ``P_hat H' R1^{-1}`` that would close the gap
-breaks the bitwise agreement of :func:`~kbflow.ensemble.nonlinear_step`
-with a one-step :func:`~kbflow.ensemble.run_enkf`.  A d = 1 run that needs
-the mean or the absolute frame takes the nd kernels.
+outputs.  :func:`~kbflow.ensemble.run_nonlinear` steps a batch of clouds
+under user evaluators with the kernels' particle update
+(:func:`_particle_update`) and noise blocks (:func:`_step_noise`).
+:func:`law_cov_paths_1d` is the d = 1 adapter of :func:`law_cov_paths_nd`
+(scalar arguments and outputs, no mean) behind the d = 1 law-level studies
+of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d` is a scalar copy of
+the particle kernel (error frame, no mean) behind the d = 1 particle
+studies: on the nd kernel those studies ran 13-17 % slower, and the cheaper
+linear gain ``P_hat H' R1^{-1}`` that would close the gap breaks the
+bitwise agreement of :func:`~kbflow.ensemble.run_nonlinear` with a
+one-step :func:`~kbflow.ensemble.run_enkf`.  A d = 1 run that needs the
+mean or the absolute frame takes the nd kernels.
 
 The particle kernels step a cloud in one of two frames.  The error frame
 steps the truth-relative coordinates ``U^i = X^i - signal``: the sample
@@ -141,13 +143,10 @@ def _law_scheme(kappa: float, scheme):
     return Scheme.parse(scheme)
 
 
-def _truth_channels(seed: int, truth_seed, c: int, first_chunk: int):
-    """Signal/observation channels of chunk ``c``: under ``seed`` at the
-    chunk index, or, with a separate ``truth_seed``, under that seed at the
-    chunk index counted from ``first_chunk`` (so one truth can be paired
-    with several ensemble-noise continuations)."""
-    if truth_seed is not None:
-        seed, c = truth_seed, c - first_chunk
+def _truth_channels(seed: int, truth_seed, c: int):
+    """Signal/observation channels of chunk ``c``: under ``seed``, or under
+    a separate ``truth_seed``, at the chunk index."""
+    seed = seed if truth_seed is None else truth_seed
     return tuple(NoiseStream(seed, c, tag) for tag in (TRUTH_INIT, TRUTH_SIGNAL, TRUTH_OBS))
 
 
@@ -161,10 +160,11 @@ def _step_noise(channels, steps: int, dt: float):
     ``stream.increments(shape, dt)`` of step ``k0 + i`` bit for bit.  Every
     stream draws a block of L = max(1, NOISE_BLOCK // normals per step)
     steps with one call; :func:`_rows` steps through a block, and
-    :func:`_step_rows` through every block's rows.
+    :func:`_step_rows` through every block's rows.  Without a live channel
+    (every stream None) there is one block of all the steps.
     """
     per_step = sum(math.prod(shape) for s, shape in channels if s is not None)
-    L = max(1, NOISE_BLOCK // per_step)
+    L = max(1, NOISE_BLOCK // per_step) if per_step else max(1, steps)
     for k0 in range(0, steps, L):
         n = min(L, steps - k0)
         yield k0, [None if s is None else s.increments((n,) + shape, dt)
@@ -402,7 +402,7 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
         mean_drv = t_sig = t_obs = None
         if with_mean:
             mean_drv = NoiseStream(seed, c, MEAN_DRIVER)
-            t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c, first_chunk)
+            t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
             x = np.broadcast_to(x0[:, None], (B, d, 1)).copy()
             truth = m0[:, None] + _mm(P0_root, t_init.normals((B, d, 1)))
 
@@ -560,9 +560,9 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
     The signal starts from N(m0, P0), and so does each particle with
     ``init="iid"``; ``init`` may instead be an array of initial clouds,
     shape (trials, d, N+1).  ``truth_seed`` addresses the
-    signal/observation channels under their own seed, at the chunk index
-    counted from ``first_chunk``.  ``inflation`` (vanilla/deterministic
-    only) puts ``P_hat + xi*T`` in the gain.
+    signal/observation channels under their own seed, at the chunk index.
+    ``inflation`` (vanilla/deterministic only) puts ``P_hat + xi*T`` in the
+    gain.
 
     Returns ``t``, ``cov`` (trials, n_rec, d, d: the sample covariance with
     divisor N), ``mean`` (trials, n_rec, d; the mean error in the error
@@ -605,7 +605,7 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
         p_sig = None if variant is Variant.TRANSPORT \
             else NoiseStream(seed, c, PARTICLE_SIGNAL)
         p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
-        t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c, first_chunk)
+        t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
 
         if isinstance(init, str):
             X = m0[:, None] + P0_root @ NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))

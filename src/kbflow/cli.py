@@ -137,7 +137,8 @@ def _parse_run_config(doc: dict, args) -> dict:
     else:
         if "N" not in cfg:
             raise ConfigError(f"variant {variant!r} requires N")
-        if int(cfg["N"]) < 1:
+        cfg["N"] = stats._integer("N", cfg["N"])
+        if cfg["N"] < 1:
             raise ConfigError(f"N must be >= 1, got {cfg['N']}")
     if variant == "law":
         if cfg.get("kappa") not in (0, 1, 0.0, 1.0):

@@ -15,7 +15,9 @@ The module also provides their law-level description — coupled SDEs for
 the sample mean, the sample covariance (a Riccati diffusion), and the error
 — plus covariance inflation, the stochastic closed-loop semigroup along a
 covariance path, and a heuristic nonlinear extension.  Both kinds of run
-are one-trial calls of the batch kernels in :mod:`kbflow._engines`.
+are one-trial calls of the batch kernels in :mod:`kbflow._engines`; the
+nonlinear extension steps a batch of clouds with the particle kernel's
+update and noise blocks.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engines
-from ._engines import (MATRIX_DRIVER, MEAN_DRIVER, PARTICLE_INIT, PARTICLE_OBS,  # noqa: F401
-                       PARTICLE_SIGNAL, Variant, _inflated_drift_terms)
-from .errors import BoundNotApplicable, NonFinite
+from ._engines import (PARTICLE_INIT, PARTICLE_OBS, PARTICLE_SIGNAL, Variant,
+                       _inflated_drift_terms)
+from .errors import BoundNotApplicable
 from .kalman import RiccatiPath, TrajectoryRecord, _kernel_record
 from .model import LinearGaussianModel, _check_covariance, _riccati_nodes, symmetric_sqrt
-from .sde import NoiseStream, TimeGrid, _project_psd_stack, _sym, project_psd
+from .sde import NoiseStream, TimeGrid, _nonfinite_trials, _project_psd_stack, _sym
 
 
 @dataclass(frozen=True)
@@ -59,122 +61,73 @@ class Inflation:
         return self.xi > 0
 
 
-@dataclass
-class EnsembleState:
-    """Particle cloud at one time: ``particles`` is d x (N+1), one column
-    per particle."""
-
-    t: float
-    particles: np.ndarray
-    variant: Variant
-
-    def __post_init__(self):
-        self.particles = np.asarray(self.particles, dtype=float)
-        self.variant = Variant.parse(self.variant)
-        if self.particles.ndim != 2 or self.particles.shape[1] < 2:
-            raise ValueError("particles must be d x (N+1) with N >= 1")
-        if not np.all(np.isfinite(self.particles)):
-            raise ValueError("particles contain non-finite entries")
-
-    @property
-    def N(self) -> int:
-        return self.particles.shape[1] - 1
-
-    @property
-    def d(self) -> int:
-        return self.particles.shape[0]
-
-
-@dataclass
-class SampleStats:
-    """Sample mean, rescaled sample covariance, and (optionally) the
-    observation cross-covariance of a particle cloud."""
-
-    X_hat: np.ndarray
-    P_hat: np.ndarray
-    N: int
-    P_hat_h: np.ndarray | None = None
-
-
-def sample_stats(particles: np.ndarray, h=None) -> SampleStats:
-    """Statistics of a d x (N+1) cloud.
-
-    The covariance uses divisor ``N`` — i.e. ``(N+1)/N`` times the
-    covariance of the uniform empirical measure — so that a cloud drawn
-    i.i.d. from a law with covariance P has ``E[P_hat] = P``.  When an
-    observation evaluator ``h`` (columnwise: maps d x M to d_y x M) is
-    supplied, the cross-covariance ``(1/N) sum (X^i - X_bar)(h(X^i) -
-    h_bar)'`` is included.
-    """
-    particles = np.asarray(particles, dtype=float)
-    if particles.ndim != 2 or particles.shape[1] < 2:
-        raise ValueError("particles must be d x (N+1) with N >= 1")
-    N = particles.shape[1] - 1
-    X_hat = particles.mean(axis=1)
-    dev = particles - X_hat[:, None]
-    P_hat = project_psd(dev @ dev.T / N)
-    P_hat_h = None
-    if h is not None:
-        h_vals = np.asarray(h(particles), dtype=float)
-        if h_vals.ndim != 2 or h_vals.shape[1] != particles.shape[1]:
-            raise ValueError("observation evaluator must map d x M to d_y x M")
-        h_dev = h_vals - h_vals.mean(axis=1)[:, None]
-        P_hat_h = dev @ h_dev.T / N
-    return SampleStats(X_hat=X_hat, P_hat=P_hat, N=N, P_hat_h=P_hat_h)
-
-
-@dataclass
-class EnsembleStreams:
-    """Noise channels of a particle run: per-particle signal noise and (for
-    the vanilla variant) per-particle sensor noise."""
-
-    signal: NoiseStream
-    obs: NoiseStream
-
-    @classmethod
-    def from_seed(cls, master_seed: int, trial: int = 0) -> "EnsembleStreams":
-        return cls(
-            signal=NoiseStream(master_seed, trial, PARTICLE_SIGNAL),
-            obs=NoiseStream(master_seed, trial, PARTICLE_OBS),
-        )
-
-
 # ---------------------------------------------------------------------------
-# particle stepping
+# nonlinear ensemble
 # ---------------------------------------------------------------------------
 
-def nonlinear_step(a, h, noise, state: EnsembleState, dY, dt: float,
-                   streams: EnsembleStreams) -> EnsembleState:
-    """One Euler step of the heuristic nonlinear ensemble.
+@_engines._quiet_divergence
+def run_nonlinear(a, h, noise, X0, dY, dt: float, variant, seed: int):
+    """Euler steps of the heuristic nonlinear ensemble, for a batch of clouds.
 
-    ``a`` and ``h`` are columnwise evaluators (map d x M arrays to d x M /
-    d_y x M); ``noise = (R, R1)`` are the signal/sensor noise covariances.
-    The step is the particle update of :func:`run_enkf` applied once, with
-    the gain ``P_hat_h R1^{-1}`` from the sample cross-covariance; for linear
-    ``a(x) = Ax``, ``h(x) = Hx`` it reproduces a :func:`run_enkf` step
-    bitwise under shared streams.  No limiting theory is claimed for
-    nonlinear evaluators — this is a simulator only.
+    ``a`` and ``h`` evaluate the drift and the observation on (B, d, M)
+    stacks of clouds (to (B, d, M) and (B, d_y, M)); ``noise = (R, R1)`` are
+    the signal/sensor noise covariances.  ``X0`` holds the B initial clouds,
+    shape (B, d, N+1), and ``dY`` the observation increments, shape
+    (K, B, d_y): row k drives step k of every cloud.  Each step is the
+    particle update of :func:`run_enkf`, with the gain ``P_hat_h R1^{-1}``
+    from the sample cross-covariance of the particles and their
+    observations.  The particle noise is chunk 0 of ``seed``, on
+    :func:`run_enkf`'s particle channels, so for linear ``a(x) = Ax``,
+    ``h(x) = Hx`` and one cloud the steps are :func:`run_enkf`'s bit for
+    bit.  No limiting theory is claimed for nonlinear evaluators; this is a
+    simulator only.
+
+    Returns ``(X, diverged_step)``: the final clouds, shape (B, d, N+1), and
+    per cloud the step after which it stopped being finite (-1 if it never
+    did).  A diverged cloud is frozen at NaN; that is a recorded outcome,
+    not an exception.
     """
+    variant = Variant.parse(variant)
     R, R1 = (np.asarray(M, dtype=float) for M in noise)
-    variant = state.variant
+    X = np.array(X0, dtype=float)
+    dY = np.asarray(dY, dtype=float)
+    if X.ndim != 3 or X.shape[2] < 2:
+        raise ValueError(f"X0 must be a (B, d, N+1) stack of clouds with N >= 1, "
+                         f"got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X0 contains non-finite entries")
+    B, d, M = X.shape
+    if R.shape != (d, d) or R1.ndim != 2 or R1.shape[0] != R1.shape[1]:
+        raise ValueError(f"noise must be (R, R1) with R {d} x {d} and R1 square, "
+                         f"got {R.shape} and {R1.shape}")
     d_y = R1.shape[0]
-    dY = np.asarray(dY, dtype=float).reshape(d_y)
+    if dY.ndim != 3 or dY.shape[1:] != (B, d_y):
+        raise ValueError(f"dY must have shape (K, {B}, {d_y}), got {dY.shape}")
+    K = dY.shape[0]
     R1_inv = np.linalg.inv(R1)
     R1_inv = 0.5 * (R1_inv + R1_inv.T)
-    X = state.particles
-    d, M = X.shape
-    obs_noise = None
-    if variant is Variant.VANILLA:
-        obs_noise = symmetric_sqrt(R1) @ streams.obs.increments((d_y, M), dt)
-    sig_noise = 0.0
-    if variant is not Variant.TRANSPORT:
-        sig_noise = symmetric_sqrt(R) @ streams.signal.increments((d, M), dt)
-    new = _engines._particle_update(
-        X[None], np.asarray(a(X), dtype=float)[None], np.asarray(h(X), dtype=float)[None],
-        dY[None, :, None], sig_noise, dt, variant, R1_inv, obs_noise, R)[0]
-    if not np.all(np.isfinite(new)):
-        raise NonFinite(step=-1, t=state.t + dt, what="nonlinear ensemble")
-    return EnsembleState(t=state.t + dt, particles=new, variant=variant)
+    sqrt_R, sqrt_R1 = symmetric_sqrt(R), symmetric_sqrt(R1)
+    p_sig = None if variant is Variant.TRANSPORT else NoiseStream(seed, 0, PARTICLE_SIGNAL)
+    p_obs = NoiseStream(seed, 0, PARTICLE_OBS) if variant is Variant.VANILLA else None
+
+    div = np.full(B, -1, dtype=int)
+    blocks = _engines._step_noise([(p_sig, (B, d, M)), (p_obs, (B, d_y, M))], K, dt)
+    for k0, (dVi, dWi) in blocks:
+        sig = None if dVi is None else sqrt_R @ dVi
+        obs = None if dWi is None else sqrt_R1 @ dWi
+        # the transport variant draws nothing: its one block holds all K steps
+        end = K if sig is None else k0 + len(sig)
+        for i, k in enumerate(range(k0, end)):
+            X = _engines._particle_update(
+                X, a(X), h(X), dY[k, :, :, None], 0.0 if sig is None else sig[i], dt,
+                variant, R1_inv, None if obs is None else obs[i], R)
+            bad = _nonfinite_trials(X)
+            if bad is not None:
+                div[bad & (div < 0)] = k + 1
+                X[bad] = np.nan
+                if div.min() >= 0:
+                    return X, div
+    return X, div
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +215,17 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
     m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
     P0 = np.eye(d) if P0 is None else _check_covariance(P0, d, "P0")
     truth_seed, particle_seed = _split_seeds(seeds)
-    sampler = iid_gaussian_init(m0, P0) if x_init_sampler is None else x_init_sampler
-    cloud = np.asarray(sampler(NoiseStream(particle_seed, 0, PARTICLE_INIT), N), dtype=float)
-    if cloud.shape != (d, N + 1) or not np.all(np.isfinite(cloud)):
-        raise ValueError(f"the initial cloud must be a finite {d} x {N + 1} array")
+    init = "iid"
+    if x_init_sampler is not None:
+        cloud = np.asarray(x_init_sampler(NoiseStream(particle_seed, 0, PARTICLE_INIT), N),
+                           dtype=float)
+        if cloud.shape != (d, N + 1) or not np.all(np.isfinite(cloud)):
+            raise ValueError(f"the initial cloud must be a finite {d} x {N + 1} array")
+        init = cloud[None]
 
     out = _engines.particle_cov_paths_nd(
         model, variant, N=N, grid=grid, seed=particle_seed, trials=1, frame="absolute",
-        m0=m0, P0=P0, init=cloud[None], first_chunk=0, truth_seed=truth_seed,
-        inflation=inflation)
+        m0=m0, P0=P0, init=init, truth_seed=truth_seed, inflation=inflation)
     with np.errstate(over="ignore", invalid="ignore"):
         cov = _project_psd_stack(out["cov"][0])
     return _kernel_record(
@@ -282,33 +237,6 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
 # ---------------------------------------------------------------------------
 # law-level simulation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LawStreams:
-    """Noise channels of a law-level run: the mean's ensemble-noise driver
-    and the covariance diffusion's matrix driver."""
-
-    mean_driver: NoiseStream
-    matrix_driver: NoiseStream
-
-    @classmethod
-    def from_seed(cls, master_seed: int, trial: int = 0) -> "LawStreams":
-        return cls(
-            mean_driver=NoiseStream(master_seed, trial, MEAN_DRIVER),
-            matrix_driver=NoiseStream(master_seed, trial, MATRIX_DRIVER),
-        )
-
-    def _address(self) -> tuple[int, int]:
-        """``(master_seed, trial)``: the law kernel addresses its channels
-        this way, so both must be unused channels of one :meth:`from_seed`."""
-        mean, matrix = self.mean_driver, self.matrix_driver
-        if ((mean.channel_tag, matrix.channel_tag) != (MEAN_DRIVER, MATRIX_DRIVER)
-                or (mean.master_seed, mean.trial_index)
-                != (matrix.master_seed, matrix.trial_index)
-                or mean.cursor or matrix.cursor):
-            raise ValueError("law-level streams must be fresh LawStreams.from_seed channels")
-        return mean.master_seed, mean.trial_index
-
 
 def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGrid,
                   N: int, streams=None, inflation: Inflation | None = None,
@@ -328,11 +256,10 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
         Noise intensity parameter (1 matches vanilla, 0 deterministic).
     Q : initial covariance (PSD); x0 : initial mean.
     N : ensemble parameter entering the noise scales.
-    streams : int, LawStreams, or None
-        Drivers for the ensemble noise; an int seeds fresh channels
-        (defaults to ``truth_seed``).  A LawStreams must be unused channels
-        of :meth:`LawStreams.from_seed`; its trial is the chunk index of the
-        one-trial :func:`kbflow._engines.law_cov_paths_nd` call.
+    streams : int, optional
+        Seed of the ensemble-noise channels (the mean and matrix drivers of
+        chunk 0 of :func:`kbflow._engines.law_cov_paths_nd`); defaults to
+        ``truth_seed``.
     scheme : Scheme, optional
         Defaults to tamed Euler for kappa=1 (superlinear covariance
         diffusion) and plain Euler-Maruyama otherwise; taming acts on the
@@ -346,26 +273,22 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
     kappa = float(kappa)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if truth_seed is None:
-        if not isinstance(streams, (int, np.integer)):
-            raise ValueError("provide truth_seed or an integer streams seed")
-        truth_seed = int(streams)
     if streams is None:
-        streams = int(truth_seed)
-    if isinstance(streams, (int, np.integer)):
-        streams = LawStreams.from_seed(int(streams))
-    seed, trial = streams._address()
+        if truth_seed is None:
+            raise ValueError("provide truth_seed or an integer streams seed")
+        streams = truth_seed
+    if not isinstance(streams, (int, np.integer)):
+        raise ValueError(f"streams must be an integer seed, got {streams!r}")
+    truth_seed = int(streams if truth_seed is None else truth_seed)
     Q = _check_covariance(Q, model.d)
     P0 = Q if P0 is None else _check_covariance(P0, model.d, "P0")
 
     out = _engines.law_cov_paths_nd(
-        model, kappa, N=N, Q=Q, grid=grid, seed=seed, trials=1, scheme=scheme,
-        first_chunk=trial, x0=x0, m0=m0, P0=P0,
-        truth_seed=int(truth_seed), inflation=inflation)
+        model, kappa, N=N, Q=Q, grid=grid, seed=int(streams), trials=1, scheme=scheme,
+        x0=x0, m0=m0, P0=P0, truth_seed=truth_seed, inflation=inflation)
     return _kernel_record(
         model, grid, out["mean"][0], out["cov"][0], out["error"][0], variant="law",
-        N=N, xi=0.0 if inflation is None else inflation.xi, kappa=kappa,
-        seed=int(truth_seed))
+        N=N, xi=0.0 if inflation is None else inflation.xi, kappa=kappa, seed=truth_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,8 @@ _KAPPA_KINDS = {"fluctuation_rate", "moments_flow", "lyapunov", "clt_variance"}
 _VARIANT_KINDS = {"bias", "semigroup_contraction"}
 _SCALAR_KINDS = {"fluctuation_rate", "invariant_ks", "moments_flow", "lyapunov",
                  "clt_variance", "semigroup_contraction"}
+# the scalar kinds whose runners build a ScalarModel, which needs R > 0
+_REDUCED_KINDS = _SCALAR_KINDS - {"moments_flow"}
 _ALLOWED_OPTIONS = {
     "bias": {"Q", "record_every", "confidence"},
     "fluctuation_rate": {"Q"},
@@ -404,6 +406,9 @@ class StudySpec:
             if model.S[0, 0] == 0.0:
                 raise ConfigError(f"{self.kind} needs an observed signal "
                                   "(S = H^2/R1 > 0), got H = 0")
+            if self.kind in _REDUCED_KINDS and not model.R[0, 0] > 0.0:
+                raise ConfigError(f"{self.kind} needs signal noise (R > 0), "
+                                  f"got R = {model.R[0, 0]}")
         for key in ("master_seed", "trials", "chunk"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         object.__setattr__(self, "N", tuple(_integer("N", n) for n in

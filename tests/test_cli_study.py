@@ -10,6 +10,9 @@ from kbflow import ConfigError, LinearGaussianModel, NonFinite, stats
 from kbflow.cli import main
 
 
+_NOISELESS = LinearGaussianModel([[1.0]], [[1.0]], [[0.0]], [[1.0]])
+
+
 def _spec(kind, model, **extra):
     doc = dict(kind=kind, model=model.to_dict(), grid={"dt": 0.01, "steps": 50},
                master_seed=1, trials=8, N=[4, 8, 16, 32], kappa=0)
@@ -32,9 +35,13 @@ def _spec(kind, model, **extra):
           options={"record_every": 0}),
     # a non-integral count fails before any simulation, not as a traceback
     _spec("clt_variance", scalar_lg(), N=[8], trials=150.5),
+    # the scalar theory needs signal noise: R = 0 fails before any simulation
+    _spec("clt_variance", _NOISELESS, N=[8], trials=120),
+    _spec("semigroup_contraction", _NOISELESS, N=[8], trials=120, variant="vanilla"),
 ], ids=["lyapunov_unobserved", "fluctuation_rate_d2", "clt_variance_negative_Q",
         "bias_negative_Q", "moments_flow_negative_Q", "bias_d2_indefinite_Q",
-        "bias_record_every_zero", "clt_variance_fractional_trials"])
+        "bias_record_every_zero", "clt_variance_fractional_trials", "clt_variance_R0",
+        "semigroup_contraction_R0"])
 def test_scalar_study_kinds_reject_other_models_at_spec_time(tmp_path, capsys, doc):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))

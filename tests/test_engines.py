@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from conftest import random_model, random_psd, scalar_lg
 from kbflow import (Inflation, LinearGaussianModel, NoiseStream, TimeGrid, _engines, kalman_run,
-                    project_psd, riccati_flow, sde, symmetric_sqrt)
+                    project_psd, riccati_flow, run_nonlinear, sde, symmetric_sqrt)
 from kbflow._engines import (
     _mm,
     _nonfinite_trials,
@@ -233,6 +233,9 @@ def test_step_noise_equals_per_step_increments():
             k += 1
     assert k == steps
     assert [s.cursor for s in blocked if s] == [s.cursor for s in plain if s]
+    # without a live channel the steps are one block of None arrays
+    assert list(_engines._step_noise([(None, (2, 7)), (None, (9,))], steps, dt)) == [
+        (0, [None, None])]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -307,6 +310,11 @@ _KERNEL_CASES = {
     "kalman_run": lambda: _filter_path(kalman_run(
         random_model(2, seed=31, stabilize=1.0), np.zeros(2), np.eye(2), 6,
         TimeGrid(0.0, 1e-3, 10000))),
+    # 30 + 15 normals per step: blocks of 728 steps, the second one partial
+    "run_nonlinear": lambda: dict(zip(("X", "diverged_step"), run_nonlinear(
+        lambda X: X - X ** 3, lambda X: np.tanh(X[:, :1]), (0.5 * np.eye(2), np.eye(1)),
+        NoiseStream(2, 0, "init").normals((3, 2, 5)),
+        NoiseStream(3, 0, "obs").increments((1000, 3, 1), 1e-2), 1e-2, "vanilla", seed=8))),
 }
 
 

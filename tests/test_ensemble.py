@@ -23,18 +23,14 @@ from kbflow import (
     stochastic_semigroup,
 )
 from kbflow.ensemble import (
-    EnsembleState,
-    EnsembleStreams,
-    LawStreams,
     Variant,
     _kernel_record,
     iid_gaussian_init,
     moment_matched_init,
-    nonlinear_step,
-    sample_stats,
+    run_nonlinear,
 )
 from kbflow.kalman import TRUTH_INIT, TRUTH_OBS
-from kbflow.sde import NoiseStream
+from kbflow.sde import NoiseStream, project_psd
 
 
 def test_variant_parsing_and_kappa():
@@ -45,39 +41,20 @@ def test_variant_parsing_and_kappa():
         Variant.parse("bogus")
 
 
-def test_sample_stats_two_particles():
-    stats = sample_stats(np.array([[1.0, 3.0]]))
-    assert stats.X_hat[0] == pytest.approx(2.0)
-    assert stats.P_hat[0, 0] == pytest.approx(2.0)  # ((1-2)^2+(3-2)^2)/1
-
-
-def test_sample_stats_degenerate_cloud():
-    particles = np.full((2, 5), 1.7)
-    stats = sample_stats(particles)
-    np.testing.assert_allclose(stats.P_hat, 0.0, atol=1e-14)
-
-
-def test_sample_stats_identity_observation():
-    rng = np.random.default_rng(0)
-    particles = rng.normal(size=(3, 8))
-    stats = sample_stats(particles, h=lambda X: X)
-    np.testing.assert_allclose(stats.P_hat_h, stats.P_hat, atol=1e-12)
-
-
 def test_sample_covariance_rank_bound():
-    rng = np.random.default_rng(1)
-    particles = rng.normal(size=(5, 3))  # d=5, N=2
-    stats = sample_stats(particles)
-    w = np.linalg.eigvalsh(stats.P_hat)
-    assert (w > 1e-10).sum() <= 2
+    # N + 1 = 3 particles in d = 5: the sample covariance has rank <= 2 at
+    # every node
+    m = random_model(5, seed=1, stabilize=1.0)
+    rec = run_enkf(m, "vanilla", N=2, grid=TimeGrid(0.0, 1e-2, 20), seeds=1)
+    w = np.linalg.eigvalsh(rec.cov)
+    assert np.all((w > 1e-10 * w[:, -1:]).sum(axis=1) <= 2)
 
 
 def test_moment_matched_init_is_exact():
     P0 = random_psd(2, seed=2) + np.eye(2)
     cloud = moment_matched_init([1.0, -1.0], P0)(NoiseStream(0, 0, "init"), 6)
-    stats = sample_stats(cloud)
-    np.testing.assert_allclose(stats.X_hat, [1.0, -1.0], atol=1e-12)
-    np.testing.assert_allclose(stats.P_hat, P0, atol=1e-10)
+    np.testing.assert_allclose(cloud.mean(axis=1), [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(np.cov(cloud), P0, atol=1e-10)  # divisor N
 
 
 def test_single_particle_deterministic_runs():
@@ -179,24 +156,20 @@ def test_law_level_validates_kappa():
 
 
 def test_law_level_streams_are_addresses():
-    # LawStreams pick the ensemble-noise trial; the truth stays that of
-    # truth_seed, so runs on different trials share the signal exactly
+    # the streams seed picks the ensemble noise; the truth stays that of
+    # truth_seed, so runs on different streams seeds share the signal exactly
     m = random_model(2, seed=12, stabilize=0.5)
     grid = TimeGrid(0.0, 1e-2, 50)
-    recs = [law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8,
-                          streams=LawStreams.from_seed(11, trial=trial), truth_seed=5)
-            for trial in (0, 3)]
+    recs = [law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8, streams=streams,
+                          truth_seed=5)
+            for streams in (11, 12)]
     # mean - error is the signal up to one rounding
     np.testing.assert_allclose(recs[0].mean - recs[0].error,
                                recs[1].mean - recs[1].error, rtol=0, atol=1e-12)
     assert not np.array_equal(recs[0].cov, recs[1].cov)
-    used = LawStreams.from_seed(11)
-    used.mean_driver.normals(1)
-    mixed = LawStreams(LawStreams.from_seed(1).mean_driver, LawStreams.from_seed(2).matrix_driver)
-    for streams in (used, mixed):
+    for streams in (1.5, "11", None):
         with pytest.raises(ValueError):
-            law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8, streams=streams,
-                          truth_seed=5)
+            law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8, streams=streams)
 
 
 def test_seeded_single_runs_reproduce_pinned_values():
@@ -218,11 +191,10 @@ def test_seeded_single_runs_reproduce_pinned_values():
          [1.939318796280784, 1.1926304555294234],
          [0.8500133190691517, 0.7092577515948396, 0.9549944598050245],
          -0.25166921558808947),
-        (law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8,
-                       streams=LawStreams.from_seed(11, trial=3), truth_seed=5),
-         [-0.3137854650157029, -0.4484693240210573],
-         [0.47561967058423205, 0.35356714837539005, 1.3722833238329453],
-         -0.19447378875990032),
+        (law_level_run(m, 1, np.eye(2), np.zeros(2), grid, 8, streams=11, truth_seed=5),
+         [-0.07295411239235419, -0.4165995457436361],
+         [0.18273837660203365, 0.1775921019177961, 1.2507817438769864],
+         0.019541150033495214),
     ]
     for rec, mean, cov, mu in cases:
         assert rec.diverged_at is None
@@ -331,9 +303,10 @@ def test_liouville_bound_values():
         liouville_bound(m, n=0, N=8, kappa=0)
 
 
-def test_nonlinear_step_linear_specialization_is_bitwise():
-    # with linear evaluators, nonlinear_step is one run_enkf step: same cloud,
-    # same particle streams, the observation increment of run_enkf's truth
+def test_run_nonlinear_linear_specialization_is_bitwise():
+    # with linear evaluators, one step of one cloud is one run_enkf step: same
+    # cloud, same particle streams, the observation increment of run_enkf's
+    # truth
     m = random_model(2, seed=9, d_y=1, stabilize=0.5)
     dt = 0.01
     cloud = iid_gaussian_init([0.0, 0.0], np.eye(2))(NoiseStream(3, 0, "init"), 4)
@@ -342,40 +315,85 @@ def test_nonlinear_step_linear_specialization_is_bitwise():
     for variant in ("vanilla", "deterministic", "transport"):
         rec = run_enkf(m, variant, 4, TimeGrid(0.0, dt, 1), seeds=(7, 77),
                        x_init_sampler=lambda stream, N: cloud.copy())
-        out = nonlinear_step(lambda X: m.A @ X, lambda X: m.H @ X, (m.R, m.R1),
-                             EnsembleState(t=0.0, particles=cloud.copy(), variant=variant),
-                             dY, dt, EnsembleStreams.from_seed(77, 0))
-        stats = sample_stats(out.particles)
-        np.testing.assert_array_equal(stats.X_hat, rec.mean[1])
-        np.testing.assert_array_equal(stats.P_hat, rec.cov[1])
-
-
-def test_nonlinear_cross_covariance_linear_observation():
-    # h = Hx makes the cross-covariance P_hat H' exactly
-    rng = np.random.default_rng(6)
-    particles = rng.normal(size=(2, 9))
-    H = np.array([[1.0, 2.0]])
-    stats = sample_stats(particles, h=lambda X: H @ X)
-    np.testing.assert_allclose(stats.P_hat_h, stats.P_hat @ H.T, atol=1e-12)
+        X, div = run_nonlinear(lambda X: m.A @ X, lambda X: m.H @ X, (m.R, m.R1),
+                               cloud[None], dY[None, None], dt, variant, seed=77)
+        assert div.tolist() == [-1]
+        dev = X[0] - X[0].mean(axis=1)[:, None]
+        np.testing.assert_array_equal(X[0].mean(axis=1), rec.mean[1])
+        np.testing.assert_array_equal(project_psd(dev @ dev.T / 4), rec.cov[1])
 
 
 def test_nonlinear_dissipative_drift_stays_bounded():
-    # a(x) = x - x^3 with identity observation: no blow-up over long runs
+    # a(x) = x - x^3 with identity observation: no blow-up over long runs of
+    # 100 clouds
     R = np.array([[0.5]])
     R1 = np.array([[1.0]])
-    a = lambda X: X - X ** 3
-    h = lambda X: X
     dt = 1e-2
-    for trial in range(100):
-        streams = EnsembleStreams.from_seed(500, trial)
-        obs_path = NoiseStream(900, trial, "obs-path")
-        cloud = iid_gaussian_init([0.0], [[1.0]])(NoiseStream(901, trial, "init"), 4)
-        state = EnsembleState(t=0.0, particles=cloud, variant=Variant.DETERMINISTIC)
-        for _ in range(1000):
-            dY = obs_path.increments(1, dt)  # observing pure sensor noise
-            state = nonlinear_step(a, h, (R, R1), state, dY, dt, streams)
-        assert np.all(np.isfinite(state.particles))
-        assert abs(state.particles.mean()) < 5.0
+    clouds = NoiseStream(901, 0, "init").normals((100, 1, 5))
+    dY = NoiseStream(900, 0, "obs-path").increments((1000, 100, 1), dt)  # pure sensor noise
+    X, div = run_nonlinear(lambda X: X - X ** 3, lambda X: X, (R, R1), clouds, dY, dt,
+                           Variant.DETERMINISTIC, seed=500)
+    assert np.all(div == -1)
+    assert np.all(np.isfinite(X))
+    assert np.all(np.abs(X.mean(axis=(1, 2))) < 5.0)
+
+
+def _diverging_batch():
+    # a(x) = x^3 - x is stable near 0 and explodes beyond |x| = 1: the cloud
+    # started at 3 blows up, the three near 0 do not
+    dt = 1e-2
+    X0 = 0.1 * NoiseStream(1, 0, "init").normals((4, 1, 5))
+    X0[2] += 3.0
+    dY = NoiseStream(2, 0, "obs").increments((200, 4, 1), dt)
+    return X0, dY, dt
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "deterministic", "transport"])
+def test_run_nonlinear_divergence_is_recorded_not_raised(variant):
+    X0, dY, dt = _diverging_batch()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, div = run_nonlinear(lambda X: X ** 3 - X, lambda X: X, (0.1 * np.eye(1), np.eye(1)),
+                               X0, dY, dt, variant, seed=3)
+    assert 0 < div[2] < 200 and np.all(np.isnan(X[2]))
+    survivors = [0, 1, 3]
+    assert np.all(div[survivors] == -1) and np.all(np.isfinite(X[survivors]))
+
+
+def test_run_nonlinear_transport_draws_no_noise(monkeypatch):
+    # the transport update is deterministic given the observations: no
+    # channel is drawn, the seed plays no part, and the steps are one block
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the transport variant drew noise")
+
+    monkeypatch.setattr(NoiseStream, "normals", no_draws)
+    monkeypatch.setattr(NoiseStream, "increments", no_draws)
+    m = random_model(2, seed=9, d_y=1, stabilize=0.5)
+    X0 = np.random.default_rng(4).normal(size=(3, 2, 5))
+    dY = np.random.default_rng(5).normal(scale=0.1, size=(50, 3, 1))
+
+    def run(X, dY, seed):
+        return run_nonlinear(lambda X: m.A @ X - X ** 3, lambda X: m.H @ X, (m.R, m.R1),
+                             X, dY, 0.01, "transport", seed)
+
+    X, div = run(X0, dY, 1)
+    assert np.all(div == -1) and not np.array_equal(X, X0)
+    np.testing.assert_array_equal(run(X0, dY, 2)[0], X)
+    # all 50 steps ran: 20 steps, then 30 more from there, end at the same cloud
+    np.testing.assert_array_equal(run(run(X0, dY[:20], 1)[0], dY[20:], 1)[0], X)
+
+
+@pytest.mark.parametrize("X0_shape, dY_shape", [
+    ((2, 5), (10, 2, 1)),       # X0 is not a stack of clouds
+    ((2, 1, 1), (10, 2, 1)),    # one particle per cloud (N = 0)
+    ((2, 1, 5), (10, 2)),       # dY without its observation axis
+    ((2, 1, 5), (10, 3, 1)),    # dY for three clouds
+    ((2, 1, 5), (10, 2, 2)),    # dY of the wrong observation dimension
+])
+def test_run_nonlinear_rejects_misshapen_inputs(X0_shape, dY_shape):
+    with pytest.raises(ValueError):
+        run_nonlinear(lambda X: -X, lambda X: X, (np.eye(1), np.eye(1)), np.zeros(X0_shape),
+                      np.zeros(dY_shape), 0.01, "vanilla", seed=0)
 
 
 def test_inflation_requires_vanilla_or_deterministic():

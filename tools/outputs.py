@@ -15,6 +15,9 @@ seeded corpus to one ``.npz``:
   frames, means and inflation, plus two batches with diverging trials;
 * ``run_enkf``, ``law_level_run`` and ``kalman_run``, and a stochastic
   semigroup along one run;
+* ``run_nonlinear`` in all three variants, with linear evaluators and with a
+  nonlinear drift, plus a batch with a diverging cloud (skipped on source
+  trees without ``run_nonlinear``, whose corpora list these as missing);
 * the Riccati flows (nominal at d = 1, 2, 3 and inflated at both kappa),
   ``semigroup_E`` and ``solve_are``;
 * ``kbflow run`` for the exact filter, a particle system and the law level;
@@ -160,6 +163,28 @@ def runs(kb, c: Corpus) -> None:
             "P": np.array([s.P.P for s in run]), "Z": np.array([s.Z for s in run])})
 
 
+def nonlinear(kb, c: Corpus) -> None:
+    if not hasattr(kb.ensemble, "run_nonlinear"):
+        return
+    m = _model(kb, 2, 31, stabilize=1.0)
+    dt = 1e-2
+    X0 = kb.NoiseStream(6, 0, "init").normals((3, 2, 7))
+    dY = kb.NoiseStream(6, 0, "obs").increments((300, 3, 2), dt)
+    drifts = {"linear": lambda X: m.A @ X, "cubic": lambda X: m.A @ X - X ** 3}
+    for name, a in drifts.items():
+        for variant in ("vanilla", "deterministic", "transport"):
+            X, div = kb.ensemble.run_nonlinear(a, lambda X: m.H @ X, (m.R, m.R1), X0, dY, dt,
+                                               variant, 9)
+            c.put(f"nonlinear/{name}/{variant}", {"X": X, "diverged_step": div})
+    # x^3 - x explodes beyond |x| = 1: the cloud started at 3 diverges
+    X0 = 0.1 * kb.NoiseStream(1, 0, "init").normals((4, 1, 5))
+    X0[2] += 3.0
+    X, div = kb.ensemble.run_nonlinear(
+        lambda X: X ** 3 - X, lambda X: X, (0.1 * np.eye(1), np.eye(1)), X0,
+        kb.NoiseStream(2, 0, "obs").increments((200, 4, 1), dt), dt, "vanilla", 3)
+    c.put("nonlinear/diverging", {"X": X, "diverged_step": div})
+
+
 def theory(kb, c: Corpus) -> None:
     grid = kb.TimeGrid(0.0, 2e-3, 500)
     for d in (1, 2, 3):
@@ -268,6 +293,7 @@ def run_corpus(src: Path) -> dict[str, np.ndarray]:
         tmp = Path(tmp)
         kernels(kb, c)
         runs(kb, c)
+        nonlinear(kb, c)
         theory(kb, c)
         cli_runs(kb, c, tmp)
         studies(kb, c, tmp)
