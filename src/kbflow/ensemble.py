@@ -23,6 +23,7 @@ update and noise blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ from .errors import BoundNotApplicable
 from .kalman import RiccatiPath, TrajectoryRecord, _kernel_record
 from .model import LinearGaussianModel, _check_covariance, _riccati_nodes, symmetric_sqrt
 from .sde import NoiseStream, TimeGrid, _nonfinite_trials, _project_psd_stack, _sym
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integral value (1.5, 8.7) is
+    a ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,7 @@ def run_nonlinear(a, h, noise, X0, dY, dt: float, variant, seed: int):
     not an exception.
     """
     variant = Variant.parse(variant)
+    seed = _as_int("seed", seed)
     R, R1 = (np.asarray(M, dtype=float) for M in noise)
     X = np.array(X0, dtype=float)
     dY = np.asarray(dY, dtype=float)
@@ -171,8 +182,8 @@ def _split_seeds(seeds):
     if isinstance(seeds, (tuple, list)):
         truth_seed, particle_seed = seeds
     else:
-        truth_seed = particle_seed = int(seeds)
-    return int(truth_seed), int(particle_seed)
+        truth_seed = particle_seed = seeds
+    return _as_int("seeds", truth_seed), _as_int("seeds", particle_seed)
 
 
 def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
@@ -209,6 +220,7 @@ def run_enkf(model: LinearGaussianModel, variant, N: int, grid: TimeGrid, seeds,
         stopped being finite; this is a recorded outcome, not an exception.
     """
     variant = Variant.parse(variant)
+    N = _as_int("N", N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     d = model.d
@@ -271,20 +283,20 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
     if kappa not in (0, 1, 0.0, 1.0):
         raise ValueError(f"kappa must be 0 or 1, got {kappa}")
     kappa = float(kappa)
+    N = _as_int("N", N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if streams is None:
-        if truth_seed is None:
-            raise ValueError("provide truth_seed or an integer streams seed")
-        streams = truth_seed
-    if not isinstance(streams, (int, np.integer)):
-        raise ValueError(f"streams must be an integer seed, got {streams!r}")
-    truth_seed = int(streams if truth_seed is None else truth_seed)
+    if truth_seed is not None:
+        truth_seed = _as_int("truth_seed", truth_seed)
+    elif streams is None:
+        raise ValueError("provide truth_seed or an integer streams seed")
+    streams = truth_seed if streams is None else _as_int("streams", streams)
+    truth_seed = streams if truth_seed is None else truth_seed
     Q = _check_covariance(Q, model.d)
     P0 = Q if P0 is None else _check_covariance(P0, model.d, "P0")
 
     out = _engines.law_cov_paths_nd(
-        model, kappa, N=N, Q=Q, grid=grid, seed=int(streams), trials=1, scheme=scheme,
+        model, kappa, N=N, Q=Q, grid=grid, seed=streams, trials=1, scheme=scheme,
         x0=x0, m0=m0, P0=P0, truth_seed=truth_seed, inflation=inflation)
     return _kernel_record(
         model, grid, out["mean"][0], out["cov"][0], out["error"][0], variant="law",

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import KBFlowError
 from .model import ScalarModel
@@ -129,6 +128,8 @@ class InvariantDensity:
     """
 
     def __init__(self, m: ScalarModel, kappa: float, N: int):
+        from scipy import integrate
+
         if kappa not in (0, 1, 0.0, 1.0):
             raise ValueError(f"kappa must be 0 or 1, got {kappa}")
         if N < 1:
@@ -290,6 +291,7 @@ class InvariantDensity:
             raise ValueError(f"n must be >= 1, got {n}")
         if self.kappa == 1.0 and self.N <= 2 * (n - 2):
             return Divergent
+        from scipy import integrate
 
         u_mode = math.log(self._center)
 

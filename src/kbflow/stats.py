@@ -28,12 +28,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _engines, io
-from .ensemble import Inflation, inflated_riccati_flow
+from .ensemble import Inflation, _as_int, inflated_riccati_flow
 from .errors import ConfigError, NotPSD
 from .kalman import riccati_flow
 from .model import LinearGaussianModel, ScalarModel, _check_covariance, solve_are
@@ -355,10 +355,10 @@ def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
 def _integer(key: str, value) -> int:
     """``value`` as an ``int``; a bool or a non-integral value (1.5, 8.7) is
     a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return _as_int(key, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_option_range(key: str, value) -> None:
@@ -621,7 +621,7 @@ def _run_bias(spec: StudySpec, model, workers, progress):
     d = model.d
     Q = np.asarray(spec.options.get("Q", np.eye(d)), dtype=float).reshape(d, d)
     every = int(spec.options.get("record_every", max(1, grid.steps // 20)))
-    z = float(norm.ppf(float(spec.options.get("confidence", 0.99))))
+    z = NormalDist().inv_cdf(float(spec.options.get("confidence", 0.99)))
     rec = _record_indices(grid.steps, every)
     phis = riccati_flow(model, Q, grid).P[rec]
     times = grid.times()[rec]

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,18 @@ def test_unknown_command_exits_via_argparse():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main([])
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    # scipy.stats and scipy.integrate cost most of a fresh start; the
+    # package and its CLI load them only where they are used
+    code = ("import sys, kbflow, kbflow.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

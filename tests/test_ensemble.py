@@ -150,9 +150,19 @@ def test_law_level_large_n_tracks_deterministic_flow():
 
 def test_law_level_validates_kappa():
     m = scalar_lg()
+    grid = TimeGrid(0.0, 1e-2, 10)
     with pytest.raises(ValueError):
-        law_level_run(m, kappa=0.5, Q=[[1.0]], x0=[0.0],
-                      grid=TimeGrid(0.0, 1e-2, 10), N=10, truth_seed=0)
+        law_level_run(m, kappa=0.5, Q=[[1.0]], x0=[0.0], grid=grid, N=10, truth_seed=0)
+    # a bool or a non-integral count or seed is refused, naming the argument
+    for key, value in [("N", 4.5), ("N", True), ("truth_seed", 1.7), ("truth_seed", True)]:
+        kw = {"N": 10, "truth_seed": 0, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            law_level_run(m, 1, [[1.0]], [0.0], grid, **kw)
+    # an integral float is that integer
+    rec = law_level_run(m, 1, [[1.0]], [0.0], grid, N=10.0, truth_seed=3.0)
+    ref = law_level_run(m, 1, [[1.0]], [0.0], grid, N=10, truth_seed=3)
+    assert type(rec.N) is int and type(rec.seed) is int
+    np.testing.assert_array_equal(rec.cov, ref.cov)
 
 
 def test_law_level_streams_are_addresses():
@@ -391,9 +401,19 @@ def test_run_nonlinear_transport_draws_no_noise(monkeypatch):
     ((2, 1, 5), (10, 2, 2)),    # dY of the wrong observation dimension
 ])
 def test_run_nonlinear_rejects_misshapen_inputs(X0_shape, dY_shape):
+    def run(X0, dY, seed):
+        return run_nonlinear(lambda X: -X, lambda X: X, (np.eye(1), np.eye(1)), X0, dY,
+                             0.01, "vanilla", seed=seed)
+
     with pytest.raises(ValueError):
-        run_nonlinear(lambda X: -X, lambda X: X, (np.eye(1), np.eye(1)), np.zeros(X0_shape),
-                      np.zeros(dY_shape), 0.01, "vanilla", seed=0)
+        run(np.zeros(X0_shape), np.zeros(dY_shape), 0)
+    # on well-shaped inputs, a bool or non-integral seed is refused and an
+    # integral float is that integer
+    X0, dY = np.zeros((2, 1, 5)), np.zeros((10, 2, 1))
+    for seed in (1.7, True, "0"):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            run(X0, dY, seed)
+    np.testing.assert_array_equal(run(X0, dY, 2.0)[0], run(X0, dY, 2)[0])
 
 
 def test_inflation_requires_vanilla_or_deterministic():
@@ -426,5 +446,21 @@ def test_inflated_run_with_reference_matrix():
 
 
 def test_run_enkf_validates_ensemble_size():
+    m, grid = scalar_lg(), TimeGrid(0.0, 1e-2, 10)
     with pytest.raises(ValueError):
-        run_enkf(scalar_lg(), "vanilla", N=0, grid=TimeGrid(0.0, 1e-2, 10), seeds=0)
+        run_enkf(m, "vanilla", N=0, grid=grid, seeds=0)
+    # a bool or a non-integral count or seed is refused, naming the argument,
+    # before the initial cloud is drawn
+    def sampler(stream, N):
+        raise AssertionError("drew the initial cloud")
+
+    for key, value in [("N", 4.5), ("N", True), ("seeds", 1.7), ("seeds", True),
+                       ("seeds", (1, 2.5)), ("seeds", (False, 2))]:
+        kw = {"N": 4, "seeds": 1, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            run_enkf(m, "vanilla", grid=grid, x_init_sampler=sampler, **kw)
+    # an integral float is that integer
+    rec = run_enkf(m, "vanilla", N=4.0, grid=grid, seeds=(3.0, 5))
+    ref = run_enkf(m, "vanilla", N=4, grid=grid, seeds=(3, 5))
+    assert type(rec.N) is int and type(rec.seed) is int
+    np.testing.assert_array_equal(rec.cov, ref.cov)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -386,12 +387,17 @@ def test_invariant_ks_short_horizon_is_a_config_error():
         run_study(spec, workers=1)
 
 
-def test_bias_study_rows():
-    s = run_study(StudySpec(**_spec_payload()), workers=1)
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+def test_bias_study_rows(confidence):
+    # ci_ok is exactly margin <= z * se, z the one-sided normal quantile
+    z = NormalDist().inv_cdf(confidence)
+    assert abs(z - norm.ppf(confidence)) <= 8 * math.ulp(z)
+    s = run_study(StudySpec(**_spec_payload(
+        options={"record_every": 25, "confidence": confidence})), workers=1)
     assert [r["t"] for r in s.per_point] == [0.0, 0.5, 1.0]
     for r in s.per_point:
         assert r["N"] == 10
-        assert r["margin"] <= r["margin_se"] * norm.ppf(0.99) or not r["ci_ok"]
+        assert r["ci_ok"] == (r["margin"] <= z * r["margin_se"])
         assert r["diverged"] == 0
     # sample covariance under-biases the flow on average: margins <= 0
     # within noise at this scale

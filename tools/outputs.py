@@ -21,7 +21,8 @@ seeded corpus to one ``.npz``:
 * the Riccati flows (nominal at d = 1, 2, 3 and inflated at both kappa),
   ``semigroup_E`` and ``solve_are``;
 * ``kbflow run`` for the exact filter, a particle system and the law level;
-* the files of all eight study kinds, at small sizes.
+* the files of all eight study kinds, at small sizes, and of the bias
+  study also at confidence 0.9 and 0.95.
 
 Flows and runs are read through node access (``[s.P for s in flow]``,
 ``[s.X for s in run]``), so the script runs unchanged on source trees whose
@@ -243,9 +244,12 @@ def _study_specs(kb) -> dict:
     m1, m2 = _scalar(kb, 1.0).to_dict(), _scalar(kb, 2.0).to_dict()
     d2 = _model(kb, 2, 31, stabilize=1.0).to_dict()
     short = {"dt": 0.02, "steps": 50}
+    bias_d1 = dict(kind="bias", model=m1, grid=short, master_seed=12, trials=200,
+                   N=(10,), variant="vanilla", chunk=64, options={"record_every": 25})
     return {
-        "bias_d1": dict(kind="bias", model=m1, grid=short, master_seed=12, trials=200,
-                        N=(10,), variant="vanilla", chunk=64, options={"record_every": 25}),
+        "bias_d1": bias_d1,
+        "bias_d1_c90": {**bias_d1, "options": {"record_every": 25, "confidence": 0.9}},
+        "bias_d1_c95": {**bias_d1, "options": {"record_every": 25, "confidence": 0.95}},
         "bias_d2": dict(kind="bias", model=d2, grid=short, master_seed=13, trials=120,
                         N=(6,), variant="deterministic", chunk=64,
                         options={"record_every": 10}),
