@@ -23,7 +23,6 @@ update and noise blocks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +33,7 @@ from ._engines import (PARTICLE_INIT, PARTICLE_OBS, PARTICLE_SIGNAL, Variant,
 from .errors import BoundNotApplicable
 from .kalman import RiccatiPath, TrajectoryRecord, _kernel_record
 from .model import LinearGaussianModel, _check_covariance, _riccati_nodes, symmetric_sqrt
-from .sde import NoiseStream, TimeGrid, _nonfinite_trials, _project_psd_stack, _sym
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an ``int``; a bool or a non-integral value (1.5, 8.7) is
-    a ValueError naming ``name``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+from .sde import NoiseStream, TimeGrid, _as_int, _nonfinite_trials, _project_psd_stack, _sym
 
 
 @dataclass(frozen=True)

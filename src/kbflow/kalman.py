@@ -22,7 +22,7 @@ from .errors import NonFinite
 from .model import (LinearGaussianModel, _check_covariance, _hamiltonian_propagator,
                     _mobius_spans, _ricc, _riccati_nodes, gramians, solve_are,
                     symmetric_sqrt)
-from .sde import NoiseStream, TimeGrid
+from .sde import NoiseStream, TimeGrid, _as_int
 
 
 @dataclass
@@ -210,7 +210,8 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
     Q : (d, d) array_like
         Filter initial covariance (PSD).
     truth_seed : int
-        Master seed for the truth channels.
+        Master seed for the truth channels; an integral float (``2.0``) is
+        taken as that integer.
     m0, P0 : optional
         Mean/covariance of the simulated signal's Gaussian initial condition;
         default ``m0 = 0`` and ``P0 = Q``.
@@ -223,12 +224,14 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
     Raises
     ------
     ValueError, NotPSD
-        If ``Q`` or ``P0`` is not a d x d PSD matrix.
+        If ``truth_seed`` is a bool or not integral, or ``Q`` or ``P0`` is
+        not a d x d PSD matrix.
     NonFinite
         If the filter or signal state stops being finite (catastrophic
         divergence detector; carries the offending step index).
     """
     d, K, dt = model.d, grid.steps, grid.dt
+    truth_seed = _as_int("truth_seed", truth_seed)
     x = np.asarray(x0, dtype=float).reshape(d)
     Q = _check_covariance(Q, d)
     m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
@@ -259,7 +262,7 @@ def kalman_run(model: LinearGaussianModel, x0, Q, truth_seed: int, grid: TimeGri
         k = int(np.argmax(bad)) + 1
         raise NonFinite(k, t=float(grid.times()[k]), what="exact filter state")
     return _kernel_record(model, grid, xs, nodes, xs - truths, variant="exact",
-                          seed=int(truth_seed))
+                          seed=truth_seed)
 
 
 @dataclass

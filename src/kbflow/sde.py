@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -29,6 +30,15 @@ DT_MIN = 1e-12
 
 #: Default cap on user-supplied step sizes.
 DT_MAX = 1.0
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integral value (1.5, 8.7) is
+    a ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ Estimators: Kolmogorov-Smirnov distance against a reference cdf, the Hill
 tail-index estimator, least-squares slope fits with standard errors, and a
 chunk-mergeable central-moment accumulator (orders up to 9).
 
-Studies: eight study kinds (bias, fluctuation_rate, invariant_ks,
-moments_flow, lyapunov, inflation_sweep, semigroup_contraction,
-clt_variance) driven by :func:`run_study` from a validated
-:class:`StudySpec`.  Trials are partitioned into fixed-size chunks whose
-index seeds the noise streams.  Each study hands all of its engine runs
+Studies: the kinds of :data:`STUDY_KINDS`, each one ``_KINDS`` entry (the
+rules its :class:`StudySpec` is checked against, and the runner that
+:func:`run_study` calls).  Trials are partitioned into fixed-size chunks
+whose index seeds the noise streams.  Each study hands all of its engine runs
 (jobs) to one call of :func:`_map_chunks`, which runs their chunks in the
 calling process or, with several workers, in one process pool; summaries
 are bit-reproducible for a fixed spec regardless of the worker count or
@@ -27,20 +26,20 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
 
 from . import _engines, io
-from .ensemble import Inflation, _as_int, inflated_riccati_flow
+from .ensemble import Inflation, inflated_riccati_flow
 from .errors import ConfigError, NotPSD
 from .kalman import riccati_flow
 from .model import LinearGaussianModel, ScalarModel, _check_covariance, solve_are
 from .scalar import (clt_variance_oracle, contraction_rate, equilibria,
                      invariant_density, lyapunov_bounds, lyapunov_exponent,
-                     moment_threshold)
-from .sde import TimeGrid
+                     moment_threshold, riccati_closed_form)
+from .sde import TimeGrid, _as_int
 
 log = logging.getLogger(__name__)
 
@@ -293,26 +292,29 @@ def _stationary_pool(out: dict, job: dict, record_stride: int,
 # study specification
 # ---------------------------------------------------------------------------
 
-STUDY_KINDS = ("bias", "fluctuation_rate", "invariant_ks", "moments_flow",
-               "lyapunov", "inflation_sweep", "semigroup_contraction",
-               "clt_variance")
-_CI_KINDS = {"bias", "clt_variance", "semigroup_contraction"}
-_KAPPA_KINDS = {"fluctuation_rate", "moments_flow", "lyapunov", "clt_variance"}
-_VARIANT_KINDS = {"bias", "semigroup_contraction"}
-_SCALAR_KINDS = {"fluctuation_rate", "invariant_ks", "moments_flow", "lyapunov",
-                 "clt_variance", "semigroup_contraction"}
-# the scalar kinds whose runners build a ScalarModel, which needs R > 0
-_REDUCED_KINDS = _SCALAR_KINDS - {"moments_flow"}
-_ALLOWED_OPTIONS = {
-    "bias": {"Q", "record_every", "confidence"},
-    "fluctuation_rate": {"Q"},
-    "invariant_ks": {"burn_in", "record_stride", "target_lag_corr", "horizon"},
-    "moments_flow": {"Q", "record_every"},
-    "lyapunov": {"burn_in", "Q"},
-    "inflation_sweep": {"Q", "xi", "record_every"},
-    "semigroup_contraction": {"Q"},
-    "clt_variance": {"Q"},
-}
+@dataclass(frozen=True)
+class _Kind:
+    """One study kind: its runner and the rules its :class:`StudySpec` obeys.
+
+    ``run(spec, model, workers, progress)`` returns ``(per_point, fits,
+    figures)``.  ``axis`` is the spec field it runs along (a key of ``_AXES``)
+    or None.  A ``scalar`` kind needs an observed d = d_y = 1 model, one that
+    ``needs_R`` also R > 0, a ``ci`` kind >= 100 trials, and an ``n_list``
+    kind a strictly increasing list of >= 4 N; the others take one N.
+    """
+
+    run: object
+    options: frozenset
+    axis: str | None = None
+    scalar: bool = False
+    needs_R: bool = False
+    ci: bool = False
+    n_list: bool = False
+
+
+#: The values of each axis, and how a rejection names them.
+_AXES = {"variant": (("vanilla", "deterministic"), "variant 'vanilla' or 'deterministic'"),
+         "kappa": ((0, 1), "kappa in {0, 1}")}
 #: The range of each numeric option, as (test, description); ``xi`` may
 #: also be a list, each entry in range.
 _OPTION_RANGES = {
@@ -324,8 +326,6 @@ _OPTION_RANGES = {
     "confidence": (lambda x: 0 < x < 1, "in (0, 1)"),
     "xi": (lambda x: x >= 0, ">= 0"),
 }
-_SPEC_KEYS = {"kind", "model", "grid", "master_seed", "trials", "N",
-              "variant", "kappa", "out", "chunk", "options"}
 
 
 def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
@@ -392,21 +392,22 @@ class StudySpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown study kind {self.kind!r}; "
                               f"expected one of {', '.join(STUDY_KINDS)}")
+        kind = _KINDS[self.kind]
         try:
             model = self.lg_model()
         except Exception as exc:
             raise ConfigError(f"invalid model payload: {exc}") from exc
-        if self.kind in _SCALAR_KINDS:
+        if kind.scalar:
             if (model.d, model.d_y) != (1, 1):
                 raise ConfigError(f"{self.kind} is a scalar study and needs d = d_y = 1, "
                                   f"got d={model.d}, d_y={model.d_y}")
             if model.S[0, 0] == 0.0:
                 raise ConfigError(f"{self.kind} needs an observed signal "
                                   "(S = H^2/R1 > 0), got H = 0")
-            if self.kind in _REDUCED_KINDS and not model.R[0, 0] > 0.0:
+            if kind.needs_R and not model.R[0, 0] > 0.0:
                 raise ConfigError(f"{self.kind} needs signal noise (R > 0), "
                                   f"got R = {model.R[0, 0]}")
         for key in ("master_seed", "trials", "chunk"):
@@ -425,33 +426,30 @@ class StudySpec:
             raise ConfigError(f"N entries must be >= 1, got {self.N}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.kind in _CI_KINDS and self.trials < 100:
+        if kind.ci and self.trials < 100:
             raise ConfigError(f"{self.kind} is a CI study and needs >= 100 "
                               f"trials, got {self.trials}")
-        if self.kind == "fluctuation_rate":
+        if kind.n_list:
             if len(self.N) < 4 or any(b <= a for a, b in zip(self.N, self.N[1:])):
-                raise ConfigError("fluctuation_rate needs a strictly increasing "
+                raise ConfigError(f"{self.kind} needs a strictly increasing "
                                   f"N list with >= 4 entries, got {self.N}")
-        if self.kind in _VARIANT_KINDS:
-            if self.variant not in ("vanilla", "deterministic"):
-                raise ConfigError(f"{self.kind} requires variant 'vanilla' or "
-                                  f"'deterministic', got {self.variant!r}")
-        if self.kind in _KAPPA_KINDS:
-            if self.kappa not in (0, 1, 0.0, 1.0):
-                raise ConfigError(f"{self.kind} requires kappa in {{0, 1}}, "
-                                  f"got {self.kappa!r}")
+        elif len(self.N) != 1:
+            raise ConfigError(f"{self.kind} takes one N, got {self.N}")
+        if kind.axis is not None:
+            allowed, what = _AXES[kind.axis]
+            value = getattr(self, kind.axis)
+            if value not in allowed:
+                raise ConfigError(f"{self.kind} requires {what}, got {value!r}")
         if self.chunk < 1:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
-        unknown = set(self.options) - _ALLOWED_OPTIONS[self.kind]
+        unknown = set(self.options) - kind.options
         if unknown:
             raise ConfigError(f"unknown options for {self.kind}: "
-                              f"{sorted(unknown)}; allowed: "
-                              f"{sorted(_ALLOWED_OPTIONS[self.kind])}")
+                              f"{sorted(unknown)}; allowed: {sorted(kind.options)}")
         if "Q" in self.options:
-            _check_initial_covariance(self.options["Q"], model.d,
-                                      scalar=self.kind in _SCALAR_KINDS)
+            _check_initial_covariance(self.options["Q"], model.d, scalar=kind.scalar)
         for key in _OPTION_RANGES.keys() & self.options.keys():
             _check_option_range(key, self.options[key])
 
@@ -483,7 +481,7 @@ class StudySpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StudySpec":
-        unknown = set(payload) - _SPEC_KEYS
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown StudySpec keys: {sorted(unknown)}")
         if "kind" not in payload or "model" not in payload or "grid" not in payload:
@@ -504,12 +502,9 @@ class StudySummary:
                 "fits": self.fits}
 
     def save(self, out_dir) -> list:
-        from pathlib import Path
-
-        out = Path(out_dir)
-        written = [io.write_summary_json(out / "summary.json", self.to_dict()),
-                   io.write_per_point_csv(out / "per_point.csv", self.per_point)]
-        return written
+        out = io.Path(out_dir)
+        return [io.write_summary_json(out / "summary.json", self.to_dict()),
+                io.write_per_point_csv(out / "per_point.csv", self.per_point)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +622,12 @@ def _run_bias(spec: StudySpec, model, workers, progress):
     times = grid.times()[rec]
     N = spec.N[0]
 
-    if d == 1:
-        out = _map_chunks(_engines.particle_cov_paths_1d, spec.trials,
-                          spec.chunk, workers, progress=progress, model=model,
-                          variant=spec.variant, N=N, grid=grid,
-                          seed=spec.master_seed, record_indices=rec, P0=float(Q[0, 0]))[0]
-        covs = out["cov"][:, :, None, None]
-    else:
-        out = _map_chunks(_engines.particle_cov_paths_nd, spec.trials,
-                          spec.chunk, workers, progress=progress, model=model,
-                          variant=spec.variant, N=N, grid=grid,
-                          seed=spec.master_seed, record_indices=rec, P0=Q)[0]
-        covs = out["cov"]
+    engine, P0 = ((_engines.particle_cov_paths_1d, float(Q[0, 0])) if d == 1
+                  else (_engines.particle_cov_paths_nd, Q))
+    out = _map_chunks(engine, spec.trials, spec.chunk, workers, progress=progress,
+                      model=model, variant=spec.variant, N=N, grid=grid,
+                      seed=spec.master_seed, record_indices=rec, P0=P0)[0]
+    covs = out["cov"].reshape(-1, rec.size, d, d)  # (B, R) at d = 1
 
     per_point = []
     for j, t in enumerate(times):
@@ -680,8 +669,6 @@ def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
     grid = spec.time_grid()
     sm = _scalar_of(model)
     Q = float(spec.options.get("Q", 1.0))
-    from .scalar import riccati_closed_form
-
     phi_T = float(riccati_closed_form(sm, Q, grid.horizon))
     n_chunks = len(list(_engines._chunks(spec.trials, spec.chunk)))
     fig3_N = (spec.N[0], spec.N[-1])
@@ -896,8 +883,6 @@ def _run_clt_variance(spec: StudySpec, model, workers, progress):
     sm = _scalar_of(model)
     N = spec.N[0]
     Q = float(spec.options.get("Q", 0.0))
-    from .scalar import riccati_closed_form
-
     out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
                       workers, progress=progress, model=model,
                       kappa=spec.kappa, N=N, Q=Q, grid=grid,
@@ -916,16 +901,26 @@ def _run_clt_variance(spec: StudySpec, model, workers, progress):
     return [row], {}, {}
 
 
-_RUNNERS = {
-    "bias": _run_bias,
-    "fluctuation_rate": _run_fluctuation_rate,
-    "invariant_ks": _run_invariant_ks,
-    "moments_flow": _run_moments_flow,
-    "lyapunov": _run_lyapunov,
-    "inflation_sweep": _run_inflation_sweep,
-    "semigroup_contraction": _run_semigroup_contraction,
-    "clt_variance": _run_clt_variance,
+#: Every study kind: what its spec must satisfy and the runner it calls.
+_KINDS = {
+    "bias": _Kind(_run_bias, frozenset({"Q", "record_every", "confidence"}),
+                  axis="variant", ci=True),
+    "fluctuation_rate": _Kind(_run_fluctuation_rate, frozenset({"Q"}), axis="kappa",
+                              scalar=True, needs_R=True, n_list=True),
+    "invariant_ks": _Kind(_run_invariant_ks, frozenset({"burn_in", "record_stride",
+                                                        "target_lag_corr", "horizon"}),
+                          scalar=True, needs_R=True),
+    "moments_flow": _Kind(_run_moments_flow, frozenset({"Q", "record_every"}),
+                          axis="kappa", scalar=True),
+    "lyapunov": _Kind(_run_lyapunov, frozenset({"burn_in", "Q"}), axis="kappa",
+                      scalar=True, needs_R=True),
+    "inflation_sweep": _Kind(_run_inflation_sweep, frozenset({"Q", "xi", "record_every"})),
+    "semigroup_contraction": _Kind(_run_semigroup_contraction, frozenset({"Q"}),
+                                   axis="variant", scalar=True, needs_R=True, ci=True),
+    "clt_variance": _Kind(_run_clt_variance, frozenset({"Q"}), axis="kappa",
+                          scalar=True, needs_R=True, ci=True),
 }
+STUDY_KINDS = tuple(_KINDS)
 
 
 def run_study(spec: StudySpec, workers: int | None = None) -> StudySummary:
@@ -942,14 +937,11 @@ def run_study(spec: StudySpec, workers: int | None = None) -> StudySummary:
              spec.trials, spec.chunk, workers)
     t0 = time.perf_counter()
     try:
-        per_point, fits, figures = _RUNNERS[spec.kind](spec, model, workers,
-                                                       progress)
+        per_point, fits, figures = _KINDS[spec.kind].run(spec, model, workers, progress)
     except KeyboardInterrupt:
         if spec.out is not None:
-            from pathlib import Path
-
             io.write_summary_json(
-                Path(spec.out) / "partial.json",
+                io.Path(spec.out) / "partial.json",
                 {"spec_echo": spec.to_dict(),
                  "completed_chunks": sorted(progress),
                  "per_point": [], "fits": {}})
@@ -959,9 +951,7 @@ def run_study(spec: StudySpec, workers: int | None = None) -> StudySummary:
     summary = StudySummary(spec_echo=spec.to_dict(), per_point=per_point,
                            fits=fits)
     if spec.out is not None:
-        from pathlib import Path
-
-        out = Path(spec.out)
+        out = io.Path(spec.out)
         summary.save(out)
         for name, cols in figures.items():
             io.write_columns_csv(out / f"{name}.csv", cols)

@@ -1,7 +1,16 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders for the test suite, and ``tools/outputs.py`` as a
+module (its seeded corpus specs and its compare mode)."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from kbflow import LinearGaussianModel, ScalarModel
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("outputs_tool", ROOT / "tools" / "outputs.py")
+outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outputs)
 
 
 def scalar_lg(A=1.0, R=1.0, S=1.0):

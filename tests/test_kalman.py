@@ -224,6 +224,20 @@ def test_kalman_run_divergence_step(A, H, R1, dt, steps, step):
     assert info.value.t == pytest.approx(step * dt)
 
 
+@pytest.mark.parametrize("truth_seed", [1.7, True, 2.0])
+def test_kalman_run_truth_seed_must_be_an_integer(truth_seed):
+    m, grid = scalar_lg(), TimeGrid(0.0, 0.01, 20)
+    if truth_seed != 2.0:
+        with pytest.raises(ValueError, match="^truth_seed must be an integer"):
+            kalman_run(m, [0.0], [[1.0]], truth_seed, grid)
+        return
+    run = kalman_run(m, [0.0], [[1.0]], truth_seed, grid)
+    ref = kalman_run(m, [0.0], [[1.0]], 2, grid)
+    assert type(run.seed) is int and run.seed == 2
+    assert run.error.tobytes() == ref.error.tobytes()
+    assert run.mean.tobytes() == ref.mean.tobytes()
+
+
 _Q_ENTRY_POINTS = {
     "riccati_flow": lambda m, Q: riccati_flow(m, Q, TimeGrid(0.0, 0.01, 5)),
     "inflated_riccati_flow": lambda m, Q: inflated_riccati_flow(

@@ -1,13 +1,7 @@
 """tools/outputs.py compare mode, on tiny files (tier-1 does not run the corpus)."""
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
-_spec = importlib.util.spec_from_file_location("outputs_tool", _PATH)
-outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(outputs)
+from conftest import outputs
 
 
 def test_compare_lists_equal_moved_and_missing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import time
 from statistics import NormalDist
 
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from conftest import scalar_lg
+import kbflow
+from conftest import ROOT, outputs, random_model, scalar_lg
+from kbflow import stats
 from kbflow.errors import ConfigError
 from kbflow.stats import (
+    STUDY_KINDS,
     MomentAccumulator,
     StudySpec,
     decorrelation_stride,
@@ -290,6 +294,38 @@ def test_study_spec_round_trip():
     # horizon form resolves to the same grid
     alt = StudySpec(**_spec_payload(grid={"dt": 0.02, "horizon": 1.0}))
     assert alt.time_grid().steps == 50
+
+
+@pytest.mark.parametrize("kind", STUDY_KINDS)
+def test_every_study_kind_is_checked_by_its_table_entry(kind):
+    # each kind's first corpus spec validates, and breaking it along each
+    # rule of the kind's _KINDS entry is rejected at spec time
+    specs = [s for s in outputs._study_specs(kbflow).values() if s["kind"] == kind]
+    assert specs, f"{kind} has no spec in tools/outputs.py's corpus"
+    spec, entry = specs[0], stats._KINDS[kind]
+    StudySpec(**spec)
+
+    def rejected(match, **over):
+        with pytest.raises(ConfigError, match=match):
+            StudySpec(**{**spec, **over})
+
+    rejected(re.escape(f"allowed: {sorted(entry.options)}"), options={"bogus": 1})
+    if entry.axis is not None:
+        rejected(f"^{kind} requires {entry.axis}", **{entry.axis: None})
+    if entry.scalar:
+        rejected(f"^{kind} is a scalar study", model=random_model(2, seed=3).to_dict())
+    if entry.ci:
+        rejected(f"^{kind} is a CI study", trials=99)
+    if entry.n_list:
+        rejected(f"^{kind} needs a strictly increasing", N=spec["N"][:3])
+    else:
+        rejected(rf"^{kind} takes one N, got \(4, 8\)", N=[4, 8])
+
+
+def test_readme_lists_the_study_kinds():
+    text = (ROOT / "README.md").read_text()
+    sentence = re.search(r"Study kinds: (.*?)\.\n", text, re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == STUDY_KINDS
 
 
 def test_study_worker_count_does_not_change_results():
