@@ -9,7 +9,7 @@ mean/covariance diffusion.  The single-run functions of
 :func:`~kbflow.ensemble.law_level_run` build their records from the kernel
 outputs.  :func:`~kbflow.ensemble.run_nonlinear` steps a batch of clouds
 under user evaluators with the kernels' particle update
-(:func:`_particle_update`) and noise blocks (:func:`_step_noise`).
+(:func:`_particle_update`), step loop and divergence freeze.
 :func:`law_cov_paths_1d` is the d = 1 adapter of :func:`law_cov_paths_nd`
 (scalar arguments and outputs, no mean) behind the d = 1 law-level studies
 of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d` is a scalar copy of
@@ -28,24 +28,27 @@ formed.  The absolute frame (:func:`particle_cov_paths_nd` only, the frame
 of :func:`~kbflow.ensemble.run_enkf`) steps the particles and the signal
 themselves.
 
-Trials are simulated in fixed-size chunks; the chunk index plays the
-trial-index role in the noise-stream addresses, so results are
-deterministic for a given (seed, chunk size) and independent of scheduling.
+A kernel's own code steps one chunk; the scaffold around it is shared:
 
-All three kernels, and :func:`kbflow.kalman.kalman_run`, take their noise
-from :func:`_step_noise`, which draws each channel a block of steps at a
-time.  A ``(L,) + shape`` draw gives the numbers of L successive ``shape``
-draws, so the block length L is not part of any stream address and the
-results are those of per-step draws, bit for bit.  The nd kernels compute
-the noise terms that do not depend on the state (the noise arrays times
-the noise roots) once per block, as one stacked product on the
-``(L,) + shape`` arrays, and then step through the block's rows; a stacked
-product gives each row the numbers of the per-step product.
-
-All engines freeze a trial at its first non-finite value (the state turns
-NaN and stays NaN) and report the divergence step per trial; callers decide
-how to aggregate divergent trials.  The nd kernels test finiteness once per
-step, by one sum per state stack (:func:`kbflow.sde._nonfinite_trials`).
+* :func:`_batched` is the chunk loop.  Trials are simulated in fixed-size
+  chunks; the chunk index plays the trial-index role in the noise-stream
+  addresses, so results are deterministic for a given (seed, chunk size)
+  and independent of scheduling.  :func:`_join` joins chunk outputs, here
+  and in :func:`kbflow.stats._map_chunks`.
+* :func:`_step_rows` is the step loop of the kernels,
+  :func:`~kbflow.ensemble.run_nonlinear` and :func:`kbflow.kalman.kalman_run`.
+  Its noise comes from :func:`_step_noise`, which draws each channel a
+  block of steps at a time: a ``(L,) + shape`` draw gives the numbers of L
+  successive ``shape`` draws, so the block length L is not part of any
+  stream address and the results are those of per-step draws, bit for bit.
+  The noise terms that do not depend on the state are one stacked product
+  per block, which gives each row the numbers of the per-step product.
+* :func:`_freeze` is the divergence freeze.  A trial freezes at its first
+  non-finite value (the state turns NaN and stays NaN) and its divergence
+  step is recorded; a chunk stops once all its trials have diverged.
+  Callers decide how to aggregate divergent trials.  Finiteness is tested
+  once per step, by one sum per state stack
+  (:func:`kbflow.sde._nonfinite_trials`).
 """
 
 from __future__ import annotations
@@ -177,10 +180,43 @@ def _rows(arrays):
     return zip(*((None,) * n if a is None else a for a in arrays))
 
 
-def _step_rows(channels, steps: int, dt: float):
-    """The rows of :func:`_step_noise`'s blocks, one tuple per step, for
-    loops that take no per-block terms."""
-    return itertools.chain.from_iterable(_rows(a) for _, a in _step_noise(channels, steps, dt))
+def _step_rows(channels, steps: int, dt: float, per_block=None):
+    """One tuple per step: the rows of :func:`_step_noise`'s blocks.
+
+    ``per_block(*arrays)`` turns a block's increment arrays into the terms
+    that do not depend on the state, whose rows are yielded instead.  A
+    block without a live channel yields its steps as rows of None.
+    """
+    for k0, arrays in _step_noise(channels, steps, dt):
+        terms = arrays if per_block is None else per_block(*arrays)
+        if any(a is not None for a in terms):
+            yield from _rows(terms)
+        else:  # _step_noise's one block of all the steps
+            yield from itertools.repeat((None,) * len(terms), steps - k0)
+
+
+def _freeze(div, bad, k, *states) -> bool:
+    """Record step k + 1 in ``div`` for the trials in the mask ``bad`` (None:
+    every trial is finite) that newly went bad, and set their rows of the
+    ``states`` that are not None to NaN.  Returns whether every trial has
+    diverged (at once for zero trials): the kernel stops, and the records it
+    has not written stay NaN."""
+    if bad is None:  # a diverged trial stays NaN, so none has diverged
+        return not div.size
+    div[bad & (div < 0)] = k + 1
+    for state in states:
+        if state is not None:
+            state[bad] = np.nan
+    return div.min() >= 0
+
+
+def _join(parts):
+    """Chunk outputs joined along the trials axis in the order given, with
+    the first one's ``t``.  One chunk's outputs are returned as they are."""
+    if len(parts) == 1:
+        return parts[0]
+    return {key: value if key == "t" else np.concatenate([p[key] for p in parts])
+            for key, value in parts[0].items()}
 
 
 def _scalar_coeffs(model: LinearGaussianModel):
@@ -201,6 +237,28 @@ def _quiet_divergence(engine):
     return wrapper
 
 
+def _batched(body):
+    """The batch kernel of a one-chunk body: it takes ``body``'s arguments
+    after the first three (``trials`` by keyword) and ``chunk`` and
+    ``first_chunk``, calls ``body(c, B, row, ..., trials=trials, ...)`` for
+    chunk c of B trials, rows ``row`` to ``row + B`` of the batch, and joins
+    the outputs.  Zero trials run one empty chunk, which gives the outputs
+    their shapes."""
+
+    @_quiet_divergence
+    @functools.wraps(body)
+    def kernel(*args, trials, chunk=CHUNK_SIZE, first_chunk=0, **kwargs):
+        if trials < 0 or chunk < 1:
+            raise ValueError(f"need trials >= 0 and chunk >= 1, got {trials} and {chunk}")
+        parts, row = [], 0
+        for c, B in list(_chunks(trials, chunk, first_chunk)) or [(first_chunk, 0)]:
+            parts.append(body(c, B, row, *args, trials=trials, **kwargs))
+            row += B
+        return _join(parts)
+
+    return kernel
+
+
 # ---------------------------------------------------------------------------
 # d = 1, particle level
 # ---------------------------------------------------------------------------
@@ -208,12 +266,11 @@ def _quiet_divergence(engine):
 # d = 1 fast path: particle_cov_paths_nd takes 24-38 % longer per step here
 # (the contraction shape B = 200, N = 40 and the bias shapes B = 1024, N = 10;
 # medians of 11 interleaved rounds in one process, on a 2-core x86-64 host).
-@_quiet_divergence
-def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
-                          grid: TimeGrid, seed: int, trials: int,
-                          chunk: int = CHUNK_SIZE, P0: float = 1.0,
+@_batched
+def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int,
+                          grid: TimeGrid, seed: int, trials: int, P0: float = 1.0,
                           record_indices=None, integral_from: int | None = None,
-                          init: str = "iid", first_chunk: int = 0):
+                          init: str = "iid"):
     """Batch of scalar particle-filter paths (vanilla/deterministic), in the
     error frame.
 
@@ -236,73 +293,59 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
     K = grid.steps
     M = N + 1
     record_indices, rec_pos = _record_positions(K, record_indices)
-    n_rec = len(record_indices)
 
-    cov = np.empty((trials, n_rec))
-    diverged = np.full(trials, -1, dtype=int)
-    integral = np.zeros(trials) if integral_from is not None else None
+    cov = np.full((B, len(record_indices)), np.nan)
+    div = np.full(B, -1, dtype=int)
+    acc = np.zeros(B) if integral_from is not None else None
 
-    row = 0
-    for c, B in _chunks(trials, chunk, first_chunk):
-        p_init = NoiseStream(seed, c, PARTICLE_INIT)
-        p_sig = NoiseStream(seed, c, PARTICLE_SIGNAL)
-        p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
-        t_init = NoiseStream(seed, c, TRUTH_INIT)
-        t_sig = NoiseStream(seed, c, TRUTH_SIGNAL)
-        t_obs = NoiseStream(seed, c, TRUTH_OBS)
+    p_init = NoiseStream(seed, c, PARTICLE_INIT)
+    p_sig = NoiseStream(seed, c, PARTICLE_SIGNAL)
+    p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
+    t_init = NoiseStream(seed, c, TRUTH_INIT)
+    t_sig = NoiseStream(seed, c, TRUTH_SIGNAL)
+    t_obs = NoiseStream(seed, c, TRUTH_OBS)
 
-        G = p_init.normals((B, M))
-        if init == "matched":
-            X = G - G.mean(axis=1, keepdims=True)
-            X *= np.sqrt(P0 / (np.sum(X * X, axis=1, keepdims=True) / N))
+    G = p_init.normals((B, M))
+    if init == "matched":
+        X = G - G.mean(axis=1, keepdims=True)
+        X *= np.sqrt(P0 / (np.sum(X * X, axis=1, keepdims=True) / N))
+    else:
+        X = math.sqrt(P0) * G
+    truth = math.sqrt(P0) * t_init.normals(B)
+    X = X - truth[:, None]
+
+    def rec(k, P_hat):
+        p = rec_pos[k]
+        if p >= 0:
+            cov[:, p] = P_hat
+
+    X_bar = X.mean(axis=1)
+    dev = X - X_bar[:, None]
+    P_hat = np.sum(dev * dev, axis=1) / N
+    rec(0, P_hat)
+    draws = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
+                       K, dt)
+    for k, (dVi, dV, dW, dWi) in enumerate(draws):
+        if acc is not None and k >= integral_from:
+            np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
+        gain = (P_hat * H / R1)[:, None]
+        sig_noise = sqrt_R * (dVi - dV[:, None])
+        if variant is Variant.VANILLA:
+            innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
         else:
-            X = math.sqrt(P0) * G
-        truth = math.sqrt(P0) * t_init.normals(B)
-        X = X - truth[:, None]
-
-        div = np.full(B, -1, dtype=int)
-        acc = np.zeros(B) if integral is not None else None
-
-        def rec(k, P_hat):
-            p = rec_pos[k]
-            if p >= 0:
-                cov[row:row + B, p] = P_hat
+            innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
+        X = X + dt * A * X + sig_noise + gain * innov
 
         X_bar = X.mean(axis=1)
         dev = X - X_bar[:, None]
         P_hat = np.sum(dev * dev, axis=1) / N
-        rec(0, P_hat)
-        draws = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
-                           K, dt)
-        for k, (dVi, dV, dW, dWi) in enumerate(draws):
-            if acc is not None and k >= integral_from:
-                np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
-            gain = (P_hat * H / R1)[:, None]
-            sig_noise = sqrt_R * (dVi - dV[:, None])
-            if variant is Variant.VANILLA:
-                innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
-            else:
-                innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
-            X = X + dt * A * X + sig_noise + gain * innov
+        if _freeze(div, _nonfinite_trials(P_hat, X_bar), k, X, P_hat):
+            break
+        rec(k + 1, P_hat)
 
-            X_bar = X.mean(axis=1)
-            dev = X - X_bar[:, None]
-            P_hat = np.sum(dev * dev, axis=1) / N
-            bad = ~np.isfinite(P_hat) | ~np.isfinite(X_bar)
-            if bad.any():
-                fresh = bad & (div < 0)
-                div[fresh] = k + 1
-                X[bad] = np.nan
-                P_hat[bad] = np.nan
-            rec(k + 1, P_hat)
-        diverged[row:row + B] = div
-        if integral is not None:
-            integral[row:row + B] = acc
-        row += B
-
-    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": diverged}
-    if integral is not None:
-        out["integral"] = integral
+    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": div}
+    if acc is not None:
+        out["integral"] = acc
     return out
 
 
@@ -313,7 +356,7 @@ def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int,
 def _frobenius(M):
     """Per-matrix Frobenius norm of a stack, summed as ``np.linalg.norm``
     sums one matrix (a BLAS dot product)."""
-    flat = M.reshape(M.shape[0], 1, -1)
+    flat = M.reshape(M.shape[0], 1, M.shape[1] * M.shape[2])
     return np.sqrt(_mm(flat, _swap(flat))[:, 0, 0])
 
 
@@ -329,12 +372,11 @@ def _inflated_drift_terms(model, kappa, inflation):
     return A_mod, kappa * xi * xi * (T @ model.S @ T)
 
 
-@_quiet_divergence
-def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
-                     grid: TimeGrid, seed: int, trials: int,
-                     chunk: int = CHUNK_SIZE, scheme=None, record_indices=None,
-                     first_chunk: int = 0, x0=None, m0=None, P0=None,
-                     truth_seed=None, inflation=None, with_mean: bool = True,
+@_batched
+def law_cov_paths_nd(c, B, row, model: LinearGaussianModel, kappa: float, N: int, Q,
+                     grid: TimeGrid, seed: int, trials: int, scheme=None,
+                     record_indices=None, x0=None, m0=None, P0=None, truth_seed=None,
+                     inflation=None, with_mean: bool = True,
                      integral_from: int | None = None):
     """Batch of law-level paths in dimension d.
 
@@ -381,98 +423,82 @@ def law_cov_paths_nd(model: LinearGaussianModel, kappa: float, N: int, Q,
 
     Q = np.asarray(Q, dtype=float)
     noise_scale = 2.0 / math.sqrt(N)
-    cov = np.full((trials, n_rec, d, d), np.nan)
-    diverged = np.full(trials, -1, dtype=int)
-    integral = np.zeros((trials, d, d)) if integral_from is not None else None
+    cov = np.full((B, n_rec, d, d), np.nan)
+    div = np.full(B, -1, dtype=int)
+    acc = np.zeros((B, d, d)) if integral_from is not None else None
+    mat = NoiseStream(seed, c, MATRIX_DRIVER)
+    P = np.broadcast_to(Q, (B, d, d)).copy()
+    eig = None
+    mean_drv = t_sig = t_obs = x = truth = None
     if with_mean:
         x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
         m0 = np.zeros(d) if m0 is None else np.asarray(m0, dtype=float).reshape(d)
         P0_root = symmetric_sqrt(Q if P0 is None else P0)
         mean_scale = 1.0 / math.sqrt(N + 1)
-        mean = np.full((trials, n_rec, d), np.nan)
-        error = np.full((trials, n_rec, d), np.nan)
+        mean = np.full((B, n_rec, d), np.nan)
+        error = np.full((B, n_rec, d), np.nan)
+        mean_drv = NoiseStream(seed, c, MEAN_DRIVER)
+        t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
+        x = np.broadcast_to(x0[:, None], (B, d, 1)).copy()
+        truth = m0[:, None] + _mm(P0_root, t_init.normals((B, d, 1)))
 
-    row = 0
-    for c, B in _chunks(trials, chunk, first_chunk):
-        mat = NoiseStream(seed, c, MATRIX_DRIVER)
-        P = np.broadcast_to(Q, (B, d, d)).copy()
-        eig = None
-        div = np.full(B, -1, dtype=int)
-        acc = integral[row:row + B] if integral is not None else None
-        mean_drv = t_sig = t_obs = None
-        if with_mean:
-            mean_drv = NoiseStream(seed, c, MEAN_DRIVER)
-            t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
-            x = np.broadcast_to(x0[:, None], (B, d, 1)).copy()
-            truth = m0[:, None] + _mm(P0_root, t_init.normals((B, d, 1)))
-
-        def rec(k):
-            p = rec_pos[k]
-            if p >= 0:
-                cov[row:row + B, p] = P
-                if with_mean:
-                    mean[row:row + B, p] = x[..., 0]
-                    error[row:row + B, p] = (x - truth)[..., 0]
-
-        rec(0)
-        blocks = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (mean_drv, (B, d, 1)),
-                              (mat, (B, d, d))], K, dt)
-        for k0, (dV, dW, dB, dM) in blocks:
-            # the block's state-independent terms
-            sig_noise = obs_noise = mean_noise = None
+    def rec(k):
+        p = rec_pos[k]
+        if p >= 0:
+            cov[:, p] = P
             if with_mean:
-                sig_noise, obs_noise = _mm(sqrt_R, dV), _mm(sqrt_R1, dW)
-                # at kappa != 0 the root depends on P: the rows stay dB
-                mean_noise = dB if R_root is None else mean_scale * _mm(R_root, dB)
-            rows = _rows([sig_noise, obs_noise, mean_noise, dM])
-            for k, (sig_k, obs_k, mean_k, dM_k) in enumerate(rows, k0):
-                PS = _mm(P, S)
-                PSP = _mm(PS, P)
-                if acc is not None and k >= integral_from:
-                    np.add(acc, dt * (A - PS), out=acc, where=(div < 0)[:, None, None])
-                if R_root is not None:
-                    sig_root = R_root
-                else:  # Sigma_kappa = R + kappa (P + xi T) S (P + xi T)
-                    PiSPi = PSP if xi_T is None else _mm(_mm(P + xi_T, S), P + xi_T)
-                    sig_root = _symmetric_sqrt_stack(R + kappa * PiSPi)
-                if with_mean:
-                    if R_root is None:
-                        mean_k = mean_scale * _mm(sig_root, mean_k)
-                    dY = _mm(H, truth) * dt + obs_k
-                    gain = _mm(_mm(P if xi_T is None else P + xi_T, H_T), R1_inv)
-                    x = x + dt * _mm(A, x) + _mm(gain, dY - _mm(H, x) * dt) + mean_k
-                    truth = truth + dt * _mm(A, truth) + sig_k
-                drift = _mm(A_mod, P) + _mm(P, A_mod_T) - PSP + R
-                if xi_T is not None:
-                    drift = drift + source
-                drift = _sym(drift)
-                if scheme is Scheme.TAMED_EULER:
-                    drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
-                # the projection's eigh of P serves as the root's wherever it
-                # kept P unchanged
-                wing = _mm(_mm(_symmetric_sqrt_stack(P, eig), dM_k), sig_root)
-                P, eig = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing),
-                                            with_eig=True)
-                bad = _nonfinite_trials(P, x, truth) if with_mean else _nonfinite_trials(P)
-                if bad is not None:
-                    div[bad & (div < 0)] = k + 1
-                    if div.min() >= 0:
-                        break  # the rest of the records stays NaN
-                    P[bad] = np.nan
-                    if with_mean:
-                        x[bad] = np.nan
-                rec(k + 1)
-            if div.min() >= 0:
-                break
-        diverged[row:row + B] = div
-        row += B
+                mean[:, p] = x[..., 0]
+                error[:, p] = (x - truth)[..., 0]
 
-    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": diverged}
+    def block_terms(dV, dW, dB, dM):
+        if not with_mean:
+            return None, None, None, dM
+        # at kappa != 0 the root depends on P: the rows stay dB
+        return (_mm(sqrt_R, dV), _mm(sqrt_R1, dW),
+                dB if R_root is None else mean_scale * _mm(R_root, dB), dM)
+
+    rec(0)
+    rows = _step_rows([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (mean_drv, (B, d, 1)),
+                       (mat, (B, d, d))], K, dt, block_terms)
+    for k, (sig_k, obs_k, mean_k, dM_k) in enumerate(rows):
+        PS = _mm(P, S)
+        PSP = _mm(PS, P)
+        if acc is not None and k >= integral_from:
+            np.add(acc, dt * (A - PS), out=acc, where=(div < 0)[:, None, None])
+        if R_root is not None:
+            sig_root = R_root
+        else:  # Sigma_kappa = R + kappa (P + xi T) S (P + xi T)
+            PiSPi = PSP if xi_T is None else _mm(_mm(P + xi_T, S), P + xi_T)
+            sig_root = _symmetric_sqrt_stack(R + kappa * PiSPi)
+        if with_mean:
+            if R_root is None:
+                mean_k = mean_scale * _mm(sig_root, mean_k)
+            dY = _mm(H, truth) * dt + obs_k
+            gain = _mm(_mm(P if xi_T is None else P + xi_T, H_T), R1_inv)
+            x = x + dt * _mm(A, x) + _mm(gain, dY - _mm(H, x) * dt) + mean_k
+            truth = truth + dt * _mm(A, truth) + sig_k
+        drift = _mm(A_mod, P) + _mm(P, A_mod_T) - PSP + R
+        if xi_T is not None:
+            drift = drift + source
+        drift = _sym(drift)
+        if scheme is Scheme.TAMED_EULER:
+            drift = drift / (1.0 + dt * _frobenius(drift))[:, None, None]
+        # the projection's eigh of P serves as the root's wherever it
+        # kept P unchanged
+        wing = _mm(_mm(_symmetric_sqrt_stack(P, eig), dM_k), sig_root)
+        P, eig = _project_psd_stack(P + dt * drift + noise_scale * _sym(wing),
+                                    with_eig=True)
+        bad = _nonfinite_trials(P, x, truth) if with_mean else _nonfinite_trials(P)
+        if _freeze(div, bad, k, P, x):
+            break
+        rec(k + 1)
+
+    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": div}
     if with_mean:
         out["mean"] = mean
         out["error"] = error
-    if integral is not None:
-        out["integral"] = integral
+    if acc is not None:
+        out["integral"] = acc
     return out
 
 
@@ -543,13 +569,11 @@ def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
     return X + aX * dt + noise + gain @ innov
 
 
-@_quiet_divergence
-def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
-                          grid: TimeGrid, seed: int, trials: int,
-                          chunk: int = CHUNK_SIZE, frame: str = "error",
-                          m0=None, P0=None, record_indices=None,
-                          init="iid", first_chunk: int = 0, truth_seed=None,
-                          inflation=None):
+@_batched
+def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int,
+                          grid: TimeGrid, seed: int, trials: int, frame: str = "error",
+                          m0=None, P0=None, record_indices=None, init="iid",
+                          truth_seed=None, inflation=None):
     """Batch of particle-filter paths in dimension d, all three variants.
 
     ``frame="error"`` simulates the truth-relative particle coordinates
@@ -559,10 +583,10 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
     ``frame="absolute"`` simulates the particles and the signal themselves.
     The signal starts from N(m0, P0), and so does each particle with
     ``init="iid"``; ``init`` may instead be an array of initial clouds,
-    shape (trials, d, N+1).  ``truth_seed`` addresses the
-    signal/observation channels under their own seed, at the chunk index.
-    ``inflation`` (vanilla/deterministic only) puts ``P_hat + xi*T`` in the
-    gain.
+    shape (trials, d, N+1), of which each chunk takes its own rows.
+    ``truth_seed`` addresses the signal/observation channels under their
+    own seed, at the chunk index.  ``inflation`` (vanilla/deterministic
+    only) puts ``P_hat + xi*T`` in the gain.
 
     Returns ``t``, ``cov`` (trials, n_rec, d, d: the sample covariance with
     divisor N), ``mean`` (trials, n_rec, d; the mean error in the error
@@ -595,86 +619,62 @@ def particle_cov_paths_nd(model: LinearGaussianModel, variant, N: int,
     record_indices, rec_pos = _record_positions(K, record_indices)
     n_rec = len(record_indices)
 
-    cov = np.full((trials, n_rec, d, d), np.nan)
-    mean = np.full((trials, n_rec, d), np.nan)
-    error = np.full((trials, n_rec, d), np.nan) if frame == "absolute" else None
-    diverged = np.full(trials, -1, dtype=int)
+    cov = np.full((B, n_rec, d, d), np.nan)
+    mean = np.full((B, n_rec, d), np.nan)
+    error = np.full((B, n_rec, d), np.nan) if frame == "absolute" else None
+    div = np.full(B, -1, dtype=int)
 
-    row = 0
-    for c, B in _chunks(trials, chunk, first_chunk):
-        p_sig = None if variant is Variant.TRANSPORT \
-            else NoiseStream(seed, c, PARTICLE_SIGNAL)
-        p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
-        t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
+    p_sig = None if variant is Variant.TRANSPORT else NoiseStream(seed, c, PARTICLE_SIGNAL)
+    p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
+    t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
+    if isinstance(init, str):
+        X = m0[:, None] + P0_root @ NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
+    else:
+        X = np.array(init[row:row + B], dtype=float)
+    truth = m0[:, None] + P0_root @ t_init.normals((B, d, 1))
+    if frame == "error":
+        X = X - truth
 
-        if isinstance(init, str):
-            X = m0[:, None] + P0_root @ NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
-        else:
-            X = np.array(init[row:row + B], dtype=float)
-        truth = m0[:, None] + P0_root @ t_init.normals((B, d, 1))
+    def stats():
+        X_bar = np.add.reduce(X, 2, keepdims=True) / M
+        dev = X - X_bar
+        return X_bar, dev, dev @ _swap(dev) / N
+
+    def rec(k, X_bar, P_hat):
+        p = rec_pos[k]
+        if p >= 0:
+            cov[:, p] = P_hat
+            mean[:, p] = X_bar[..., 0]
+            if error is not None:
+                error[:, p] = (X_bar - truth)[..., 0]
+
+    def block_terms(dV, dW, dVi, dWi):
+        obs_noise = None if dWi is None else sqrt_R1 @ dWi
         if frame == "error":
-            X = X - truth
+            return sqrt_R1 @ dW, sqrt_R @ ((0.0 if dVi is None else dVi) - dV), None, obs_noise
+        return sqrt_R1 @ dW, None if dVi is None else sqrt_R @ dVi, sqrt_R @ dV, obs_noise
 
-        div = np.full(B, -1, dtype=int)
+    X_bar, dev, P_hat = stats()
+    rec(0, X_bar, P_hat)
+    rows = _step_rows([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (p_sig, (B, d, M)),
+                       (p_obs, (B, d_y, M))], K, dt, block_terms)
+    for k, (obs_k, noise_k, sig_k, obs_noise_k) in enumerate(rows):
+        if frame == "error":
+            dY = obs_k
+        else:
+            dY = H @ truth * dt + obs_k
+            truth = truth + dt * (A @ truth) + sig_k
+        X = _particle_update(X, A @ X, H @ X, dY, 0.0 if noise_k is None else noise_k,
+                             dt, variant, R1_inv, obs_noise_k, R, gain_inflation, dev, P_hat)
 
-        def stats():
-            X_bar = np.add.reduce(X, 2, keepdims=True) / M
-            dev = X - X_bar
-            return X_bar, dev, dev @ _swap(dev) / N
-
-        def rec(k, X_bar, P_hat):
-            p = rec_pos[k]
-            if p >= 0:
-                cov[row:row + B, p] = P_hat
-                mean[row:row + B, p] = X_bar[..., 0]
-                if error is not None:
-                    error[row:row + B, p] = (X_bar - truth)[..., 0]
-
+        # a finite cloud whose second moments overflow counts as diverged
         X_bar, dev, P_hat = stats()
-        rec(0, X_bar, P_hat)
-        blocks = _step_noise([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (p_sig, (B, d, M)),
-                              (p_obs, (B, d_y, M))], K, dt)
-        for k0, (dV, dW, dVi, dWi) in blocks:
-            # the block's state-independent terms
-            obs_noise = None if dWi is None else sqrt_R1 @ dWi
-            obs = sqrt_R1 @ dW
-            if frame == "error":
-                noise = sqrt_R @ ((0.0 if dVi is None else dVi) - dV)
-                sig = None
-            else:
-                noise = None if dVi is None else sqrt_R @ dVi
-                sig = sqrt_R @ dV
-            for k, (obs_k, noise_k, sig_k, obs_noise_k) in enumerate(
-                    _rows([obs, noise, sig, obs_noise]), k0):
-                if frame == "error":
-                    dY = obs_k
-                else:
-                    dY = H @ truth * dt + obs_k
-                    truth = truth + dt * (A @ truth) + sig_k
-                X = _particle_update(X, A @ X, H @ X, dY, 0.0 if noise_k is None else noise_k,
-                                     dt, variant, R1_inv, obs_noise_k, R, gain_inflation,
-                                     dev, P_hat)
+        bad = _nonfinite_trials(P_hat) if error is None else _nonfinite_trials(P_hat, truth)
+        if _freeze(div, bad, k, X, X_bar, dev, P_hat):
+            break
+        rec(k + 1, X_bar, P_hat)
 
-                # a finite cloud whose second moments overflow counts as diverged
-                X_bar, dev, P_hat = stats()
-                bad = _nonfinite_trials(P_hat) if error is None \
-                    else _nonfinite_trials(P_hat, truth)
-                if bad is not None:
-                    div[bad & (div < 0)] = k + 1
-                    if div.min() >= 0:
-                        break  # the rest of the records stays NaN
-                    X[bad] = np.nan
-                    X_bar[bad] = np.nan
-                    dev[bad] = np.nan
-                    P_hat[bad] = np.nan
-                rec(k + 1, X_bar, P_hat)
-            if div.min() >= 0:
-                break
-        diverged[row:row + B] = div
-        row += B
-
-    out = {"t": grid.times()[record_indices], "cov": cov, "mean": mean,
-           "diverged_step": diverged}
+    out = {"t": grid.times()[record_indices], "cov": cov, "mean": mean, "diverged_step": div}
     if error is not None:
         out["error"] = error
     return out

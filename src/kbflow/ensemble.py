@@ -112,22 +112,16 @@ def run_nonlinear(a, h, noise, X0, dY, dt: float, variant, seed: int):
     p_obs = NoiseStream(seed, 0, PARTICLE_OBS) if variant is Variant.VANILLA else None
 
     div = np.full(B, -1, dtype=int)
-    blocks = _engines._step_noise([(p_sig, (B, d, M)), (p_obs, (B, d_y, M))], K, dt)
-    for k0, (dVi, dWi) in blocks:
-        sig = None if dVi is None else sqrt_R @ dVi
-        obs = None if dWi is None else sqrt_R1 @ dWi
-        # the transport variant draws nothing: its one block holds all K steps
-        end = K if sig is None else k0 + len(sig)
-        for i, k in enumerate(range(k0, end)):
-            X = _engines._particle_update(
-                X, a(X), h(X), dY[k, :, :, None], 0.0 if sig is None else sig[i], dt,
-                variant, R1_inv, None if obs is None else obs[i], R)
-            bad = _nonfinite_trials(X)
-            if bad is not None:
-                div[bad & (div < 0)] = k + 1
-                X[bad] = np.nan
-                if div.min() >= 0:
-                    return X, div
+    rows = _engines._step_rows(
+        [(p_sig, (B, d, M)), (p_obs, (B, d_y, M))], K, dt,
+        lambda dVi, dWi: (None if dVi is None else sqrt_R @ dVi,
+                          None if dWi is None else sqrt_R1 @ dWi))
+    for k, (sig_k, obs_k) in enumerate(rows):
+        X = _engines._particle_update(X, a(X), h(X), dY[k, :, :, None],
+                                      0.0 if sig_k is None else sig_k, dt, variant, R1_inv,
+                                      obs_k, R)
+        if _engines._freeze(div, _nonfinite_trials(X), k, X):
+            break
     return X, div
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import NoStabilizingSolution, NotPSD, SingularGramian
-from .sde import _mm, _project_psd_stack, _swap, project_psd
+from .sde import _mm, _project_psd_stack, _swap, _sym, project_psd
 
 #: Relative singular-value threshold for rank decisions.
 RANK_TOL = 1e-10
@@ -456,8 +456,8 @@ def solve_are(model: LinearGaussianModel, max_newton: int = 60):
     twice the previous one), until the closed loop ``A - P S`` is stable,
     then polish with Newton steps (each solves a Lyapunov equation for the
     correction).  The result satisfies the residual bound
-    ``|Ricc(P)|_F <= 1e-8 (1 + |P|_F^2)`` and has a strictly stable closed
-    loop.
+    ``|Ricc(P)|_F <= 1e-8 (1 + |P|_F^2)``, has a strictly stable closed
+    loop and is symmetric bit for bit.
 
     Returns
     -------
@@ -532,7 +532,8 @@ def solve_are(model: LinearGaussianModel, max_newton: int = 60):
             stall = 0
         P, res_norm = P_new, new_norm
 
-    P = project_psd(P)
+    # project_psd's clamp product is symmetric only to rounding
+    P = _sym(project_psd(P))
     res = np.linalg.norm(_ricc(A, S, R, P))
     if res > 1e-8 * (1.0 + float(np.sum(P * P))):
         raise NoStabilizingSolution(f"ARE residual {res:.3e} above tolerance")

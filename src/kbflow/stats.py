@@ -298,9 +298,10 @@ class _Kind:
 
     ``run(spec, model, workers, progress)`` returns ``(per_point, fits,
     figures)``.  ``axis`` is the spec field it runs along (a key of ``_AXES``)
-    or None.  A ``scalar`` kind needs an observed d = d_y = 1 model, one that
-    ``needs_R`` also R > 0, a ``ci`` kind >= 100 trials, and an ``n_list``
-    kind a strictly increasing list of >= 4 N; the others take one N.
+    or None; the other ``_AXES`` fields of its spec stay None.  A ``scalar``
+    kind needs an observed d = d_y = 1 model, one that ``needs_R`` also
+    R > 0, a ``ci`` kind >= 100 trials, and an ``n_list`` kind a strictly
+    increasing list of >= 4 N; the others take one N.
     """
 
     run: object
@@ -452,6 +453,10 @@ class StudySpec:
             _check_initial_covariance(self.options["Q"], model.d, scalar=kind.scalar)
         for key in _OPTION_RANGES.keys() & self.options.keys():
             _check_option_range(key, self.options[key])
+        for axis in _AXES:
+            if axis != kind.axis and getattr(self, axis) is not None:
+                raise ConfigError(f"{self.kind} takes no {axis}, "
+                                  f"got {getattr(self, axis)!r}")
 
     def lg_model(self) -> LinearGaussianModel:
         return LinearGaussianModel.from_dict(self.model)
@@ -511,16 +516,6 @@ class StudySummary:
 # chunked execution
 # ---------------------------------------------------------------------------
 
-def _concat_parts(parts: list[dict]) -> dict:
-    out = {}
-    for key in parts[0]:
-        if key == "t":
-            out[key] = parts[0][key]
-        else:
-            out[key] = np.concatenate([p[key] for p in parts], axis=0)
-    return out
-
-
 def _timed_chunk(engine, kw: dict):
     t0 = time.perf_counter()
     out = engine(**kw)
@@ -536,10 +531,10 @@ def _map_chunks(engine, trials: int, chunk: int, workers: int,
     ``jobs[j]``; its trials are split into chunks of ``chunk``.  With more
     than one worker and more than one chunk, the chunks of all jobs share
     one process pool; otherwise they run in this process.  Returns one
-    result per job, its chunks concatenated in chunk order.  Completed
-    chunk indices are appended to ``progress``.  If a chunk raises or the
-    run is interrupted, the chunks not yet started are cancelled before the
-    error propagates.
+    result per job, its chunks joined in chunk order by the kernels'
+    ``_engines._join``.  Completed chunk indices are appended to
+    ``progress``.  If a chunk raises or the run is interrupted, the chunks
+    not yet started are cancelled before the error propagates.
     """
     tasks = []  # (job, chunk index, engine keywords)
     for j, over in enumerate(jobs):
@@ -571,7 +566,7 @@ def _map_chunks(engine, trials: int, chunk: int, workers: int,
                 # wait only for the chunks already running
                 pool.shutdown(cancel_futures=True)
                 raise
-    return [_concat_parts([p[c] for c in sorted(p)]) for p in parts]
+    return [_engines._join([p[c] for c in sorted(p)]) for p in parts]
 
 
 def default_workers() -> int:
@@ -635,6 +630,12 @@ def _run_bias(spec: StudySpec, model, workers, progress):
         finite = np.all(np.isfinite(vals.reshape(vals.shape[0], -1)), axis=1)
         vals = vals[finite]
         n = vals.shape[0]
+        if n == 0:  # every trial has diverged by t: a recorded outcome
+            nan = float("nan")
+            per_point.append(_core_row(
+                N=N, t=float(t), mean=nan, var=nan, l2=nan, l4=nan, diverged=finite.size,
+                margin=nan, margin_se=nan, ci_ok=False))
+            continue
         mean = vals.mean(axis=0)
         phi = phis[j]
         if d == 1:

@@ -2,11 +2,13 @@
 while a study runs, each reported as one error line and an exit code."""
 import json
 import logging
+import math
 
+import numpy as np
 import pytest
 
 from conftest import random_model, scalar_lg
-from kbflow import ConfigError, LinearGaussianModel, NonFinite, stats
+from kbflow import ConfigError, LinearGaussianModel, NonFinite, ScalarModel, stats
 from kbflow.cli import main
 
 
@@ -82,3 +84,25 @@ def test_verbose_study_logs_layout_and_chunk_times(tmp_path, caplog):
     text = caplog.text
     assert "1 jobs, 3 chunks, in process" in text
     assert all(f"job 0, chunk {c}:" in text for c in range(3))
+
+
+@pytest.mark.parametrize("model", [
+    ScalarModel(A=60.0, R=1.0, S=1.0).to_model(),
+    LinearGaussianModel(np.diag([60.0, 50.0]), np.eye(2), np.eye(2), np.eye(2)),
+], ids=["d1", "d2"])
+def test_bias_study_whose_trials_all_diverge_writes_nan_rows(tmp_path, model):
+    # no trial is finite from t = 5 on: the rows record the divergence
+    # instead of the study ending in a traceback
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(
+        kind="bias", model=model.to_dict(), grid={"dt": 0.1, "steps": 200},
+        master_seed=1, trials=100, N=[1], variant="vanilla",
+        options={"record_every": 50})))
+    assert main(["study", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["per_point"]
+    assert [row["t"] for row in rows] == [0.0, 5.0, 10.0, 15.0, 20.0]
+    assert rows[0]["diverged"] == 0 and math.isfinite(rows[0]["margin"])
+    for row in rows[1:]:
+        assert row["diverged"] == 100 and row["ci_ok"] is False
+        assert all(math.isnan(row[key]) for key in
+                   ("mean", "var", "l2", "l4", "margin", "margin_se"))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_model, random_psd, scalar_lg
+import kbflow
+from conftest import outputs, random_model, random_psd, scalar_lg
 from kbflow import (
     LinearGaussianModel,
     NoStabilizingSolution,
@@ -105,6 +106,16 @@ def test_are_random_models():
         assert spectral_abscissa(closed) < 0
         np.testing.assert_allclose(P, P.T, atol=1e-10)
         assert np.linalg.eigvalsh(P)[0] >= -1e-10 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_solve_are_is_exactly_symmetric(seed):
+    # without signal noise the last Newton iterate of these corpus models has
+    # a negative eigenvalue at rounding level, which the projection clamps
+    m = outputs._model(kbflow, 3, seed, stabilize=1.0)
+    with pytest.warns(UserWarning, match="not controllable"):
+        P = solve_are(LinearGaussianModel(m.A, m.H, np.zeros((3, 3)), m.R1)).P
+    np.testing.assert_array_equal(P, P.T)
 
 
 def test_are_rejects_unobservable():

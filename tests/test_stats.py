@@ -320,6 +320,9 @@ def test_every_study_kind_is_checked_by_its_table_entry(kind):
         rejected(f"^{kind} needs a strictly increasing", N=spec["N"][:3])
     else:
         rejected(rf"^{kind} takes one N, got \(4, 8\)", N=[4, 8])
+    for axis, (allowed, _) in stats._AXES.items():
+        if axis != entry.axis:
+            rejected(f"^{kind} takes no {axis}, got {allowed[0]!r}$", **{axis: allowed[0]})
 
 
 def test_readme_lists_the_study_kinds():
