@@ -61,8 +61,8 @@ import math
 import numpy as np
 
 from .model import LinearGaussianModel, symmetric_sqrt
-from .sde import (NoiseStream, Scheme, TimeGrid, _mm, _nonfinite_trials, _project_psd_stack,
-                  _swap, _sym, _symmetric_sqrt_stack)
+from .sde import (NoiseStream, Scheme, TimeGrid, _mm, _nonfinite_trials, _parse_enum,
+                  _project_psd_stack, _swap, _sym, _symmetric_sqrt_stack)
 
 #: Default number of trials simulated per noise-stream chunk.
 CHUNK_SIZE = 1024
@@ -98,13 +98,7 @@ class Variant(enum.Enum):
 
     @classmethod
     def parse(cls, value) -> "Variant":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            names = ", ".join(v.value for v in cls)
-            raise ValueError(f"unknown variant {value!r}; expected one of: {names}")
+        return _parse_enum(cls, value, "variant")
 
     @property
     def kappa(self) -> float | None:

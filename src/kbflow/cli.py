@@ -26,7 +26,7 @@ from .model import (LinearGaussianModel, ScalarModel, check_controllability,
                     solve_are, spectral_abscissa)
 from .scalar import (Divergent, invariant_density, invariant_moment,
                      lyapunov_bounds, lyapunov_exponent, moment_threshold)
-from .sde import Scheme, TimeGrid
+from .sde import Scheme, TimeGrid, _as_kappa
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,8 +141,10 @@ def _parse_run_config(doc: dict, args) -> dict:
         if cfg["N"] < 1:
             raise ConfigError(f"N must be >= 1, got {cfg['N']}")
     if variant == "law":
-        if cfg.get("kappa") not in (0, 1, 0.0, 1.0):
-            raise ConfigError("law mode requires kappa in {0, 1}")
+        try:
+            _as_kappa("kappa", cfg.get("kappa"))
+        except ValueError:
+            raise ConfigError("law mode requires kappa in {0, 1}") from None
     elif "kappa" in doc:
         raise ConfigError("kappa applies to law mode only")
     if "T" in doc:

@@ -32,8 +32,10 @@ from ._engines import (PARTICLE_INIT, PARTICLE_OBS, PARTICLE_SIGNAL, Variant,
                        _inflated_drift_terms)
 from .errors import BoundNotApplicable
 from .kalman import RiccatiPath, TrajectoryRecord, _kernel_record
-from .model import LinearGaussianModel, _check_covariance, _riccati_nodes, symmetric_sqrt
-from .sde import NoiseStream, TimeGrid, _as_int, _nonfinite_trials, _project_psd_stack, _sym
+from .model import (LinearGaussianModel, _check_covariance, _riccati_nodes, log_norm,
+                    symmetric_sqrt)
+from .sde import (NoiseStream, TimeGrid, _as_int, _as_kappa, _nonfinite_trials,
+                  _project_psd_stack)
 
 
 @dataclass(frozen=True)
@@ -264,9 +266,7 @@ def law_level_run(model: LinearGaussianModel, kappa: float, Q, x0, grid: TimeGri
         Seed of the co-simulated signal/observation channels (defaults to
         the integer ``streams`` seed; one of the two must be given).
     """
-    if kappa not in (0, 1, 0.0, 1.0):
-        raise ValueError(f"kappa must be 0 or 1, got {kappa}")
-    kappa = float(kappa)
+    kappa = _as_kappa("kappa", kappa)
     N = _as_int("N", N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -363,7 +363,7 @@ def stochastic_semigroup(model: LinearGaussianModel, path, s: float, t: float) -
     for step in phi:
         E = step @ E
 
-    mu = np.linalg.eigvalsh(_sym(np.concatenate([G, Gm])))[:, -1]
+    mu = log_norm(np.concatenate([G, Gm]))
     mu_nodes, mu_mid = mu[:len(G)], mu[len(G):]
     mu_int = np.sum((h / 6.0) * (mu_nodes[:-1] + 4.0 * mu_mid + mu_nodes[1:]))
     tr_int = np.sum(h * (np.trace(A) - 0.5 * np.trace((P[:-1] + P[1:]) @ S, axis1=1, axis2=2)))
@@ -384,15 +384,14 @@ def liouville_bound(model: LinearGaussianModel, n: int, N: int, kappa: float) ->
     """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
-    if kappa not in (0, 1, 0.0, 1.0):
-        raise ValueError(f"kappa must be 0 or 1, got {kappa}")
+    kappa = _as_kappa("kappa", kappa)
     frac = (2 * n + model.d + 1) / N
     if frac >= 1.0:
         raise BoundNotApplicable(
             f"requires N > 2n+d+1 = {2 * n + model.d + 1}, got N={N}"
         )
     R_n = model.R * (1.0 - frac)
-    S_n = model.S * (1.0 - float(kappa) * frac)
+    S_n = model.S * (1.0 - kappa * frac)
     return float(math.sqrt(np.trace(R_n @ S_n)))
 
 
@@ -408,9 +407,7 @@ def inflated_riccati_flow(model: LinearGaussianModel, kappa: float, Q,
     T S T``, stepped by the exact propagator of
     :func:`~kbflow.kalman.riccati_flow`.
     """
-    if kappa not in (0, 1, 0.0, 1.0):
-        raise ValueError(f"kappa must be 0 or 1, got {kappa}")
-    A_mod, source = _inflated_drift_terms(model, float(kappa), inflation)
+    A_mod, source = _inflated_drift_terms(model, _as_kappa("kappa", kappa), inflation)
     Q = _check_covariance(Q, model.d)
     return RiccatiPath(grid.times(), _riccati_nodes(A_mod, model.S, model.R + source, Q,
                                                     grid.dt, grid.steps))

@@ -20,8 +20,8 @@ from . import _engines
 from ._engines import TRUTH_INIT, TRUTH_OBS, TRUTH_SIGNAL
 from .errors import NonFinite
 from .model import (LinearGaussianModel, _check_covariance, _hamiltonian_propagator,
-                    _mobius_spans, _ricc, _riccati_nodes, gramians, solve_are,
-                    symmetric_sqrt)
+                    _mobius_spans, _ricc, _riccati_nodes, gramians, log_norm,
+                    solve_are, symmetric_sqrt)
 from .sde import NoiseStream, TimeGrid, _as_int
 
 
@@ -113,7 +113,7 @@ def _kernel_record(model, grid, mean, cov, error, **fields) -> TrajectoryRecord:
     k = len(times) if ok.all() else int(np.argmin(ok))
     closed = closed[:k]
     mu = np.full(len(times), np.nan)
-    mu[:k] = np.linalg.eigvalsh(0.5 * (closed + np.swapaxes(closed, 1, 2)))[:, -1]
+    mu[:k] = log_norm(closed)
     for rows in (mean, cov, error):
         rows[k:] = np.nan
     return TrajectoryRecord(t=times, mean=mean, cov=cov, error=error, mu_closed_loop=mu,

@@ -10,12 +10,14 @@ definite) sensor noise covariance.  Everything downstream — exact filters,
 ensemble filters, Riccati flows — consumes this object.  The module also
 provides the structural checks (controllability/observability), the
 observability/controllability Gramians over a window, the algebraic Riccati
-fixed point, and small spectral utilities.
+fixed point, and small spectral utilities.  The matrix maps have one
+implementation each: :func:`symmetric_sqrt` is the stack square root of
+:mod:`kbflow.sde` applied to one matrix, and :func:`log_norm` takes one
+matrix or a stack.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import NoStabilizingSolution, NotPSD, SingularGramian
-from .sde import _mm, _project_psd_stack, _swap, _sym, project_psd
+from .sde import _mm, _project_psd_stack, _swap, _sym, _symmetric_sqrt_stack, project_psd
 
 #: Relative singular-value threshold for rank decisions.
 RANK_TOL = 1e-10
@@ -286,16 +288,11 @@ def _gramians_at(model: LinearGaussianModel, tau: float, n: int):
     O_tau = _simpson(g_obs, h)
     C_tau = _simpson(g_con, h)
 
-    # cumulative values at even nodes: O_{s_{2k}}, C_{s_{2k}}
+    # cumulative values at even nodes, O_{s_{2k}} and C_{s_{2k}}: panel sums
     m = n // 2
-    O_cum = np.empty((m + 1,) + O_tau.shape)
-    C_cum = np.empty_like(O_cum)
-    O_cum[0] = 0.0
-    C_cum[0] = 0.0
-    for k in range(1, m + 1):
-        i = 2 * k
-        O_cum[k] = O_cum[k - 1] + (h / 3.0) * (g_obs[i - 2] + 4.0 * g_obs[i - 1] + g_obs[i])
-        C_cum[k] = C_cum[k - 1] + (h / 3.0) * (g_con[i - 2] + 4.0 * g_con[i - 1] + g_con[i])
+    zero = np.zeros((1,) + O_tau.shape)
+    O_cum, C_cum = (np.cumsum(np.concatenate([zero, (h / 3.0) * (
+        g[:-2:2] + 4.0 * g[1::2] + g[2::2])]), axis=0) for g in (g_obs, g_con))
 
     # outer integrands on the even-node grid (step 2h); the propagators at
     # tau - s_{2k} are the already-computed node values at index n - 2k.
@@ -552,14 +549,23 @@ def spectral_abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def log_norm(M) -> float:
+def log_norm(M) -> float | np.ndarray:
     """Logarithmic norm: largest eigenvalue of the symmetric part of M.
 
     Always at least the spectral abscissa; governs the growth bound
-    ``|e^{Mt}| <= e^{mu(M) t}``.
+    ``|e^{Mt}| <= e^{mu(M) t}``.  A float for one matrix, an array of one
+    value per matrix for a (B, d, d) stack.
     """
     M = np.asarray(M, dtype=float)
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+    mu = np.linalg.eigvalsh(_sym(M))[..., -1]
+    return float(mu) if M.ndim == 2 else mu
+
+
+def _check_clamp(w, name: str) -> None:
+    """NotPSD unless the ascending eigenvalues ``w`` are >= -1e-10 max |w|."""
+    clamp_tol = 1e-10 * max(abs(w[0]), abs(w[-1]))
+    if w[0] < -clamp_tol:
+        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e} below -{clamp_tol:.3e}")
 
 
 def symmetric_sqrt(Q) -> np.ndarray:
@@ -575,11 +581,8 @@ def symmetric_sqrt(Q) -> np.ndarray:
     """
     Q = _check_symmetric(Q, "Q", tol=1e-10)
     w, V = np.linalg.eigh(Q)
-    clamp_tol = 1e-10 * max(abs(w[0]), abs(w[-1]))
-    if w[0] < -clamp_tol:
-        raise NotPSD(f"matrix has eigenvalue {w[0]:.3e} below -{clamp_tol:.3e}")
-    w = np.sqrt(np.maximum(w, 0.0))
-    return (V * w) @ V.T
+    _check_clamp(w, "matrix")
+    return _symmetric_sqrt_stack(Q[None], eig=(w[None], V[None], np.ones(1, bool)))[0]
 
 
 def _check_covariance(Q, d: int, name: str = "Q") -> np.ndarray:
@@ -602,10 +605,7 @@ def _check_covariance(Q, d: int, name: str = "Q") -> np.ndarray:
     Q = Q.reshape(d, d)
     if not np.isfinite(Q).all():
         raise NotPSD(f"{name} has non-finite entries")
-    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    clamp_tol = 1e-10 * max(abs(w[0]), abs(w[-1]))
-    if w[0] < -clamp_tol:
-        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e} below -{clamp_tol:.3e}")
+    _check_clamp(np.linalg.eigvalsh(0.5 * (Q + Q.T)), name)
     return project_psd(Q)
 
 
@@ -614,7 +614,6 @@ def _bottleneck_match(D: np.ndarray) -> float:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    n = D.shape[0]
     values = np.unique(D)
     lo, hi = 0, len(values) - 1
     while lo < hi:
@@ -632,8 +631,9 @@ def spectral_matching_distance(M1, M2) -> float:
     """Optimal matching distance between the spectra of two square matrices.
 
     Minimizes, over pairings of the two eigenvalue multisets, the largest
-    pairwise distance ``|lambda_i - mu_{perm(i)}|``.  Exhaustive over
-    permutations for d <= 8; a bottleneck assignment search otherwise.
+    pairwise distance ``|lambda_i - mu_{perm(i)}|``: the bottleneck
+    assignment value, found by a binary search over the distinct pairwise
+    distances with a bipartite matching test at each.
     """
     M1 = np.asarray(M1, dtype=float)
     M2 = np.asarray(M2, dtype=float)
@@ -641,13 +641,4 @@ def spectral_matching_distance(M1, M2) -> float:
         raise ValueError("spectral_matching_distance requires two square matrices of equal size")
     lam = np.linalg.eigvals(M1)
     mu = np.linalg.eigvals(M2)
-    D = np.abs(lam[:, None] - mu[None, :])
-    n = D.shape[0]
-    if n <= 8:
-        best = math.inf
-        for perm in itertools.permutations(range(n)):
-            worst = max(D[i, perm[i]] for i in range(n))
-            if worst < best:
-                best = worst
-        return float(best)
-    return _bottleneck_match(D)
+    return _bottleneck_match(np.abs(lam[:, None] - mu[None, :]))

@@ -10,7 +10,9 @@ solution, and the sample-covariance diffusion
 is reversible with an explicit invariant density on (0, inf).  This module
 evaluates those densities (in log space), their moments and
 moment-existence thresholds, the first-order CLT variance oracle, Lyapunov
-exponents with their finite-N bounds, and the exact contraction rate.
+exponents with their finite-N bounds, and the exact contraction rate.  The
+normalization and every moment of a density integrate one integrand,
+``x^n`` times the density in ``u = log x`` (``n = 0`` for the mass).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import KBFlowError
 from .model import ScalarModel
+from .sde import _as_kappa
 
 #: Returned by invariant_moment when the moment does not exist.
 Divergent = math.inf
@@ -122,7 +125,9 @@ class InvariantDensity:
     with Gaussian tails.  Evaluation is in log space; the normalization is
     computed once by adaptive quadrature on a window whose truncated mass
     is below 1e-10 (kappa=0) or whose analytic tail estimate is below 1e-8
-    (kappa=1).
+    (kappa=1).  Moments integrate the same integrand times ``x^n`` on that
+    window, extended at kappa=1 until the tail estimate of ``x^n`` is
+    negligible.
 
     Use :func:`invariant_density` to obtain cached instances.
     """
@@ -130,12 +135,11 @@ class InvariantDensity:
     def __init__(self, m: ScalarModel, kappa: float, N: int):
         from scipy import integrate
 
-        if kappa not in (0, 1, 0.0, 1.0):
-            raise ValueError(f"kappa must be 0 or 1, got {kappa}")
+        kappa = _as_kappa("kappa", kappa)
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
         self.m = m
-        self.kappa = float(kappa)
+        self.kappa = kappa
         self.N = int(N)
         self.support = (0.0, math.inf)
         self._center = self._peak_location()
@@ -173,9 +177,10 @@ class InvariantDensity:
                     + (0.5 * N) * (log_x - log_q) - log_x - log_q
             return (0.5 * N - 1.0) * log_x - (S * N / (4.0 * R)) * (x - 2.0 * A / S) ** 2
 
-    def _mass_integrand(self, u):
+    def _mass_integrand(self, u, n=0):
+        """``x^n`` times the unnormalized density in ``u = log x``, times ``e^{-shift}``."""
         x = np.exp(u)
-        return np.exp(self._log_unnorm(x) + u - self._shift)
+        return np.exp(self._log_unnorm(x) + (n + 1) * u - self._shift)
 
     def _peak_location(self) -> float:
         """Interior stationary point of the log-density (or a fallback
@@ -223,13 +228,8 @@ class InvariantDensity:
         return float(out[0]) if scalar else out
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.zeros(xv.shape)
-        pos = xv > 0
-        out[pos] = np.exp(self._log_unnorm(xv[pos]) - self._log_norm)
-        return float(out[0]) if scalar else out
+        out = np.exp(self.log_pdf(x))
+        return out if out.shape else float(out)
 
     def dlog_pdf(self, x):
         """d/dx log density (analytic), for Fokker-Planck flux checks."""
@@ -242,14 +242,16 @@ class InvariantDensity:
                 - 1.0 / x - 2.0 * S * x / q
         return (0.5 * N - 1.0) / x - (S * N / (2.0 * R)) * (x - 2.0 * A / S)
 
+    def _log_tail_const(self) -> float:
+        """Log of c in the unnormalized kappa=1 tail ``c x^{-(N/2+3)}``."""
+        A, R, S = self.m.A, self.m.R, self.m.S
+        return self.N * A * math.pi / (2.0 * math.sqrt(R * S)) \
+            - (0.5 * self.N + 1.0) * math.log(S)
+
     def _tail_mass(self, x0: float) -> float:
         """Analytic power-law estimate of the mass beyond x0 (kappa=1)."""
-        A, R, S = self.m.A, self.m.R, self.m.S
-        N = self.N
-        log_c = N * A * math.pi / (2.0 * math.sqrt(R * S)) \
-            - (0.5 * N + 1.0) * math.log(S) - self._log_norm
-        p = 0.5 * N + 2.0
-        return math.exp(log_c - p * math.log(x0)) / p
+        p = 0.5 * self.N + 2.0
+        return math.exp(self._log_tail_const() - self._log_norm - p * math.log(x0)) / p
 
     def _build_cdf_table(self):
         u = np.linspace(self._u_lo, self._u_hi, 4001)
@@ -294,37 +296,27 @@ class InvariantDensity:
         from scipy import integrate
 
         u_mode = math.log(self._center)
-
-        def integrand(u):
-            x = np.exp(u)
-            return np.exp(self._log_unnorm(x) + (n + 1) * u - self._shift)
-
         u_hi = self._u_hi
-        if self.kappa == 1.0:
-            # extend the window until the analytic tail of x^n is negligible
-            p = 0.5 * self.N + 2.0 - n
-            while True:
-                val, _ = integrate.quad(integrand, self._u_lo, u_hi,
-                                        points=[u_mode], **_QUAD_KW)
-                A, R, S = self.m.A, self.m.R, self.m.S
-                log_c = self.N * A * math.pi / (2.0 * math.sqrt(R * S)) \
-                    - (0.5 * self.N + 1.0) * math.log(S)
-                # compare in log space (the unnormalized constant can exceed
-                # the float range); val carries a factor e^{-shift}
-                log_tail = log_c - p * u_hi - math.log(p) - self._shift
-                if log_tail < math.log(val) - 9.0 * math.log(10.0):
-                    break
-                u_hi += 2.0
-        else:
-            val, _ = integrate.quad(integrand, self._u_lo, u_hi,
+        p = 0.5 * self.N + 2.0 - n
+        while True:
+            val, _ = integrate.quad(self._mass_integrand, self._u_lo, u_hi, args=(n,),
                                     points=[u_mode], **_QUAD_KW)
+            if self.kappa == 0.0:
+                break
+            # kappa=1: extend the window until the analytic tail of x^n is
+            # negligible, compared in log space (the unnormalized constant
+            # can exceed the float range); val carries a factor e^{-shift}
+            log_tail = self._log_tail_const() - p * u_hi - math.log(p) - self._shift
+            if log_tail < math.log(val) - 9.0 * math.log(10.0):
+                break
+            u_hi += 2.0
         return float(val * math.exp(self._shift - self._log_norm))
 
 
 @functools.lru_cache(maxsize=64)
 def invariant_density(m: ScalarModel, kappa: float, N: int) -> InvariantDensity:
     """Cached invariant density for the scalar covariance diffusion."""
-    return InvariantDensity(m, float(kappa), int(N))
+    return InvariantDensity(m, _as_kappa("kappa", kappa), int(N))
 
 
 def invariant_moment(m: ScalarModel, kappa: float, N: int, n: int) -> float:
@@ -398,10 +390,9 @@ def lyapunov_bounds(m: ScalarModel, N: int, kappa: float = 0.0) -> tuple[float, 
     """
     if N <= 4:
         raise ValueError(f"bounds require N > 4, got N={N}")
-    if kappa not in (0, 1, 0.0, 1.0):
-        raise ValueError(f"kappa must be 0 or 1, got {kappa}")
+    kappa = _as_kappa("kappa", kappa)
     lo = -math.sqrt(m.A * m.A + m.R * m.S)
-    if float(kappa) == 0.0:
+    if kappa == 0.0:
         hi = -math.sqrt(m.A * m.A + m.R * m.S * (1.0 - 4.0 / N))
     else:
         r = 4.0 / N

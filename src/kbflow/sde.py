@@ -10,9 +10,11 @@ This module owns the plumbing shared by every simulator in the package:
   reproducible.
 * :class:`Scheme` — the time-stepping schemes of the law-level kernels in
   :mod:`kbflow._engines` (Euler-Maruyama and tamed Euler).
-* :func:`project_psd` — symmetrize-and-clamp projection used after every
-  covariance update, and its batched form :func:`_project_psd_stack` (with
-  :func:`_symmetric_sqrt_stack`) for (B, d, d) stacks.
+* :func:`_spectral_map` — the one symmetrize-and-map-the-spectrum
+  arithmetic behind the PSD projection :func:`_project_psd_stack` and the
+  square root :func:`_symmetric_sqrt_stack` of (B, d, d) stacks;
+  :func:`project_psd` and :func:`kbflow.model.symmetric_sqrt` are these maps
+  of a stack of one matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +41,26 @@ def _as_int(name: str, value) -> int:
             isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_kappa(name: str, value) -> float:
+    """``value`` as the noise intensity ``kappa``, 0 or 1, as a ``float``; a
+    bool, a non-number or another value is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value}")
+    return float(value)
+
+
+def _parse_enum(cls, value, what: str):
+    """The member of enum ``cls`` that is ``value`` or has its string as
+    value; another value is a ValueError listing the members."""
+    if isinstance(value, cls):
+        return value
+    try:
+        return cls(str(value))
+    except ValueError:
+        names = ", ".join(v.value for v in cls)
+        raise ValueError(f"unknown {what} {value!r}; expected one of: {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +189,7 @@ class Scheme(enum.Enum):
 
     @classmethod
     def parse(cls, value) -> "Scheme":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            names = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown scheme {value!r}; expected one of: {names}")
+        return _parse_enum(cls, value, "scheme")
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +197,20 @@ class Scheme(enum.Enum):
 # ---------------------------------------------------------------------------
 
 def project_psd(M: np.ndarray) -> np.ndarray:
-    """Symmetrize ``M`` and clamp its negative eigenvalues up to zero.
+    """Symmetrize ``M`` and clamp its negative eigenvalues up to zero: the
+    stack projection :func:`_project_psd_stack` of the one matrix.
 
     The projection is total: callers that need a hard failure on a
-    negative eigenvalue check the input first.  The output satisfies
-    ``||out - sym(M)||_F <= |most negative eigenvalue|·sqrt(d)``.
+    negative eigenvalue check the input first, and a non-finite ``M``
+    comes out NaN.  The output satisfies ``||out - sym(M)||_F <= |most
+    negative eigenvalue|·sqrt(d)``.
     """
-    M = np.asarray(M, dtype=float)
-    sym = 0.5 * (M + M.T)
-    if sym.shape == (1, 1):
-        return np.array([[max(sym[0, 0], 0.0)]])
-    w, V = np.linalg.eigh(sym)
-    if w[0] >= 0.0:
-        return sym
-    w = np.maximum(w, 0.0)
-    return (V * w) @ V.T
+    return _project_psd_stack(np.asarray(M, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------
-# symmetric matrix stacks (the arithmetic of project_psd / symmetric_sqrt)
+# symmetric matrix stacks (the arithmetic of project_psd / symmetric_sqrt /
+# log_norm)
 # ---------------------------------------------------------------------------
 
 def _swap(M):
@@ -239,11 +250,10 @@ def _nonfinite_trials(*stacks):
 
 def _spectral_map(M, fn, keep_psd: bool, eig=None):
     """Symmetrize each matrix of a (B, d, d) stack and map its spectrum by
-    ``fn``, as :func:`project_psd` (``keep_psd``: a matrix with no negative
-    eigenvalue is returned symmetrized, unchanged) and
-    :func:`kbflow.model.symmetric_sqrt` do for one matrix (at d = 1 the map
-    of the single entry is the same number).  Non-finite (frozen) matrices
-    come out NaN instead of tripping eigh.
+    ``fn``: the PSD projection (``keep_psd``: a matrix with no negative
+    eigenvalue is returned symmetrized, unchanged) and the square root (at
+    d = 1 the map of the single entry).  Non-finite (frozen) matrices come
+    out NaN instead of tripping eigh.
 
     Returns ``(out, eig)``.  For ``keep_psd`` maps ``eig = (w, V, kept)``:
     the ``eigh`` of each symmetrized matrix, and which finite matrices came

@@ -35,7 +35,8 @@ from . import _engines, io
 from .ensemble import Inflation, inflated_riccati_flow
 from .errors import ConfigError, NotPSD
 from .kalman import riccati_flow
-from .model import LinearGaussianModel, ScalarModel, _check_covariance, solve_are
+from .model import (LinearGaussianModel, ScalarModel, _check_covariance, _check_symmetric,
+                    solve_are)
 from .scalar import (clt_variance_oracle, contraction_rate, equilibria,
                      invariant_density, lyapunov_bounds, lyapunov_exponent,
                      moment_threshold, riccati_closed_form)
@@ -346,11 +347,9 @@ def _check_initial_covariance(Q, d: int, scalar: bool) -> None:
     Q = Q.reshape(d, d)
     try:
         _check_covariance(Q, d, "options.Q")
-    except NotPSD as exc:
+        _check_symmetric(Q, "options.Q")
+    except (NotPSD, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    scale = max(1.0, float(np.abs(Q).max()))
-    if np.abs(Q - Q.T).max() > 1e-12 * scale:
-        raise ConfigError("options.Q is not symmetric")
 
 
 def _integer(key: str, value) -> int:
@@ -439,7 +438,7 @@ class StudySpec:
         if kind.axis is not None:
             allowed, what = _AXES[kind.axis]
             value = getattr(self, kind.axis)
-            if value not in allowed:
+            if isinstance(value, bool) or value not in allowed:
                 raise ConfigError(f"{self.kind} requires {what}, got {value!r}")
         if self.chunk < 1:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
@@ -636,28 +635,34 @@ def _run_bias(spec: StudySpec, model, workers, progress):
                 N=N, t=float(t), mean=nan, var=nan, l2=nan, l4=nan, diverged=finite.size,
                 margin=nan, margin_se=nan, ci_ok=False))
             continue
-        mean = vals.mean(axis=0)
-        phi = phis[j]
-        if d == 1:
-            proj = vals[:, 0, 0]
-            target = float(phi[0, 0])
-            mean_rep = float(mean[0, 0])
-        else:
-            w, V = np.linalg.eigh(phi - mean)
-            u = V[:, 0]
-            proj = np.einsum("i,nij,j->n", u, vals, u)
-            target = float(u @ phi @ u)
-            mean_rep = mean.tolist()
-        se = float(np.std(proj, ddof=1)) / math.sqrt(n)
-        margin = float(np.mean(proj)) - target
-        dev = vals - phi
-        fro = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
-        per_point.append(_core_row(
-            N=N, t=float(t), mean=mean_rep, var=float(np.var(proj, ddof=1)),
-            l2=float(np.sqrt(np.mean(fro ** 2))),
-            l4=float(np.mean(fro ** 4) ** 0.25),
-            diverged=int(np.sum(~finite)),
-            margin=margin, margin_se=se, ci_ok=bool(margin <= z * se)))
+        # surviving trials near overflow give inf statistics, recorded as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = vals.mean(axis=0)
+            phi = phis[j]
+            if d == 1:
+                proj = vals[:, 0, 0]
+                target = float(phi[0, 0])
+                mean_rep = float(mean[0, 0])
+            else:
+                w, V = np.linalg.eigh(phi - mean)
+                u = V[:, 0]
+                proj = np.einsum("i,nij,j->n", u, vals, u)
+                target = float(u @ phi @ u)
+                mean_rep = mean.tolist()
+            if n > 1:
+                var = float(np.var(proj, ddof=1))
+                se = float(np.std(proj, ddof=1)) / math.sqrt(n)
+            else:  # one survivor has no spread
+                var = se = math.nan
+            margin = float(np.mean(proj)) - target
+            dev = vals - phi
+            fro = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
+            per_point.append(_core_row(
+                N=N, t=float(t), mean=mean_rep, var=var,
+                l2=float(np.sqrt(np.mean(fro ** 2))),
+                l4=float(np.mean(fro ** 4) ** 0.25),
+                diverged=int(np.sum(~finite)),
+                margin=margin, margin_se=se, ci_ok=bool(margin <= z * se)))
     return per_point, {}, {}
 
 

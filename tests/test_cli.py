@@ -157,6 +157,7 @@ def test_run_config_validation(tmp_path, capsys):
         {"model": str(model_path), "variant": "vanilla", "N": 8.7, "grid": grid},
         {"model": str(model_path), "variant": "vanilla", "N": True, "grid": grid},
         {"model": str(model_path), "variant": "law", "kappa": 1, "N": "8", "grid": grid},
+        {"model": str(model_path), "variant": "law", "kappa": True, "N": 8, "grid": grid},
     ]
     for doc in bad_configs:
         cfg_path = _write_json(tmp_path, doc, "bad.json")

@@ -37,7 +37,8 @@ def test_variant_parsing_and_kappa():
     assert Variant.parse("vanilla").kappa == 1
     assert Variant.parse("deterministic").kappa == 0
     assert Variant.parse("transport").kappa is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown variant 'bogus'; expected one of: "
+                                         "vanilla, deterministic, transport$"):
         Variant.parse("bogus")
 
 
@@ -151,8 +152,10 @@ def test_law_level_large_n_tracks_deterministic_flow():
 def test_law_level_validates_kappa():
     m = scalar_lg()
     grid = TimeGrid(0.0, 1e-2, 10)
-    with pytest.raises(ValueError):
-        law_level_run(m, kappa=0.5, Q=[[1.0]], x0=[0.0], grid=grid, N=10, truth_seed=0)
+    for kappa in (0.5, True):
+        with pytest.raises(ValueError, match="^kappa must be 0 or 1"):
+            law_level_run(m, kappa=kappa, Q=[[1.0]], x0=[0.0], grid=grid, N=10,
+                          truth_seed=0)
     # a bool or a non-integral count or seed is refused, naming the argument
     for key, value in [("N", 4.5), ("N", True), ("truth_seed", 1.7), ("truth_seed", True)]:
         kw = {"N": 10, "truth_seed": 0, key: value}
@@ -311,6 +314,9 @@ def test_liouville_bound_values():
         liouville_bound(m, n=1, N=4, kappa=0)  # boundary N = 2n+d+1
     with pytest.raises(ValueError):
         liouville_bound(m, n=0, N=8, kappa=0)
+    for kappa in (True, 0.5, "1"):
+        with pytest.raises(ValueError, match="^kappa must be 0 or 1"):
+            liouville_bound(m, n=1, N=8, kappa=kappa)
 
 
 def test_run_nonlinear_linear_specialization_is_bitwise():
@@ -434,6 +440,9 @@ def test_inflated_flow_ordering_scalar():
     for b, u, d_ in zip(base, up, down):
         assert u.P[0, 0] >= b.P[0, 0] - 1e-8
         assert d_.P[0, 0] <= b.P[0, 0] + 1e-8
+    for kappa in (True, 0.5):
+        with pytest.raises(ValueError, match="^kappa must be 0 or 1"):
+            inflated_riccati_flow(m, kappa, [[0.2]], grid, infl)
 
 
 def test_inflated_run_with_reference_matrix():

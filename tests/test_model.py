@@ -1,4 +1,5 @@
 """Model container, Gramians, ARE solver, and matrix utilities."""
+import itertools
 import math
 
 import numpy as np
@@ -162,6 +163,14 @@ def test_spectral_abscissa_and_log_norm():
     assert log_norm(shear) == pytest.approx(0.5)
 
 
+def test_log_norm_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        stack = rng.normal(size=(6, d, d))
+        np.testing.assert_array_equal(log_norm(stack), [log_norm(M) for M in stack])
+        assert type(log_norm(stack[0])) is float
+
+
 def test_log_norm_dominates_abscissa():
     rng = np.random.default_rng(42)
     for _ in range(1000):
@@ -192,6 +201,18 @@ def test_spectral_matching_distance():
                                       np.diag([2.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
     assert spectral_matching_distance(np.diag([0.0, 0.0]),
                                       np.diag([1.0, 3.0])) == pytest.approx(3.0)
+
+
+def test_spectral_matching_distance_is_the_minimax_assignment():
+    # brute force over every pairing of the two spectra, d = 1..9
+    rng = np.random.default_rng(17)
+    for d in range(1, 10):
+        perms = np.array(list(itertools.permutations(range(d))), dtype=np.int8)
+        for _ in range(3):
+            X, Y = rng.normal(size=(2, d, d))
+            D = np.abs(np.linalg.eigvals(X)[:, None] - np.linalg.eigvals(Y)[None, :])
+            best = D[np.arange(d), perms].max(axis=1).min()
+            assert spectral_matching_distance(X, Y) == best
 
 
 def test_spectral_matching_distance_is_a_metric_on_samples():

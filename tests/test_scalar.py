@@ -175,8 +175,12 @@ def test_cdf_monotone_and_consistent():
 
 
 def test_invariant_density_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        invariant_density(M1, 0.5, 6)
+    # a cache hit skips the check: no other test caches this model's densities
+    m = ScalarModel(A=3.0, R=1.0, S=1.0)
+    for kappa in (0.5, True, "1"):
+        for make in (InvariantDensity, invariant_density):
+            with pytest.raises(ValueError, match="^kappa must be 0 or 1"):
+                make(m, kappa, 5)
     with pytest.raises(ValueError):
         invariant_density(M1, 1.0, 0)
     # a quadrature window that leaves too much tail mass is a typed failure
@@ -293,5 +297,6 @@ def test_lyapunov_bounds_contain_exponent():
     assert hi == pytest.approx(-math.sqrt(400.0 + 1.0 / 3.0), rel=1e-12)
     with pytest.raises(ValueError):
         lyapunov_bounds(M20, 4)
-    with pytest.raises(ValueError):
-        lyapunov_bounds(M20, 8, kappa=0.5)
+    for kappa in (0.5, True):
+        with pytest.raises(ValueError, match="^kappa must be 0 or 1"):
+            lyapunov_bounds(M20, 8, kappa=kappa)

@@ -78,7 +78,8 @@ def test_leading_axis_draws_equal_successive_draws(seed, trial, shape, steps, dt
 def test_scheme_parse():
     assert Scheme.parse("tamed_euler") is Scheme.TAMED_EULER
     assert Scheme.parse(Scheme.EULER_MARUYAMA) is Scheme.EULER_MARUYAMA
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown scheme 'heun'; expected one of: "
+                                         "euler_maruyama, tamed_euler$"):
         Scheme.parse("heun")
 
 
@@ -87,6 +88,7 @@ def test_project_psd():
     np.testing.assert_allclose(project_psd(P), P, atol=1e-12)
     np.testing.assert_allclose(project_psd(np.diag([1.0, -1e-14])),
                                np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_array_equal(project_psd([[-2.0]]), [[0.0]])
     rng = np.random.default_rng(3)
     for _ in range(20):
         M = rng.normal(size=(4, 4))

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import time
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -275,8 +276,13 @@ def test_study_spec_validation():
     with pytest.raises(ConfigError):
         StudySpec(**_spec_payload(kind="fluctuation_rate", variant=None,
                                   kappa=1, N=(8, 8, 16, 32), options={}))
-    with pytest.raises(ConfigError):
-        StudySpec(**_spec_payload(kind="clt_variance", kappa=0.5, options={}))
+    with pytest.raises(ConfigError, match="^options.Q is not symmetric$"):
+        StudySpec(**_spec_payload(model=random_model(2, seed=3).to_dict(),
+                                  options={"Q": [[1.0, 0.1], [0.0, 1.0]]}))
+    for kappa in (0.5, True):
+        with pytest.raises(ConfigError, match="clt_variance requires kappa in"):
+            StudySpec(**_spec_payload(kind="clt_variance", variant=None, kappa=kappa,
+                                      options={}))
     with pytest.raises(ConfigError):
         StudySpec(**_spec_payload(grid={"dt": 0.02, "steps": 50, "horizon": 1.0}))
     with pytest.raises(ConfigError):
@@ -441,6 +447,22 @@ def test_bias_study_rows(confidence):
     # sample covariance under-biases the flow on average: margins <= 0
     # within noise at this scale
     assert s.per_point[-1]["margin"] < 3 * s.per_point[-1]["margin_se"]
+
+
+def test_bias_study_of_diverging_trials_is_quiet():
+    # one particle on an unstable model: trials diverge until one survives;
+    # overflowing statistics are recorded as inf, a lone survivor's spread
+    # as NaN, and neither warns
+    spec = StudySpec(**_spec_payload(
+        model=scalar_lg(A=8.0).to_dict(), grid={"dt": 0.1, "steps": 200}, master_seed=1,
+        trials=100, N=(1,), chunk=1024, options={"record_every": 10}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = run_study(spec, workers=1)
+    lone = [r for r in s.per_point if r["diverged"] == 99]
+    assert lone and all(math.isnan(r["var"]) and math.isnan(r["margin_se"])
+                        and math.isfinite(r["mean"]) for r in lone)
+    assert any(math.isinf(r["var"]) for r in s.per_point)
 
 
 def test_one_sided_ci_rule_calibration():

@@ -20,9 +20,15 @@ seeded corpus to one ``.npz``:
   trees without ``run_nonlinear``, whose corpora list these as missing);
 * the Riccati flows (nominal at d = 1, 2, 3 and inflated at both kappa),
   ``semigroup_E`` and ``solve_are``;
+* the matrix and density primitives: ``gramians`` and the
+  ``check_riccati_sandwich`` margins (d = 1-4), ``spectral_matching_distance``
+  (d = 1-9), ``project_psd`` and ``symmetric_sqrt`` on PSD, indefinite and
+  rank-one matrices (d = 1-4), ``log_norm`` of each matrix of a stack, the
+  ``InvariantDensity`` evaluations at both kappa and ``clt_variance_oracle``;
 * ``kbflow run`` for the exact filter, a particle system and the law level;
 * the files of all eight study kinds, at small sizes, and of the bias
-  study also at confidence 0.9 and 0.95.
+  study also at confidence 0.9 and 0.95 and with trials diverging until
+  one survives.
 
 Flows and runs are read through node access (``[s.P for s in flow]``,
 ``[s.X for s in run]``), so the script runs unchanged on source trees whose
@@ -213,6 +219,44 @@ def theory(kb, c: Corpus) -> None:
             c.put(f"flow/solve_are/{i}_d{m.d}", kb.solve_are(m).P)
 
 
+def primitives(kb, c: Corpus) -> None:
+    rng = np.random.default_rng(50)
+    for d in (1, 2, 3, 4):
+        m = _model(kb, d, 60 + d, stabilize=0.5)
+        g = kb.gramians(m, 0.5)
+        c.put(f"primitive/gramians/d{d}", {k: getattr(g, k) for k in
+                                            ("O_tau", "C_tau", "C_tau_of_O", "O_tau_of_C")})
+        c.put(f"primitive/sandwich/d{d}", kb.check_riccati_sandwich(
+            m, _psd(d, d), 0.5, 1.0).margins)
+        G = rng.normal(size=(d, d))
+        u = rng.normal(size=(d, 1))
+        w = np.linspace(-1.0, 2.0, d)
+        Q, _ = np.linalg.qr(G)
+        for name, M in (("psd", G @ G.T), ("indefinite", (Q * w) @ Q.T + 0.1 * G),
+                        ("rank_one", u @ u.T)):
+            c.put(f"primitive/project_psd/d{d}/{name}", kb.project_psd(M))
+            if name != "indefinite":
+                c.put(f"primitive/symmetric_sqrt/d{d}/{name}", kb.symmetric_sqrt(M))
+        stack = rng.normal(size=(5, d, d))
+        c.put(f"primitive/log_norm/d{d}", np.array([kb.log_norm(M) for M in stack]))
+    for d in range(1, 10):
+        M1, M2 = rng.normal(size=(2, d, d))
+        c.put(f"primitive/spectral_matching/d{d}", kb.spectral_matching_distance(M1, M2))
+    x = np.array([-1.0, 0.0, 1e-3, 0.3, 1.0, 2.5, 7.0, 40.0])
+    for kappa in (0, 1):
+        for A, N in ((1.0, 6), (-0.5, 3), (2.0, 12)):
+            dens = kb.InvariantDensity(kb.ScalarModel(A=A, R=1.0, S=1.5), kappa, N)
+            key = f"primitive/density/kappa{kappa}/A{A}_N{N}"
+            c.put(key, {"pdf": dens.pdf(x), "log_pdf": dens.log_pdf(x),
+                        "cdf": dens.cdf(x), "mode": dens.mode,
+                        "moments": [dens.moment(n) for n in (1, 2, 3)],
+                        "x_max": dens.x_max,
+                        "tail": dens._tail_mass(50.0) if kappa else None})
+        c.put(f"primitive/clt_oracle/kappa{kappa}", [kb.clt_variance_oracle(
+            kb.ScalarModel(A=A, R=1.0, S=1.0), kappa, Q, 1.5) for A, Q in ((1.0, 0.5),
+                                                                        (-2.0, 3.0))])
+
+
 def _files(folder: Path, tmp: Path) -> dict:
     return {p.name: p.read_bytes().replace(str(tmp).encode(), b"<tmp>")
             for p in sorted(folder.iterdir())}
@@ -250,6 +294,11 @@ def _study_specs(kb) -> dict:
         "bias_d1": bias_d1,
         "bias_d1_c90": {**bias_d1, "options": {"record_every": 25, "confidence": 0.9}},
         "bias_d1_c95": {**bias_d1, "options": {"record_every": 25, "confidence": 0.95}},
+        # N = 1 particle on an unstable model: trials diverge until one survives
+        "bias_d1_survivor": dict(kind="bias", model=_scalar(kb, 8.0).to_dict(),
+                                 grid={"dt": 0.1, "steps": 200},
+                                 master_seed=1, trials=100, N=(1,), variant="vanilla",
+                                 options={"record_every": 10}),
         "bias_d2": dict(kind="bias", model=d2, grid=short, master_seed=13, trials=120,
                         N=(6,), variant="deterministic", chunk=64,
                         options={"record_every": 10}),
@@ -299,6 +348,7 @@ def run_corpus(src: Path) -> dict[str, np.ndarray]:
         runs(kb, c)
         nonlinear(kb, c)
         theory(kb, c)
+        primitives(kb, c)
         cli_runs(kb, c, tmp)
         studies(kb, c, tmp)
     return c.arrays
