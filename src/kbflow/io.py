@@ -5,6 +5,12 @@ P_11..P_dd`` with the covariance stored as the row-major upper triangle.
 Run trajectories (exact, ensemble or law-level) append the metadata
 columns ``variant, N, xi, kappa, mu_closed_loop, diverged_at`` (metadata
 repeats per row so the file stands alone; an exact run's ``N`` is empty).
+
+Every CSV table goes through one cell rule.  Written: None is an empty
+cell, a list or dict its ``json.dumps``, a float (numpy's too) its
+``repr(float(v))`` (so ``nan`` and ``inf``), anything else its ``str``.
+Read: an empty cell is None, a cell starting with ``[`` or ``{`` is JSON,
+any other cell a float, or the string itself if it is not a number.
 Every writer here has a matching loader and round-trips.
 """
 
@@ -18,30 +24,53 @@ from pathlib import Path
 import numpy as np
 
 
-def _upper_triangle_labels(d: int) -> list[str]:
-    return [f"P_{i + 1}{j + 1}" for i in range(d) for j in range(i, d)]
-
-
-def _pack_upper(P: np.ndarray) -> list[float]:
-    d = P.shape[0]
-    return [float(P[i, j]) for i in range(d) for j in range(i, d)]
-
-
-def _unpack_upper(values, d: int) -> np.ndarray:
-    P = np.empty((d, d))
-    it = iter(values)
-    for i in range(d):
-        for j in range(i, d):
-            P[i, j] = P[j, i] = next(it)
-    return P
-
-
-def _fmt(value) -> str:
+def _format_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if value is None:
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return repr(float(value))
+    if isinstance(value, (list, dict)):
+        return json.dumps(value)
+    return str(value)
+
+
+def _parse_cell(cell: str):
+    if not cell:
+        return None
+    if cell[0] in "[{":
+        return json.loads(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _write_table(path, columns: dict) -> Path:
+    """Write named, equal-length columns of cells as CSV."""
+    cells = [[_format_cell(v) for v in col] for col in columns.values()]
+    if len({len(col) for col in cells}) > 1:
+        raise ValueError("columns must have equal length")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(columns))
+        w.writerows(zip(*cells))
+    return path
+
+
+def _read_table(path) -> dict[str, list]:
+    """The columns of a CSV written by :func:`_write_table`, cells parsed."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cells = list(zip(*reader)) or [()] * len(header)
+    return {name: [_parse_cell(c) for c in col] for name, col in zip(header, cells)}
+
+
+def _covariance_labels(d: int):
+    """``(label, i, j)`` of the row-major upper triangle of a d x d matrix."""
+    return [(f"P_{i + 1}{j + 1}", i, j) for i, j in zip(*np.triu_indices(d))]
 
 
 def write_trajectory_csv(path, t, mean, cov, error, extras: dict | None = None):
@@ -52,64 +81,44 @@ def write_trajectory_csv(path, t, mean, cov, error, extras: dict | None = None):
     ``mu_closed_loop`` array; ``N = None`` is written as an empty cell.
     Without ``extras`` only the state columns are written.
     """
-    t = np.asarray(t, dtype=float)
-    mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    error = np.asarray(error, dtype=float)
-    K, d = mean.shape
-    header = ["t"] + [f"X_{i + 1}" for i in range(d)] \
-        + [f"Z_{i + 1}" for i in range(d)] + _upper_triangle_labels(d)
-    mu = None
+    d = cov.shape[-1]
+    columns = {"t": np.asarray(t, dtype=float).tolist()}
+    for prefix, value in (("X", mean), ("Z", error)):
+        for i, col in enumerate(np.asarray(value, dtype=float).T.tolist()):
+            columns[f"{prefix}_{i + 1}"] = col
+    for label, i, j in _covariance_labels(d):
+        columns[label] = cov[:, i, j].tolist()
     if extras is not None:
-        header += ["variant", "N", "xi", "kappa", "mu_closed_loop", "diverged_at"]
-        mu = np.asarray(extras["mu_closed_loop"], dtype=float)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(K):
-            row = [_fmt(t[k])] + [_fmt(v) for v in mean[k]] \
-                + [_fmt(v) for v in error[k]] + [_fmt(v) for v in _pack_upper(cov[k])]
-            if extras is not None:
-                row += [str(extras["variant"]),
-                        "" if extras["N"] is None else str(int(extras["N"])),
-                        _fmt(extras["xi"]), _fmt(extras["kappa"]),
-                        _fmt(mu[k]), _fmt(extras.get("diverged_at"))]
-            w.writerow(row)
-    return path
+        K, N, diverged_at = len(columns["t"]), extras["N"], extras.get("diverged_at")
+        columns.update(
+            variant=[extras["variant"]] * K, N=[None if N is None else int(N)] * K,
+            xi=[float(extras["xi"])] * K, kappa=[float(extras["kappa"])] * K,
+            mu_closed_loop=np.asarray(extras["mu_closed_loop"], dtype=float).tolist(),
+            diverged_at=[None if diverged_at is None else float(diverged_at)] * K)
+    return _write_table(path, columns)
 
 
 def load_trajectory_csv(path) -> dict:
     """Load a trajectory CSV back into arrays (plus extras when present)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    d = sum(1 for name in header if name.startswith("X_"))
-    n_tri = d * (d + 1) // 2
-    has_extras = "variant" in header
-    t, mean, err, cov, mu = [], [], [], [], []
-    for row in rows:
-        t.append(float(row[0]))
-        mean.append([float(v) for v in row[1:1 + d]])
-        err.append([float(v) for v in row[1 + d:1 + 2 * d]])
-        cov.append(_unpack_upper([float(v) for v in row[1 + 2 * d:1 + 2 * d + n_tri]], d))
-        if has_extras:
-            mu.append(float(row[1 + 2 * d + n_tri + 4]))
+    cols = _read_table(path)
+    d = sum(1 for name in cols if name.startswith("X_"))
+    cov = np.empty((len(cols["t"]), d, d))
+    for label, i, j in _covariance_labels(d):
+        cov[:, i, j] = cov[:, j, i] = cols[label]
     out = {
-        "t": np.array(t), "mean": np.array(mean), "error": np.array(err),
-        "cov": np.array(cov),
+        "t": np.array(cols["t"]),
+        "mean": np.column_stack([cols[f"X_{i + 1}"] for i in range(d)]),
+        "error": np.column_stack([cols[f"Z_{i + 1}"] for i in range(d)]),
+        "cov": cov,
     }
-    if has_extras:
-        base = 1 + 2 * d + n_tri
-        last = rows[-1]
-        out["variant"] = last[base]
-        out["N"] = int(last[base + 1]) if last[base + 1] else None
-        out["xi"] = float(last[base + 2])
-        out["kappa"] = float(last[base + 3]) if last[base + 3] != "nan" else math.nan
-        out["mu_closed_loop"] = np.array(mu)
-        out["diverged_at"] = float(last[base + 5]) if last[base + 5] else None
+    if "variant" in cols:
+        last = {name: col[-1] for name, col in cols.items()}
+        out.update(variant=last["variant"],
+                   N=None if last["N"] is None else int(last["N"]),
+                   xi=last["xi"], kappa=last["kappa"],
+                   mu_closed_loop=np.array(cols["mu_closed_loop"]),
+                   diverged_at=last["diverged_at"])
     return out
 
 
@@ -167,48 +176,13 @@ def write_per_point_csv(path, per_point: list[dict]):
     """CSV mirror of the per_point block: core keys first, then any extra
     keys (sorted) that appear in the rows; lists are JSON-encoded cells."""
     extra = sorted({k for row in per_point for k in row} - set(_PER_POINT_KEYS))
-    header = _PER_POINT_KEYS + extra
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in per_point:
-            out = []
-            for key in header:
-                v = _jsonable(row.get(key))
-                if isinstance(v, (list, dict)):
-                    out.append(json.dumps(v))
-                elif v is None:
-                    out.append("")
-                elif isinstance(v, float):
-                    out.append(repr(v))
-                else:
-                    out.append(str(v))
-            w.writerow(out)
-    return path
+    return _write_table(path, {key: [_jsonable(row.get(key)) for row in per_point]
+                               for key in _PER_POINT_KEYS + extra})
 
 
 def load_per_point_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    out = []
-    for row in rows:
-        rec = {}
-        for key, cell in zip(header, row):
-            if cell == "":
-                rec[key] = None
-            elif cell.startswith(("[", "{")):
-                rec[key] = json.loads(cell)
-            else:
-                try:
-                    rec[key] = float(cell)
-                except ValueError:
-                    rec[key] = cell
-        out.append(rec)
-    return out
+    cols = _read_table(path)
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +191,11 @@ def load_per_point_csv(path) -> list[dict]:
 
 def write_columns_csv(path, columns: dict[str, np.ndarray]):
     """Write named, equal-length columns as CSV (figure-ready data)."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("columns must have equal length")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for k in range(n):
-            w.writerow([_fmt(a[k]) if np.issubdtype(a.dtype, np.floating)
-                        else str(a[k]) for a in arrays])
-    return path
+    return _write_table(path, {name: np.asarray(col).tolist()
+                               for name, col in columns.items()})
 
 
 def load_columns_csv(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    cols = {name: [] for name in header}
-    for row in rows:
-        for name, cell in zip(header, row):
-            try:
-                cols[name].append(float(cell) if cell != "" else math.nan)
-            except ValueError:
-                cols[name].append(cell)
-    return {name: np.array(vals) for name, vals in cols.items()}
+    """The columns of a CSV as arrays; an empty cell is nan."""
+    return {name: np.array([math.nan if v is None else v for v in col])
+            for name, col in _read_table(path).items()}

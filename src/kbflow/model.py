@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import NoStabilizingSolution, NotPSD, SingularGramian
-from .sde import _mm, _project_psd_stack, _swap, _sym, _symmetric_sqrt_stack, project_psd
+from .sde import (_mm, _project_psd_stack, _spectral_map, _swap, _sym, _symmetric_sqrt_stack,
+                  project_psd)
 
 #: Relative singular-value threshold for rank decisions.
 RANK_TOL = 1e-10
@@ -605,8 +606,11 @@ def _check_covariance(Q, d: int, name: str = "Q") -> np.ndarray:
     Q = Q.reshape(d, d)
     if not np.isfinite(Q).all():
         raise NotPSD(f"{name} has non-finite entries")
-    _check_clamp(np.linalg.eigvalsh(0.5 * (Q + Q.T)), name)
-    return project_psd(Q)
+    # one eigh serves the clamp check and the projection
+    w, V = np.linalg.eigh(_sym(Q[None]))
+    _check_clamp(w[0], name)
+    return _spectral_map(Q[None], lambda w: np.maximum(w, 0.0), keep_psd=True,
+                         eig=(w, V, np.ones(1, bool)))[0][0]
 
 
 def _bottleneck_match(D: np.ndarray) -> float:

@@ -313,9 +313,11 @@ class InvariantDensity:
         return float(val * math.exp(self._shift - self._log_norm))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def invariant_density(m: ScalarModel, kappa: float, N: int) -> InvariantDensity:
-    """Cached invariant density for the scalar covariance diffusion."""
+    """Cached invariant density for the scalar covariance diffusion.  The
+    cache is typed, so a bool ``kappa`` (``True == 1``) is not a hit on
+    ``kappa = 1`` and reaches the check."""
     return InvariantDensity(m, _as_kappa("kappa", kappa), int(N))
 
 

@@ -364,6 +364,8 @@ def _integer(key: str, value) -> int:
 def _check_option_range(key: str, value) -> None:
     ok, what = _OPTION_RANGES[key]
     values = value if key == "xi" and isinstance(value, (list, tuple)) else [value]
+    if not values:
+        raise ConfigError(f"options.{key} must be a non-empty list, got {value!r}")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(float(v)):
             raise ConfigError(f"options.{key} must be {what}, got {value!r}")

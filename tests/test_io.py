@@ -219,3 +219,45 @@ def test_summary_json_round_trip_is_bit_exact(tmp_path_factory, tree):
                  "c": np.int64(3)}
     back = load_summary_json(write_summary_json(path, arrays_in))
     assert _same(back, {"a": [1.5, -0.0, math.nan, "Divergent"], "b": 0.1, "c": 3})
+
+
+_INF = math.inf
+# every cell kind, and what it loads back as under the one cell rule: None
+# <-> empty, list/dict <-> JSON, float (numpy's too) <-> repr, else str, and
+# a non-JSON, non-number cell is read as the string itself
+_CELLS = [None, True, False, 0, np.int64(-7), 2.5, -0.0, np.float64(5e-324), math.nan,
+          _INF, -_INF, [1.5, None, "a"], {"k": [1, 2]}, "text"]
+_READ = [None, "True", "False", 0.0, -7.0, 2.5, -0.0, 5e-324, math.nan,
+         _INF, -_INF, [1.5, None, "a"], {"k": [1, 2]}, "text"]
+_EXTRAS = {"exact": {"variant": "exact", "N": None, "xi": 0, "kappa": math.nan,
+                     "diverged_at": None},
+           "diverged": {"variant": "vanilla", "N": np.int64(8), "xi": 0.5, "kappa": 1,
+                        "diverged_at": np.float64(0.25)}}
+
+
+@pytest.mark.parametrize("shape", ["trajectory/exact", "trajectory/diverged", "per_point",
+                                   "columns"])
+def test_every_cell_kind_loads_back_under_the_cell_rule(tmp_path, shape):
+    path = tmp_path / "table.csv"
+    if shape.startswith("trajectory"):
+        # floats in the state columns; None, int, float and str in the metadata
+        extras = {**_EXTRAS[shape.split("/")[1]], "mu_closed_loop": [1.5, -_INF]}
+        t, mean, error = [-0.0, 5e-324], [[math.nan], [_INF]], [[-_INF], [2.5]]
+        cov = [[[0.1 + 0.2]], [[1e308]]]
+        back = load_trajectory_csv(write_trajectory_csv(path, t, mean, cov, error, extras))
+        sent = {"t": t, "mean": mean, "error": error, "cov": cov, **extras,
+                "N": None if extras["N"] is None else int(extras["N"]),
+                "xi": float(extras["xi"]), "kappa": float(extras["kappa"]),
+                "diverged_at": None if extras["diverged_at"] is None else 0.25}
+        back = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in back.items()}
+    elif shape == "per_point":
+        # the core keys are empty cells; +-inf is the summary's Divergent marker
+        back = load_per_point_csv(write_per_point_csv(path, [{"cell": v} for v in _CELLS]))
+        sent = [{**dict.fromkeys(back[0]), "cell": _encoded(v)} for v in _READ]
+    else:
+        # a column of each kind; an empty cell loads as nan, a 2-D column's
+        # rows as JSON lists
+        written = write_columns_csv(path, {f"c{i}": [v, v] for i, v in enumerate(_CELLS)})
+        back = {k: v.tolist() for k, v in load_columns_csv(written).items()}
+        sent = {f"c{i}": [math.nan if v is None else v] * 2 for i, v in enumerate(_READ)}
+    assert _same(back, sent)

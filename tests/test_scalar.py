@@ -189,6 +189,15 @@ def test_invariant_density_validation(monkeypatch):
         InvariantDensity(M1, 1.0, 6)
 
 
+def test_invariant_density_cache_does_not_take_a_bool_for_one():
+    # True == 1 hashes alike: an untyped cache returns the cached kappa = 1
+    # density for kappa = True without reaching the check
+    m = ScalarModel(A=2.5, R=1.0, S=1.0)
+    assert invariant_density(m, 1, 6) is invariant_density(m, 1, 6)
+    with pytest.raises(ValueError, match="^kappa must be 0 or 1"):
+        invariant_density(m, True, 6)
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

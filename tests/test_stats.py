@@ -232,6 +232,7 @@ def _spec_payload(**over):
     ("bias", {"confidence": 0.0}),
     ("inflation_sweep", {"xi": [0.5, -1.0]}),
     ("inflation_sweep", {"xi": -1.0}),
+    ("inflation_sweep", {"xi": []}),
 ])
 def test_study_option_ranges_are_checked(kind, options):
     payload = _spec_payload(kind=kind, options=options, kappa=0,

@@ -25,6 +25,10 @@ seeded corpus to one ``.npz``:
   (d = 1-9), ``project_psd`` and ``symmetric_sqrt`` on PSD, indefinite and
   rank-one matrices (d = 1-4), ``log_norm`` of each matrix of a stack, the
   ``InvariantDensity`` evaluations at both kappa and ``clt_variance_oracle``;
+* the cell kinds each public ``kbflow.io`` writer takes (None, bools, ints,
+  floats, nan, +-inf, JSON lists and strings; figure columns of numeric,
+  bool and str dtype), with an exact-run and a diverged trajectory: the
+  file bytes and what the loaders return;
 * ``kbflow run`` for the exact filter, a particle system and the law level;
 * the files of all eight study kinds, at small sizes, and of the bias
   study also at confidence 0.9 and 0.95 and with trials diverging until
@@ -262,6 +266,48 @@ def _files(folder: Path, tmp: Path) -> dict:
             for p in sorted(folder.iterdir())}
 
 
+def io_tables(kb, c: Corpus, tmp: Path) -> None:
+    nan, inf = np.nan, np.inf
+    floats = np.array([0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, nan, inf, -inf])
+    K = len(floats)
+    rng = np.random.default_rng(70)
+    trajectories = {
+        "plain": (3, None),
+        "exact": (2, {"variant": "exact", "N": None, "xi": 0, "kappa": nan,
+                      "diverged_at": None}),
+        "diverged": (1, {"variant": "vanilla", "N": np.int64(8), "xi": 0.5, "kappa": 1,
+                         "diverged_at": np.float64(0.25)}),
+    }
+    for name, (d, extras) in trajectories.items():
+        mean, error = rng.normal(size=(2, K, d))
+        mean[:, 0] = error[:, -1] = floats
+        cov = rng.normal(size=(K, d, d))
+        cov = cov @ cov.swapaxes(1, 2)
+        cov[:, 0, -1] = floats
+        if extras is not None:
+            extras = {**extras, "mu_closed_loop": floats[::-1]}
+        path = kb.io.write_trajectory_csv(tmp / f"io_{name}.csv", floats, mean, cov, error,
+                                          extras)
+        c.put(f"io/trajectory/{name}", {"file": path.read_bytes(),
+                                        "loaded": kb.io.load_trajectory_csv(path)})
+    per_point = [
+        {"N": 6, "t": 0.5, "mean": nan, "var": inf, "l2": -inf, "l4": np.float64(0.1),
+         "std_moments": [0.1, nan, None], "ks": None, "diverged": True, "label": "text",
+         "count": np.int64(3), "fit": {"a": [1, 2]}},
+        {"N": np.int64(12), "t": np.float64(-0.0), "mean": 1e-300, "var": np.float64(inf),
+         "l2": False, "std_moments": np.array([1.5, -inf]), "ks": 0.015, "diverged": 0},
+    ]
+    path = kb.io.write_per_point_csv(tmp / "io_per_point.csv", per_point)
+    c.put("io/per_point", {"file": path.read_bytes(),
+                           "loaded": repr(kb.io.load_per_point_csv(path)).encode()})
+    columns = {"float": floats, "float32": floats.astype(np.float32),
+               "int": np.arange(K) - 3, "bool": np.arange(K) % 2 == 0,
+               "text": np.array(["a", "b c", "Divergent", "nan", "", "x,y", "-1"])}
+    path = kb.io.write_columns_csv(tmp / "io_columns.csv", columns)
+    c.put("io/columns", {"file": path.read_bytes(),
+                         "loaded": kb.io.load_columns_csv(path)})
+
+
 def cli_runs(kb, c: Corpus, tmp: Path) -> None:
     model = tmp / "model.json"
     kb.save_model(_model(kb, 2, 31, stabilize=1.0), model)
@@ -349,6 +395,7 @@ def run_corpus(src: Path) -> dict[str, np.ndarray]:
         nonlinear(kb, c)
         theory(kb, c)
         primitives(kb, c)
+        io_tables(kb, c, tmp)
         cli_runs(kb, c, tmp)
         studies(kb, c, tmp)
     return c.arrays
