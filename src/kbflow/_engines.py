@@ -1,6 +1,7 @@
 """Stepping kernels of the ensemble filters (internal).
 
-Each kernel steps a batch of independent trials with a leading trials axis:
+Each kernel steps a batch of independent trials, whose outputs have a
+leading trials axis:
 :func:`particle_cov_paths_nd` the interacting particle systems (all three
 variants, with inflation) and :func:`law_cov_paths_nd` the law-level
 mean/covariance diffusion.  The single-run functions of
@@ -27,6 +28,20 @@ values stay bounded for exponentially unstable signals, whose path is never
 formed.  The absolute frame (:func:`particle_cov_paths_nd` only, the frame
 of :func:`~kbflow.ensemble.run_enkf`) steps the particles and the signal
 themselves.
+
+The particle kernels store a chunk's clouds with the trials axis innermost:
+``(M, B)`` in :func:`particle_cov_paths_1d`, ``(d, M, B)`` in
+:func:`particle_cov_paths_nd` and :func:`_particle_update`, so a sum over the
+particles is M vector adds across all trials and every broadcast a row
+operation.  The scalar kernel sums in numpy's pairwise order
+(:func:`_row_sum`), the order of its former ``(B, M)`` rows, so its outputs
+did not change.  In the nd kernel a product with a constant matrix is one
+matrix product over all particles of all trials (:func:`_lin`) and a
+per-trial product one contraction over the batch (:func:`_gram`,
+:func:`_dot`).  A chunk of one trial drops the trials axis instead and
+keeps the per-matrix products of its ``(d, M)`` cloud: a single run keeps
+its bits and its speed, which the contractions over a batch would cost.
+The choice depends on the chunk's trial count alone.
 
 A kernel's own code steps one chunk; the scaffold around it is shared:
 
@@ -189,18 +204,19 @@ def _step_rows(channels, steps: int, dt: float, per_block=None):
             yield from itertools.repeat((None,) * len(terms), steps - k0)
 
 
-def _freeze(div, bad, k, *states) -> bool:
+def _freeze(div, bad, k, *states, view=None) -> bool:
     """Record step k + 1 in ``div`` for the trials in the mask ``bad`` (None:
     every trial is finite) that newly went bad, and set their rows of the
-    ``states`` that are not None to NaN.  Returns whether every trial has
-    diverged (at once for zero trials): the kernel stops, and the records it
-    has not written stay NaN."""
+    ``states`` that are not None to NaN; ``view`` maps a state whose trials
+    axis is not the leading one to a view where it is.  Returns whether
+    every trial has diverged (at once for zero trials): the kernel stops,
+    and the records it has not written stay NaN."""
     if bad is None:  # a diverged trial stays NaN, so none has diverged
         return not div.size
     div[bad & (div < 0)] = k + 1
     for state in states:
         if state is not None:
-            state[bad] = np.nan
+            (state if view is None else view(state))[bad] = np.nan
     return div.min() >= 0
 
 
@@ -257,9 +273,60 @@ def _batched(body):
 # d = 1, particle level
 # ---------------------------------------------------------------------------
 
-# d = 1 fast path: particle_cov_paths_nd takes 24-38 % longer per step here
-# (the contraction shape B = 200, N = 40 and the bias shapes B = 1024, N = 10;
-# medians of 11 interleaved rounds in one process, on a 2-core x86-64 host).
+def _row_sum(X):
+    """The sum over the leading axis of ``X``, bit for bit the per-row sums
+    ``np.add.reduce(X.T, axis=1)`` of a C-contiguous ``X.T`` (numpy's
+    pairwise summation from 0.0), by whole-row vector adds: below 8 terms in
+    sequence, up to 128 in eight accumulators (row i into accumulator
+    i mod 8, the rows after the last multiple of 8 added in sequence at the
+    end), above 128 as the sum of two halves split at a multiple of 8."""
+    if len(X) < 8:  # the reduction over the leading axis adds in sequence
+        return np.add.reduce(X, 0)
+    total = _pairwise_rows(X)
+    total += 0.0  # the start value: a sum of -0.0 terms is 0.0
+    return total
+
+
+def _pairwise_rows(X):
+    """numpy's pairwise sum of 8 or more rows, before its start value."""
+    n = len(X)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_rows(X[:half]) + _pairwise_rows(X[half:])
+    whole = n - n % 8
+    acc = X[:8]
+    if whole > 8:
+        acc = acc + X[8:16]
+        for i in range(16, whole, 8):
+            acc += X[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
+    for row in X[whole:]:
+        total += row
+    return total
+
+
+def _trials_last(a, axis: int = 1, drop_one: bool = False):
+    """A C-contiguous copy of ``a`` with its trials axis ``axis`` moved
+    last: an (n, B, ...) noise block as (n, ..., B), or with ``axis=0`` a
+    (B, ...) stack as (..., B).  ``drop_one`` drops a trials axis of length
+    1 instead.  None stays None."""
+    if a is None:
+        return None
+    if drop_one and a.shape[axis] == 1:
+        return np.take(a, 0, axis)
+    n = a.ndim
+    out = np.empty(a.shape[:axis] + a.shape[axis + 1:] + a.shape[axis:axis + 1])
+    # written through the view of ``out`` in ``a``'s axis order (contiguous reads)
+    np.copyto(out.transpose(tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))), a)
+    return out
+
+
+# d = 1 fast path: particle_cov_paths_nd takes 18-24 % longer per step here
+# (the contraction shape B = 200, N = 40 and the bias shapes B = 1024, N = 10,
+# both kernels trials-last; medians of 7 interleaved rounds in one process, on
+# a 2-core x86-64 host).
 @_batched
 def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int,
                           grid: TimeGrid, seed: int, trials: int, P0: float = 1.0,
@@ -306,34 +373,59 @@ def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int
     else:
         X = math.sqrt(P0) * G
     truth = math.sqrt(P0) * t_init.normals(B)
-    X = X - truth[:, None]
+    X = np.ascontiguousarray((X - truth[:, None]).T)  # (M, B): the trials axis last
 
     def rec(k, P_hat):
         p = rec_pos[k]
         if p >= 0:
             cov[:, p] = P_hat
 
-    X_bar = X.mean(axis=1)
-    dev = X - X_bar[:, None]
-    P_hat = np.sum(dev * dev, axis=1) / N
+    def block_terms(dVi, dV, dW, dWi):
+        # sqrt_R (dVi - dV) and sqrt_R1 (dW - dWi), in place on the copies
+        sig_noise = _trials_last(dVi)
+        sig_noise -= dV[:, None]
+        sig_noise *= sqrt_R
+        if dWi is None:
+            return sig_noise, sqrt_R1 * dW
+        obs_noise = _trials_last(dWi)
+        np.subtract(dW[:, None], obs_noise, out=obs_noise)
+        obs_noise *= sqrt_R1
+        return sig_noise, obs_noise
+
+    X_bar = _row_sum(X) / M
+    sq = X - X_bar
+    P_hat = _row_sum(sq * sq) / N
     rec(0, P_hat)
-    draws = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
-                       K, dt)
-    for k, (dVi, dV, dW, dWi) in enumerate(draws):
+    rows = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
+                      K, dt, block_terms)
+    dt_A = dt * A
+    innov, step, sq = np.empty((3, M, B))
+    for k, (sig_noise, obs_noise) in enumerate(rows):
         if acc is not None and k >= integral_from:
             np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
-        gain = (P_hat * H / R1)[:, None]
-        sig_noise = sqrt_R * (dVi - dV[:, None])
+        # X + dt A X + sig_noise + gain innov, each operation of the
+        # expression in its order (products commuted), in place
         if variant is Variant.VANILLA:
-            innov = -H * X * dt + sqrt_R1 * (dW[:, None] - dWi)
+            np.multiply(X, -H, out=innov)
         else:
-            innov = -H * (X + X_bar[:, None]) * 0.5 * dt + sqrt_R1 * dW[:, None]
-        X = X + dt * A * X + sig_noise + gain * innov
+            np.add(X, X_bar, out=innov)
+            innov *= -H
+            innov *= 0.5
+        innov *= dt
+        innov += obs_noise
+        innov *= P_hat * H / R1
+        np.multiply(X, dt_A, out=step)
+        step += X
+        step += sig_noise
+        step += innov
+        X, step = step, X
 
-        X_bar = X.mean(axis=1)
-        dev = X - X_bar[:, None]
-        P_hat = np.sum(dev * dev, axis=1) / N
-        if _freeze(div, _nonfinite_trials(P_hat, X_bar), k, X, P_hat):
+        X_bar = _row_sum(X) / M
+        np.subtract(X, X_bar, out=sq)
+        sq *= sq
+        P_hat = _row_sum(sq) / N
+        # a non-finite mean makes P_hat non-finite
+        if _freeze(div, _nonfinite_trials(P_hat), k, X, P_hat, view=np.transpose):
             break
         rec(k + 1, P_hat)
 
@@ -520,12 +612,57 @@ def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
 # general d, particle level
 # ---------------------------------------------------------------------------
 
+def _lin(C, Z):
+    """``C`` times each (k, M) matrix of a trials-last (..., k, M, B) stack:
+    one matrix product over all particles of all trials.  At one trial the
+    kernels take ``C @ Z`` on their (..., k, M) stacks instead."""
+    shape = Z.shape
+    return (C @ Z.reshape(shape[:-2] + (-1,))).reshape(shape[:-3] + (len(C),) + shape[-2:])
+
+
+def _block_product(C, block):
+    """``C`` times each cloud of an (n, B, k, M) noise block, in the
+    kernels' layout: (n, j, M, B), or (n, j, M) for one trial.  None stays
+    None."""
+    if block is None:
+        return None
+    block = _trials_last(block, drop_one=True)
+    return C @ block if block.ndim == 3 else _lin(C, block)
+
+
+def _gram(a, b):
+    """Per trial ``a b'`` of (i, M) and (j, M) matrices: (i, j)."""
+    if a.ndim == 2:
+        return a @ b.T
+    return np.einsum("imb,jmb->ijb", a, b)
+
+
+def _dot(a, b):
+    """Per trial ``a b`` of an (i, k) matrix and a (k, m) matrix of the
+    trial or a constant one (2-d while ``a`` has a trials axis): (i, m)."""
+    if a.ndim == 2:
+        return a @ b
+    return np.einsum("ikb,km->imb" if b.ndim == 2 else "ikb,kmb->imb", a, b)
+
+
+def _trials_first(a):
+    """A (B, ...) view of a stack of per-trial matrices."""
+    return a[None] if a.ndim == 2 else a.transpose(2, 0, 1)
+
+
+def _trials_at_end(out):
+    """A trials-first output array as the kernels' stacks: the view with the
+    trials axis last, or the only trial."""
+    return out[0] if len(out) == 1 else np.moveaxis(out, 0, -1)
+
+
 def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
                      R=None, inflation=None, dev=None, P_hat=None):
-    """One Euler step of an interacting particle system on (B, d, M) stacks.
+    """One Euler step of an interacting particle system on a batch of
+    clouds, (d, M, B) with the trials axis last or (d, M) for one trial.
 
     ``aX`` and ``hX`` are the drift and the observation evaluated at the
-    particles, ``dY`` the (B, d_y, 1) observation increments, ``noise`` the
+    particles, ``dY`` the (d_y, 1) observation increments, ``noise`` the
     signal-noise term (0 for the transport variant in absolute
     coordinates), ``obs_noise`` the per-particle sensor-noise term
     ``R1^{1/2} dW^i`` of the vanilla variant, and ``R`` the signal noise
@@ -537,30 +674,50 @@ def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
     ``dev`` and ``P_hat`` are the cloud's deviations ``X - X_bar`` and its
     sample covariance ``dev dev' / N``; the kernel passes the ones it
     computed after the previous step, and they are computed here when not
-    given.  Sample means are ``np.add.reduce(X, axis) / M``, the arithmetic
-    of ``X.mean(axis)`` without its Python wrapper.
+    given.  Sample means are ``np.add.reduce(X, 1) / M``, the arithmetic of
+    ``X.mean(1)`` without its Python wrapper.  Each product with a
+    constant matrix is one product over all particles of all trials
+    (:func:`_lin`), each per-trial product one contraction over the batch
+    (:func:`_gram`, :func:`_dot`); one trial takes the matrix products of
+    its (d, M) slices.
     """
-    M = X.shape[-1]
+    M = X.shape[1]
     N = M - 1
     if dev is None:
-        dev = X - np.add.reduce(X, -1, keepdims=True) / M
-    h_bar = np.add.reduce(hX, -1, keepdims=True) / M
+        dev = X - np.add.reduce(X, 1, keepdims=True) / M
+    h_bar = np.add.reduce(hX, 1, keepdims=True) / M
     if (inflation is not None or variant is Variant.TRANSPORT) and P_hat is None:
-        P_hat = dev @ _swap(dev) / N
+        P_hat = _gram(dev, dev) / N
     if inflation is None:
-        gain = dev @ _swap(hX - h_bar) / N @ R1_inv
+        gain = _dot(_gram(dev, hX - h_bar) / N, R1_inv)
     else:
         xi_T, H = inflation
-        gain = (P_hat + xi_T) @ H.T @ R1_inv
+        gain = _dot(_dot(P_hat + (xi_T if P_hat.ndim == 2 else xi_T[..., None]), H.T),
+                    R1_inv)
+    # dY - hX dt - obs_noise (vanilla) or dY - (1/2) (hX + h_bar) dt, and
+    # X + aX dt + noise + gain innov: the operations of these expressions in
+    # their order (sums commuted), in place on fresh arrays
     if variant is Variant.VANILLA:
-        innov = dY - hX * dt - obs_noise
+        innov = hX * dt
+        np.subtract(dY, innov, out=innov)
+        innov -= obs_noise
     else:
-        innov = dY - 0.5 * (hX + h_bar) * dt
+        innov = hX + h_bar
+        innov *= 0.5
+        innov *= dt
+        np.subtract(dY, innov, out=innov)
     if variant is Variant.TRANSPORT:
         # frozen (NaN) trials would make the SVD fail; they stay NaN anyway
         P_hat = np.where(np.isfinite(P_hat), P_hat, 0.0)
-        noise = 0.5 * (R @ np.linalg.pinv(P_hat, rcond=PINV_RCOND)) @ dev * dt + noise
-    return X + aX * dt + noise + gain @ innov
+        drift = 0.5 * (R @ np.linalg.pinv(_trials_first(P_hat), rcond=PINV_RCOND))
+        drift = _dot(drift[0] if P_hat.ndim == 2 else drift.transpose(1, 2, 0), dev)
+        drift *= dt
+        noise = drift + noise
+    step = aX * dt
+    step += X
+    step += noise
+    step += _dot(gain, innov)
+    return step
 
 
 @_batched
@@ -621,32 +778,44 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
     p_sig = None if variant is Variant.TRANSPORT else NoiseStream(seed, c, PARTICLE_SIGNAL)
     p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
     t_init, t_sig, t_obs = _truth_channels(seed, truth_seed, c)
+    # clouds are (d, M, B) stacks with the trials axis last, (d, M) for one
+    # trial; so are the (d, 1) signal, means and (d, d) covariances
+    one = B == 1
+    lin = np.matmul if one else _lin
+    col = (d, 1) if one else (d, 1, 1)
     if isinstance(init, str):
-        X = m0[:, None] + P0_root @ NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
+        G = NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
+        X = m0.reshape(col) + lin(P0_root, _trials_last(G, 0, drop_one=True))
     else:
-        X = np.array(init[row:row + B], dtype=float)
-    truth = m0[:, None] + P0_root @ t_init.normals((B, d, 1))
+        X = _trials_last(np.asarray(init[row:row + B], dtype=float), 0, drop_one=True)
+    truth = m0.reshape(col) + lin(P0_root, _trials_last(t_init.normals((B, d, 1)), 0,
+                                                        drop_one=True))
     if frame == "error":
         X = X - truth
+    # the records of step p as the kernel's stacks: [p] of these views
+    cov_p, mean_p = (_trials_at_end(a) for a in (cov, mean))
+    error_p = None if error is None else _trials_at_end(error)
 
     def stats():
-        X_bar = np.add.reduce(X, 2, keepdims=True) / M
+        X_bar = np.add.reduce(X, 1, keepdims=True) / M
         dev = X - X_bar
-        return X_bar, dev, dev @ _swap(dev) / N
+        return X_bar, dev, _gram(dev, dev) / N
 
     def rec(k, X_bar, P_hat):
         p = rec_pos[k]
         if p >= 0:
-            cov[:, p] = P_hat
-            mean[:, p] = X_bar[..., 0]
+            cov_p[p] = P_hat
+            mean_p[p] = X_bar[:, 0]
             if error is not None:
-                error[:, p] = (X_bar - truth)[..., 0]
+                error_p[p] = (X_bar - truth)[:, 0]
 
     def block_terms(dV, dW, dVi, dWi):
-        obs_noise = None if dWi is None else sqrt_R1 @ dWi
-        if frame == "error":
-            return sqrt_R1 @ dW, sqrt_R @ ((0.0 if dVi is None else dVi) - dV), None, obs_noise
-        return sqrt_R1 @ dW, None if dVi is None else sqrt_R @ dVi, sqrt_R @ dV, obs_noise
+        if frame == "error":  # sqrt_R (dVi - dV)
+            return (_block_product(sqrt_R1, dW),
+                    _block_product(sqrt_R, (0.0 if dVi is None else dVi) - dV), None,
+                    _block_product(sqrt_R1, dWi))
+        return (_block_product(sqrt_R1, dW), _block_product(sqrt_R, dVi),
+                _block_product(sqrt_R, dV), _block_product(sqrt_R1, dWi))
 
     X_bar, dev, P_hat = stats()
     rec(0, X_bar, P_hat)
@@ -656,15 +825,16 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
         if frame == "error":
             dY = obs_k
         else:
-            dY = H @ truth * dt + obs_k
-            truth = truth + dt * (A @ truth) + sig_k
-        X = _particle_update(X, A @ X, H @ X, dY, 0.0 if noise_k is None else noise_k,
+            dY = lin(H, truth) * dt + obs_k
+            truth = truth + dt * lin(A, truth) + sig_k
+        X = _particle_update(X, lin(A, X), lin(H, X), dY, 0.0 if noise_k is None else noise_k,
                              dt, variant, R1_inv, obs_noise_k, R, gain_inflation, dev, P_hat)
 
         # a finite cloud whose second moments overflow counts as diverged
         X_bar, dev, P_hat = stats()
-        bad = _nonfinite_trials(P_hat) if error is None else _nonfinite_trials(P_hat, truth)
-        if _freeze(div, bad, k, X, X_bar, dev, P_hat):
+        bad = (_nonfinite_trials(P_hat, view=_trials_first) if error is None
+               else _nonfinite_trials(P_hat, truth, view=_trials_first))
+        if _freeze(div, bad, k, X, X_bar, dev, P_hat, view=_trials_first):
             break
         rec(k + 1, X_bar, P_hat)
 

@@ -114,16 +114,22 @@ def run_nonlinear(a, h, noise, X0, dY, dt: float, variant, seed: int):
     p_obs = NoiseStream(seed, 0, PARTICLE_OBS) if variant is Variant.VANILLA else None
 
     div = np.full(B, -1, dtype=int)
+    X = _engines._trials_last(X, 0, drop_one=True)  # the kernels' (d, M, B) or (d, M)
     rows = _engines._step_rows(
         [(p_sig, (B, d, M)), (p_obs, (B, d_y, M))], K, dt,
-        lambda dVi, dWi: (None if dVi is None else sqrt_R @ dVi,
-                          None if dWi is None else sqrt_R1 @ dWi))
+        lambda dVi, dWi: (_engines._block_product(sqrt_R, dVi),
+                          _engines._block_product(sqrt_R1, dWi)))
     for k, (sig_k, obs_k) in enumerate(rows):
-        X = _engines._particle_update(X, a(X), h(X), dY[k, :, :, None],
-                                      0.0 if sig_k is None else sig_k, dt, variant, R1_inv,
-                                      obs_k, R)
-        if _engines._freeze(div, _nonfinite_trials(X), k, X):
+        clouds = np.ascontiguousarray(_engines._trials_first(X))
+        aX, hX = a(clouds), h(clouds)
+        aX, hX, dY_k = ((aX[0], hX[0], dY[k].T) if B == 1 else
+                        (aX.transpose(1, 2, 0), hX.transpose(1, 2, 0), dY[k].T[:, None]))
+        X = _engines._particle_update(X, aX, hX, dY_k, 0.0 if sig_k is None else sig_k, dt,
+                                      variant, R1_inv, obs_k, R)
+        if _engines._freeze(div, _nonfinite_trials(X, view=_engines._trials_first), k, X,
+                            view=_engines._trials_first):
             break
+    X = np.ascontiguousarray(_engines._trials_first(X))
     return X, div
 
 

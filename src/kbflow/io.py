@@ -142,7 +142,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, float) and math.isinf(obj):
         return "Divergent" if obj > 0 else "-Divergent"
     if isinstance(obj, dict):
@@ -195,7 +195,19 @@ def write_columns_csv(path, columns: dict[str, np.ndarray]):
                                for name, col in columns.items()})
 
 
+def _column(cells: list) -> np.ndarray:
+    values = [math.nan if v is None else v for v in cells]
+    try:
+        return np.array(values)
+    except ValueError:  # ragged: JSON lists mixed with numbers or other lists
+        column = np.empty(len(values), dtype=object)
+        for i, v in enumerate(values):
+            column[i] = v
+        return column
+
+
 def load_columns_csv(path) -> dict[str, np.ndarray]:
-    """The columns of a CSV as arrays; an empty cell is nan."""
-    return {name: np.array([math.nan if v is None else v for v in col])
-            for name, col in _read_table(path).items()}
+    """The columns of a CSV as arrays; an empty cell is nan, and a column
+    whose cells do not make one rectangular array (JSON lists mixed with
+    numbers, lists of other lengths) is an object array of the cells."""
+    return {name: _column(col) for name, col in _read_table(path).items()}

@@ -229,9 +229,10 @@ def _mm(a, b):
     return a * b if a.ndim == 0 or a.shape[-1] == 1 else a @ b
 
 
-def _nonfinite_trials(*stacks):
+def _nonfinite_trials(*stacks, view=None):
     """Mask of the trials (leading axis) with a non-finite entry in any of
-    the stacks, or None when there is none.
+    the stacks, or None when there is none; ``view`` maps a stack whose
+    trials axis is not the leading one to a view where it is.
 
     One sum over each stack settles the common case: a finite total means
     every entry is finite.  Only a non-finite total (a non-finite entry, or
@@ -242,6 +243,8 @@ def _nonfinite_trials(*stacks):
         total += np.add.reduce(s, axis=None)
     if math.isfinite(total):
         return None
+    if view is not None:
+        stacks = [view(s) for s in stacks]
     bad = np.zeros(len(stacks[0]), dtype=bool)
     for s in stacks:
         bad |= ~np.isfinite(s).all(axis=tuple(range(1, s.ndim)))

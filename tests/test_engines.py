@@ -380,3 +380,69 @@ def test_law_kernel_root_reuse_is_bitwise(model, kappa, N, dt, inflation, expect
     diverged = reused["diverged_step"] > 0
     assert (sum(clamped) > 0) == (expect != "plain")
     assert diverged.any() == (expect == "diverges") and not diverged.all()
+
+
+# ---------------------------------------------------------------------------
+# the trials-last layout of the particle kernels
+# ---------------------------------------------------------------------------
+
+_ROW_COUNTS = list(range(1, 41)) + [41, 51, 127, 128, 129, 136, 200, 257, 513]
+
+
+@pytest.mark.parametrize("n", _ROW_COUNTS)
+def test_row_sum_is_numpys_pairwise_sum_bit_for_bit(n):
+    # the sum over the leading axis of an (n, B) array equals numpy's sum of
+    # each row of the contiguous (B, n) transpose: the order the particle
+    # kernels summed their clouds in before the trials axis went last
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 64)) * 10.0 ** rng.integers(-8, 9, size=(n, 64))
+    X[:, 0] = -0.0
+    X[rng.integers(n), 1] = np.nan
+    X[rng.integers(n), 2] = np.inf
+    X[rng.integers(n), 3] = -np.inf
+    X[:, 4] = np.inf
+    X[0, 4] = -np.inf  # inf - inf
+    X[:, 5] = 1e308  # finite terms whose sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.add.reduce(np.ascontiguousarray(X.T), axis=1)
+        got = _engines._row_sum(X)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 3, 1024])
+@pytest.mark.parametrize("M_", [2, 11, 51])
+@pytest.mark.parametrize("d_y", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trials_last_contractions_are_the_per_matrix_products(d, d_y, M_, B):
+    # each helper against the per-matrix @ of the (B, ., .) stacks the
+    # kernels used before: bit for bit at one trial (the kernels' own
+    # per-matrix products), within 1e-13 of the sum of absolute products
+    # per entry otherwise (another summation order)
+    rng = np.random.default_rng([d, d_y, M_, B])
+    X, hX, innov = (rng.normal(size=(B, k, M_)) for k in (d, d_y, d_y))
+    G, drift = rng.normal(size=(B, d, d_y)), rng.normal(size=(B, d, d))
+    C = rng.normal(size=(d_y, d))
+    R1_inv = rng.normal(size=(d_y, d_y))
+
+    def layout(stack):
+        return _engines._trials_last(stack, 0, drop_one=True)
+
+    cloud = layout(X)  # one array, as the kernels pass it (numpy's product
+    # of an array with its own transpose is a symmetric rank-k update)
+    cases = {
+        "gram": (_engines._gram(cloud, cloud), X, X.swapaxes(1, 2)),
+        "cross gram": (_engines._gram(cloud, layout(hX)), X, hX.swapaxes(1, 2)),
+        "gain R1_inv": (_engines._dot(layout(G), R1_inv), G, R1_inv),
+        "gain innovation": (_engines._dot(layout(G), layout(innov)), G, innov),
+        "transport drift": (_engines._dot(layout(drift), cloud), drift, X),
+        "constant": (_engines._lin(C, _engines._trials_last(X, 0)), C, X),
+    }
+    for name, (got, a, b) in cases.items():
+        got = _engines._trials_first(got)
+        expected = a @ b
+        assert got.shape == expected.shape, name
+        if B == 1:
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        else:
+            bound = 1e-13 * (np.abs(a) @ np.abs(b))
+            assert np.all(np.abs(got - expected) <= bound), name

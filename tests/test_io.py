@@ -103,6 +103,19 @@ def test_summary_json_round_trip_and_divergent_encoding(tmp_path):
     assert again.read_text() == raw
 
 
+@pytest.mark.parametrize("value, marker", [(np.float64(math.inf), "Divergent"),
+                                           (np.float64(-math.inf), "-Divergent")])
+def test_numpy_infinity_is_written_as_divergent(tmp_path, value, marker):
+    # a numpy float is unwrapped before the infinity rule, not after it
+    summary = write_summary_json(tmp_path / "summary.json",
+                                 {"fits": {"rate": value}, "per_point": [{"var": value}]})
+    assert "Infinity" not in summary.read_text()
+    back = load_summary_json(summary)
+    assert back["fits"]["rate"] == back["per_point"][0]["var"] == marker
+    table = write_per_point_csv(tmp_path / "per_point.csv", [{"N": 4, "var": value}])
+    assert load_per_point_csv(table)[0]["var"] == marker
+
+
 def test_per_point_csv_round_trip(tmp_path):
     rows = [
         {"N": 8, "t": 0.5, "mean": 1.25, "var": 0.5, "l2": 0.1, "l4": 0.2,
@@ -140,6 +153,16 @@ def test_columns_csv_round_trip_with_inf(tmp_path):
     assert list(back["label"]) == ["a", "b", "c"]
     with pytest.raises(ValueError):
         write_columns_csv(tmp_path / "bad.csv", {"a": np.arange(3), "b": np.arange(2)})
+
+
+def test_ragged_column_loads_back_as_an_object_column(tmp_path):
+    # JSON-list cells mixed with numbers make no rectangular array
+    column = np.array([[1.0, 2.0], 3.0], dtype=object)
+    back = load_columns_csv(write_columns_csv(tmp_path / "cols.csv", {"c": column,
+                                                                      "x": [1.0, 2.0]}))
+    assert back["c"].dtype == object
+    assert back["c"].tolist() == [[1.0, 2.0], 3.0]
+    np.testing.assert_array_equal(back["x"], [1.0, 2.0])
 
 
 def test_float_formatting_survives_extreme_values(tmp_path):

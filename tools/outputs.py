@@ -12,7 +12,8 @@ on the source trees before and after it, then comparing the two files::
 seeded corpus to one ``.npz``:
 
 * the four stepping kernels (the nd ones at d = 1, 2, 3), over variants,
-  frames, means and inflation, plus two batches with diverging trials;
+  frames, means and inflation, the scalar particle kernel also at N = 4,
+  10, 40 and 200, plus two batches with diverging trials;
 * ``run_enkf``, ``law_level_run`` and ``kalman_run``, and a stochastic
   semigroup along one run;
 * ``run_nonlinear`` in all three variants, with linear evaluators and with a
@@ -123,6 +124,14 @@ def kernels(kb, c: Corpus) -> None:
             for frame in ("error", "absolute"):
                 c.put(f"kernel/particle_nd/d{d}/{variant}/{frame}", eng.particle_cov_paths_nd(
                     m, variant, N=6, grid=grid, seed=7, trials=5, chunk=2, frame=frame))
+    # clouds of 5, 11, 41 and 201 particles: each summation order of the
+    # scalar kernel's sums over the particles (in sequence, eight
+    # accumulators, halves)
+    for N in (4, 10, 40, 200):
+        for variant in ("vanilla", "deterministic"):
+            c.put(f"kernel/particle_1d/N{N}/{variant}", eng.particle_cov_paths_1d(
+                m1, variant, N=N, grid=kb.TimeGrid(0.0, 1e-2, 120), seed=8, trials=5,
+                chunk=3, integral_from=7))
     c.put("kernel/particle_1d/matched", eng.particle_cov_paths_1d(
         m1, "vanilla", N=10, grid=grid, seed=4, trials=7, init="matched"))
     for d, m in models:
