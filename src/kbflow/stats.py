@@ -12,9 +12,11 @@ whose index seeds the noise streams.  Each study hands all of its engine runs
 calling process or, with several workers, in one process pool; summaries
 are bit-reproducible for a fixed spec regardless of the worker count or
 that scheduling, and aggregation is ordered by chunk index.  Divergent
-trials are excluded from moment aggregates but counted.  Progress (the
-chunk layout, and each chunk's wall time at DEBUG) goes to the ``kbflow``
-logger.
+trials are excluded from moment aggregates but counted, by one rule for
+every kind (:func:`_survivors`): fewer than two survivors give a NaN
+variance and standard error, none give NaN statistics, and nothing warns.
+Progress (the chunk layout, and each chunk's wall time at DEBUG) goes to the
+``kbflow`` logger.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +108,8 @@ class MomentAccumulator:
     Chunks are reduced to local central sums and merged pairwise, so large
     sample sets can be aggregated incrementally (and in a fixed order, for
     reproducibility).  ``std_moment(p)`` returns the standardized central
-    moment E[(x-mean)^p]/sd^p.
+    moment E[(x-mean)^p]/sd^p.  Without samples every statistic is NaN;
+    samples whose powers overflow give inf or NaN moments.
     """
 
     def __init__(self, order: int = 9):
@@ -113,7 +117,7 @@ class MomentAccumulator:
             raise ValueError(f"order must be in [2, 12], got {order}")
         self.order = order
         self.n = 0
-        self.mean = 0.0
+        self.mean = math.nan
         self._M = np.zeros(order + 1)  # M[p] = sum((x - mean)^p), p >= 2
 
     def add(self, values) -> "MomentAccumulator":
@@ -171,7 +175,7 @@ class MomentAccumulator:
         return self._M[p] / self.n if self.n else math.nan
 
     def std_moment(self, p: int) -> float:
-        sd = math.sqrt(self._M[2] / self.n) if self.n else math.nan
+        sd = np.sqrt(self._M[2] / self.n) if self.n else math.nan
         return self.central_moment(p) / sd ** p if sd > 0 else math.nan
 
     def std_moments(self, p_min: int = 3, p_max: int | None = None) -> list[float]:
@@ -271,8 +275,10 @@ def _stationary_job(model: LinearGaussianModel, N: int, dt: float, horizon: floa
 def _stationary_pool(out: dict, job: dict, record_stride: int,
                      target_lag_corr: float) -> dict:
     """Thin and pool the recorded covariances of a stationary job."""
-    alive = out["diverged_step"] < 0
-    series = out["cov"][alive]
+    div = out["diverged_step"]
+    # the surviving replicas' indices, so the record stack is copied once
+    alive = _survivors(np.arange(div.size), div, job["grid"].steps)
+    series = out["cov"][alive.values]
     stride = decorrelation_stride(series, target_lag_corr)
     thinned = series[:, ::stride]
     samples = thinned.ravel()
@@ -282,8 +288,8 @@ def _stationary_pool(out: dict, job: dict, record_stride: int,
         "effective": int(samples.size),
         "stride_steps": int(stride * record_stride),
         "lag_corr": _lag1_correlation(thinned),
-        "diverged": int(np.sum(~alive)),
-        "replicas": int(alive.size),
+        "diverged": alive.diverged,
+        "replicas": int(div.size),
         "burn_in": float(int(job["record_indices"][0]) * dt),
         "dt": float(dt),
     }
@@ -297,7 +303,7 @@ def _stationary_pool(out: dict, job: dict, record_stride: int,
 class _Kind:
     """One study kind: its runner and the rules its :class:`StudySpec` obeys.
 
-    ``run(spec, model, workers, progress)`` returns ``(per_point, fits,
+    ``run(spec, model, workers)`` returns ``(per_point, fits,
     figures)``.  ``axis`` is the spec field it runs along (a key of ``_AXES``)
     or None; the other ``_AXES`` fields of its spec stay None.  A ``scalar``
     kind needs an observed d = d_y = 1 model, one that ``needs_R`` also
@@ -523,8 +529,8 @@ def _timed_chunk(engine, kw: dict):
     return out, time.perf_counter() - t0
 
 
-def _map_chunks(engine, trials: int, chunk: int, workers: int,
-                progress: list | None = None, jobs=({},), **kw) -> list[dict]:
+def _map_chunks(engine, trials: int, chunk: int, workers: int, jobs=({},),
+                **kw) -> list[dict]:
     """Run every job of a study over trial chunks, in one pass.
 
     Job ``j`` runs the batch engine ``engine`` with ``trials``, ``chunk``,
@@ -533,8 +539,7 @@ def _map_chunks(engine, trials: int, chunk: int, workers: int,
     than one worker and more than one chunk, the chunks of all jobs share
     one process pool; otherwise they run in this process.  Returns one
     result per job, its chunks joined in chunk order by the kernels'
-    ``_engines._join``.  Completed chunk indices are appended to
-    ``progress``.  If a chunk raises or the run is interrupted, the chunks
+    ``_engines._join``.  If a chunk raises or the run is interrupted, the chunks
     not yet started are cancelled before the error propagates.
     """
     tasks = []  # (job, chunk index, engine keywords)
@@ -546,8 +551,6 @@ def _map_chunks(engine, trials: int, chunk: int, workers: int,
 
     def done(j, c, out, seconds):
         parts[j][c] = out
-        if progress is not None:
-            progress.append(c)
         log.debug("job %d, chunk %d: %.3f s", j, c, seconds)
 
     n_workers = min(workers, len(tasks))
@@ -595,6 +598,45 @@ def _core_row(**kw) -> dict:
     return row
 
 
+class _Survivors(NamedTuple):
+    values: np.ndarray  # the surviving trials, in trial order
+    diverged: int
+    mean: object  # a float, or an array of the trailing shape
+    var: object
+    se: object
+    l2: float
+    l4: float
+
+
+def _survivors(values, diverged_step, step: int, target=0.0) -> _Survivors:
+    """The trials of ``values`` (trials, ...) alive at record step ``step``
+    and their statistics: the one survivor rule of every study kind.
+
+    A trial is alive at ``step`` if it never diverged (``diverged_step`` < 0,
+    one step per trial or one for all) or diverged after ``step``; the others
+    are counted in ``diverged``.  The statistics of the survivors are the
+    mean, variance (ddof = 1) and standard error along the trials axis, and
+    L2 and L4, (E|D|^2)^(1/2) and (E|D|^4)^(1/4) for D a trial's deviation
+    from ``target`` (its Frobenius norm for a matrix).  Var and SE are NaN
+    below two survivors, every statistic is NaN without one, and survivors
+    near overflow give inf or NaN statistics without a warning.
+    """
+    alive = np.broadcast_to((diverged_step < 0) | (diverged_step > step), values.shape[:1])
+    x = values[alive]
+    n = x.shape[0]
+    nan = np.full(x.shape[1:], np.nan)[()]
+    if n == 0:
+        return _Survivors(x, alive.size, nan, nan, nan, math.nan, math.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        var = np.var(x, axis=0, ddof=1) if n > 1 else nan
+        dev = x - target
+        if dev.ndim > 1:
+            dev = np.sqrt(np.sum(dev * dev, axis=tuple(range(1, dev.ndim))))
+        return _Survivors(x, int(alive.size - n), mean, var, np.sqrt(var) / math.sqrt(n),
+                          np.sqrt(np.mean(dev ** 2)), np.mean(dev ** 4) ** 0.25)
+
+
 def _record_indices(steps: int, every: int) -> np.ndarray:
     rec = np.arange(0, steps + 1, every)
     if rec[-1] != steps:
@@ -607,7 +649,7 @@ def _scalar_of(model: LinearGaussianModel) -> ScalarModel:
                        S=float(model.S[0, 0]))
 
 
-def _run_bias(spec: StudySpec, model, workers, progress):
+def _run_bias(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     d = model.d
     Q = np.asarray(spec.options.get("Q", np.eye(d)), dtype=float).reshape(d, d)
@@ -620,51 +662,26 @@ def _run_bias(spec: StudySpec, model, workers, progress):
 
     engine, P0 = ((_engines.particle_cov_paths_1d, float(Q[0, 0])) if d == 1
                   else (_engines.particle_cov_paths_nd, Q))
-    out = _map_chunks(engine, spec.trials, spec.chunk, workers, progress=progress,
-                      model=model, variant=spec.variant, N=N, grid=grid,
-                      seed=spec.master_seed, record_indices=rec, P0=P0)[0]
+    out = _map_chunks(engine, spec.trials, spec.chunk, workers, model=model,
+                      variant=spec.variant, N=N, grid=grid, seed=spec.master_seed,
+                      record_indices=rec, P0=P0)[0]
     covs = out["cov"].reshape(-1, rec.size, d, d)  # (B, R) at d = 1
 
     per_point = []
-    for j, t in enumerate(times):
-        vals = covs[:, j]
-        finite = np.all(np.isfinite(vals.reshape(vals.shape[0], -1)), axis=1)
-        vals = vals[finite]
-        n = vals.shape[0]
-        if n == 0:  # every trial has diverged by t: a recorded outcome
-            nan = float("nan")
-            per_point.append(_core_row(
-                N=N, t=float(t), mean=nan, var=nan, l2=nan, l4=nan, diverged=finite.size,
-                margin=nan, margin_se=nan, ci_ok=False))
-            continue
-        # surviving trials near overflow give inf statistics, recorded as such
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = vals.mean(axis=0)
-            phi = phis[j]
-            if d == 1:
-                proj = vals[:, 0, 0]
-                target = float(phi[0, 0])
-                mean_rep = float(mean[0, 0])
-            else:
-                w, V = np.linalg.eigh(phi - mean)
-                u = V[:, 0]
-                proj = np.einsum("i,nij,j->n", u, vals, u)
-                target = float(u @ phi @ u)
-                mean_rep = mean.tolist()
-            if n > 1:
-                var = float(np.var(proj, ddof=1))
-                se = float(np.std(proj, ddof=1)) / math.sqrt(n)
-            else:  # one survivor has no spread
-                var = se = math.nan
-            margin = float(np.mean(proj)) - target
-            dev = vals - phi
-            fro = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
-            per_point.append(_core_row(
-                N=N, t=float(t), mean=mean_rep, var=var,
-                l2=float(np.sqrt(np.mean(fro ** 2))),
-                l4=float(np.mean(fro ** 4) ** 0.25),
-                diverged=int(np.sum(~finite)),
-                margin=margin, margin_se=se, ci_ok=bool(margin <= z * se)))
+    for j, (t, phi) in enumerate(zip(times, phis)):
+        s = _survivors(covs[:, j], out["diverged_step"], rec[j], phi)
+        if d > 1 and s.values.size:  # along the most under-estimated direction
+            u = np.linalg.eigh(phi - s.mean)[1][:, 0]
+            proj = np.einsum("i,nij,j->n", u, s.values, u)
+            target, mean_rep = float(u @ phi @ u), s.mean.tolist()
+        else:
+            proj, target, mean_rep = s.values[:, 0, 0], float(phi[0, 0]), float(s.mean[0, 0])
+        p = _survivors(proj, -1, rec[j])  # the survivors' projections
+        margin = float(p.mean) - target
+        per_point.append(_core_row(
+            N=N, t=float(t), mean=mean_rep, var=p.var, l2=s.l2, l4=s.l4,
+            diverged=s.diverged, margin=margin, margin_se=p.se,
+            ci_ok=bool(margin <= z * p.se)))
     return per_point, {}, {}
 
 
@@ -673,7 +690,7 @@ def _run_bias(spec: StudySpec, model, workers, progress):
 _FIG3_PATHS = {"trials": 3, "chunk": 3, "first_chunk": 10_000}
 
 
-def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
+def _run_fluctuation_rate(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     sm = _scalar_of(model)
     Q = float(spec.options.get("Q", 1.0))
@@ -682,22 +699,16 @@ def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
     fig3_N = (spec.N[0], spec.N[-1])
     fig3_rec = _record_indices(grid.steps, max(1, grid.steps // 200))
     outs = _map_chunks(
-        _engines.law_cov_paths_1d, spec.trials, spec.chunk, workers, progress,
+        _engines.law_cov_paths_1d, spec.trials, spec.chunk, workers,
         jobs=[{"N": N, "first_chunk": i * n_chunks} for i, N in enumerate(spec.N)]
         + [{"N": N, **_FIG3_PATHS, "record_indices": fig3_rec} for N in fig3_N],
         model=model, kappa=spec.kappa, Q=Q, grid=grid, seed=spec.master_seed,
         record_indices=[grid.steps])
     per_point = []
     for N, out in zip(spec.N, outs):
-        vals = out["cov"][:, 0]
-        finite = np.isfinite(vals)
-        dev = vals[finite] - phi_T
-        per_point.append(_core_row(
-            N=N, t=float(grid.horizon), mean=float(np.mean(vals[finite])),
-            var=float(np.var(vals[finite], ddof=1)),
-            l2=float(np.sqrt(np.mean(dev ** 2))),
-            l4=float(np.mean(dev ** 4) ** 0.25),
-            diverged=int(np.sum(~finite))))
+        s = _survivors(out["cov"][:, 0], out["diverged_step"], grid.steps, phi_T)
+        per_point.append(_core_row(N=N, t=float(grid.horizon), mean=s.mean, var=s.var,
+                                   l2=s.l2, l4=s.l4, diverged=s.diverged))
     slope, stderr = slope_fit(np.log([p["N"] for p in per_point]),
                               np.log([p["l2"] for p in per_point]))
     times = grid.times()[fig3_rec]
@@ -708,7 +719,7 @@ def _run_fluctuation_rate(spec: StudySpec, model, workers, progress):
     return per_point, {"slope": slope, "stderr": stderr}, {"fig3_riccati_paths": cols}
 
 
-def _run_invariant_ks(spec: StudySpec, model, workers, progress):
+def _run_invariant_ks(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     sm = _scalar_of(model)
     N = spec.N[0]
@@ -719,8 +730,8 @@ def _run_invariant_ks(spec: StudySpec, model, workers, progress):
     n_chunks = len(list(_engines._chunks(spec.trials, spec.chunk)))
     variants = (("vanilla", 1.0), ("deterministic", 0.0))
     outs = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk, workers,
-                       progress, jobs=[{"variant": variant, "first_chunk": i * n_chunks}
-                                       for i, (variant, _) in enumerate(variants)],
+                       jobs=[{"variant": variant, "first_chunk": i * n_chunks}
+                             for i, (variant, _) in enumerate(variants)],
                        seed=spec.master_seed, **job)
     per_point = []
     pools = {}
@@ -735,11 +746,10 @@ def _run_invariant_ks(spec: StudySpec, model, workers, progress):
         dens = invariant_density(sm, kappa, N)
         ks = ks_distance(occ["samples"], dens.cdf)
         acc = MomentAccumulator(9).add(occ["samples"])
+        pooled = _survivors(occ["samples"], -1, 0)  # the survivors' samples
         pools[variant] = occ
         per_point.append(_core_row(
-            N=N, mean=acc.mean, var=acc.variance,
-            l2=float(np.sqrt(np.mean(occ["samples"] ** 2))),
-            l4=float(np.mean(occ["samples"] ** 4) ** 0.25),
+            N=N, mean=acc.mean, var=acc.variance, l2=pooled.l2, l4=pooled.l4,
             std_moments=acc.std_moments(), ks=ks, diverged=occ["diverged"],
             variant=variant, kappa=kappa, effective=occ["effective"],
             stride_steps=occ["stride_steps"], lag_corr=occ["lag_corr"],
@@ -766,31 +776,29 @@ def _fig2_columns(sm: ScalarModel, N: int, pools: dict, n_bins: int = 400):
     }
 
 
-def _run_moments_flow(spec: StudySpec, model, workers, progress):
+def _run_moments_flow(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     N = spec.N[0]
     Q = float(spec.options.get("Q", 1.0))
     every = int(spec.options.get("record_every", max(1, grid.steps // 50)))
     rec = _record_indices(grid.steps, every)
-    out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
-                      workers, progress=progress, model=model,
-                      kappa=spec.kappa, N=N, Q=Q, grid=grid,
+    out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk, workers,
+                      model=model, kappa=spec.kappa, N=N, Q=Q, grid=grid,
                       seed=spec.master_seed, record_indices=rec)[0]
     times = grid.times()[rec]
     per_point = []
     raw = {p: [] for p in range(1, 10)}
     for j, t in enumerate(times):
-        vals = out["cov"][:, j]
-        vals = vals[np.isfinite(vals)]
-        acc = MomentAccumulator(9).add(vals)
-        for p in range(1, 10):
-            raw[p].append(float(np.mean(vals ** p)))
+        s = _survivors(out["cov"][:, j], out["diverged_step"], rec[j])
+        # survivors near overflow give inf or NaN moments, recorded as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = MomentAccumulator(9).add(s.values)
+            for p in range(1, 10):
+                raw[p].append(float(np.mean(s.values ** p)) if s.values.size else math.nan)
+            std_moments = acc.std_moments()
         per_point.append(_core_row(
-            N=N, t=float(t), mean=acc.mean, var=acc.variance,
-            l2=float(np.sqrt(np.mean(vals ** 2))),
-            l4=float(np.mean(vals ** 4) ** 0.25),
-            std_moments=acc.std_moments(),
-            diverged=int(out["cov"].shape[0] - vals.size)))
+            N=N, t=float(t), mean=acc.mean, var=acc.variance, l2=s.l2, l4=s.l4,
+            std_moments=std_moments, diverged=s.diverged))
     fig4 = {"t": times, **{f"m{p}": np.array(raw[p]) for p in range(1, 10)}}
     fig1 = _fig1_columns(N)
     return per_point, {}, {"fig4_moments_flow": fig4, "fig1_thresholds": fig1}
@@ -805,7 +813,7 @@ def _fig1_columns(N: int, n_max: int = 10):
     }
 
 
-def _run_lyapunov(spec: StudySpec, model, workers, progress):
+def _run_lyapunov(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     sm = _scalar_of(model)
     N = spec.N[0]
@@ -814,29 +822,25 @@ def _run_lyapunov(spec: StudySpec, model, workers, progress):
     if burn_idx >= grid.steps:
         raise ConfigError("burn-in exceeds the study horizon")
     Q = float(spec.options.get("Q", equilibria(sm).rho_plus))
-    out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
-                      workers, progress=progress, model=model,
-                      kappa=spec.kappa, N=N, Q=Q, grid=grid,
+    out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk, workers,
+                      model=model, kappa=spec.kappa, N=N, Q=Q, grid=grid,
                       seed=spec.master_seed, record_indices=[grid.steps],
                       integral_from=burn_idx)[0]
-    alive = out["diverged_step"] < 0
-    span = (grid.steps - burn_idx) * grid.dt
-    rates = out["integral"][alive] / span
-    lam_hat = float(np.mean(rates))
+    # a diverged trial's integral is finite: it stops at the divergence
+    rates = _survivors(out["integral"] / ((grid.steps - burn_idx) * grid.dt),
+                       out["diverged_step"], grid.steps)
+    lam_hat = float(rates.mean)
     lam_quad = lyapunov_exponent(sm, spec.kappa, N)
-    row = _core_row(N=N, t=float(grid.horizon), mean=lam_hat,
-                    var=float(np.var(rates, ddof=1)),
-                    diverged=int(np.sum(~alive)),
-                    lambda_quadrature=lam_quad,
-                    lambda_se=float(np.std(rates, ddof=1) / math.sqrt(rates.size)),
-                    rel_err=abs(lam_hat - lam_quad) / abs(lam_quad))
+    row = _core_row(N=N, t=float(grid.horizon), mean=lam_hat, var=rates.var,
+                    diverged=rates.diverged, lambda_quadrature=lam_quad,
+                    lambda_se=rates.se, rel_err=abs(lam_hat - lam_quad) / abs(lam_quad))
     if N > 4:
         lo, hi = lyapunov_bounds(sm, N, spec.kappa)
         row.update(bound_lo=lo, bound_hi=hi, in_bounds=bool(lo <= lam_quad <= hi))
     return [row], {}, {}
 
 
-def _run_inflation_sweep(spec: StudySpec, model, workers, progress):
+def _run_inflation_sweep(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     d = model.d
     Q = np.asarray(spec.options.get("Q", np.eye(d)), dtype=float).reshape(d, d)
@@ -852,17 +856,17 @@ def _run_inflation_sweep(spec: StudySpec, model, workers, progress):
         for xi in xis:
             infl = inflated_riccati_flow(model, kappa, Q, grid,
                                          Inflation(xi=float(xi)))
-            for k in rec:
+            for k, t in zip(rec, times):
                 diff = infl.P[k] - base.P[k] if kappa == 1.0 \
                     else base.P[k] - infl.P[k]
                 margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
                 per_point.append(_core_row(
-                    N=None, t=float(grid.times()[k]), kappa=kappa,
+                    N=None, t=float(t), kappa=kappa,
                     xi=float(xi), margin=margin))
     return per_point, {}, {}
 
 
-def _run_semigroup_contraction(spec: StudySpec, model, workers, progress):
+def _run_semigroup_contraction(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     N = spec.N[0]
     sm = _scalar_of(model)
@@ -870,42 +874,37 @@ def _run_semigroup_contraction(spec: StudySpec, model, workers, progress):
     P_inf = solve_are(model).P
     mu = float(model.A[0, 0] - P_inf[0, 0] * model.S[0, 0])
     threshold = 0.5 * mu
-    out = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk,
-                      workers, progress=progress, model=model,
-                      variant=spec.variant, N=N, grid=grid,
+    out = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk, workers,
+                      model=model, variant=spec.variant, N=N, grid=grid,
                       seed=spec.master_seed, record_indices=[grid.steps], P0=Q,
                       integral_from=0)[0]
-    alive = out["diverged_step"] < 0
-    rates = np.where(alive, out["integral"] / grid.horizon, np.inf)
-    freq = float(np.mean(rates < threshold))
-    row = _core_row(N=N, t=float(grid.horizon), mean=freq,
-                    var=float(np.var(rates[alive], ddof=1)),
-                    diverged=int(np.sum(~alive)),
-                    threshold=threshold, mu_closed_loop=mu,
-                    rate_mean=float(np.mean(rates[alive])))
+    # a diverged trial's integral is finite (it stops at the divergence),
+    # and the trial counts as not contracting
+    rates = _survivors(out["integral"] / grid.horizon, out["diverged_step"], grid.steps)
+    freq = np.count_nonzero(rates.values < threshold) / spec.trials
+    row = _core_row(N=N, t=float(grid.horizon), mean=freq, var=rates.var,
+                    diverged=rates.diverged, threshold=threshold, mu_closed_loop=mu,
+                    rate_mean=rates.mean)
     return [row], {}, {}
 
 
-def _run_clt_variance(spec: StudySpec, model, workers, progress):
+def _run_clt_variance(spec: StudySpec, model, workers):
     grid = spec.time_grid()
     sm = _scalar_of(model)
     N = spec.N[0]
     Q = float(spec.options.get("Q", 0.0))
-    out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk,
-                      workers, progress=progress, model=model,
-                      kappa=spec.kappa, N=N, Q=Q, grid=grid,
+    out = _map_chunks(_engines.law_cov_paths_1d, spec.trials, spec.chunk, workers,
+                      model=model, kappa=spec.kappa, N=N, Q=Q, grid=grid,
                       seed=spec.master_seed, record_indices=[grid.steps])[0]
-    vals = out["cov"][:, 0]
-    finite = np.isfinite(vals)
     phi_T = float(riccati_closed_form(sm, Q, grid.horizon))
-    dev = math.sqrt(N) * (vals[finite] - phi_T)
-    empirical = float(np.var(dev, ddof=1))
+    dev = _survivors(math.sqrt(N) * (out["cov"][:, 0] - phi_T), out["diverged_step"],
+                     grid.steps)
     oracle = clt_variance_oracle(sm, spec.kappa, Q, grid.horizon)
-    rel = abs(empirical - oracle) / oracle if oracle > 0 else math.nan
-    row = _core_row(N=N, t=float(grid.horizon), mean=float(np.mean(dev)),
-                    var=empirical, diverged=int(np.sum(~finite)),
-                    oracle=oracle, rel_err=rel,
-                    var_se=empirical * math.sqrt(2.0 / (dev.size - 1)))
+    rel = abs(dev.var - oracle) / oracle if oracle > 0 else math.nan
+    # the normal-theory SE of a variance; NaN with the variance below two survivors
+    var_se = dev.var * math.sqrt(2.0 / max(len(dev.values) - 1, 1))
+    row = _core_row(N=N, t=float(grid.horizon), mean=dev.mean, var=dev.var,
+                    diverged=dev.diverged, oracle=oracle, rel_err=rel, var_se=var_se)
     return [row], {}, {}
 
 
@@ -935,27 +934,16 @@ def run_study(spec: StudySpec, workers: int | None = None) -> StudySummary:
     """Execute a study and (when ``spec.out`` is set) persist its outputs.
 
     Writes ``summary.json``, ``per_point.csv``, and any figure-ready CSVs
-    into the output directory.  On KeyboardInterrupt a partial manifest of
-    completed chunks is persisted (``partial.json``) before re-raising.
+    into the output directory, once the study has finished; an interrupted
+    or failing study writes nothing.
     """
     workers = default_workers() if workers is None else max(1, int(workers))
     model = spec.lg_model()
-    progress: list = []
     log.info("study %s: %d trials in chunks of %d, %d workers", spec.kind,
              spec.trials, spec.chunk, workers)
     t0 = time.perf_counter()
-    try:
-        per_point, fits, figures = _KINDS[spec.kind].run(spec, model, workers, progress)
-    except KeyboardInterrupt:
-        if spec.out is not None:
-            io.write_summary_json(
-                io.Path(spec.out) / "partial.json",
-                {"spec_echo": spec.to_dict(),
-                 "completed_chunks": sorted(progress),
-                 "per_point": [], "fits": {}})
-        raise
-    log.info("study %s: %d chunks in %.2f s", spec.kind, len(progress),
-             time.perf_counter() - t0)
+    per_point, fits, figures = _KINDS[spec.kind].run(spec, model, workers)
+    log.info("study %s: done in %.2f s", spec.kind, time.perf_counter() - t0)
     summary = StudySummary(spec_echo=spec.to_dict(), per_point=per_point,
                            fits=fits)
     if spec.out is not None:

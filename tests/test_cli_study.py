@@ -3,6 +3,7 @@ while a study runs, each reported as one error line and an exit code."""
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,3 +107,19 @@ def test_bias_study_whose_trials_all_diverge_writes_nan_rows(tmp_path, model):
         assert row["diverged"] == 100 and row["ci_ok"] is False
         assert all(math.isnan(row[key]) for key in
                    ("mean", "var", "l2", "l4", "margin", "margin_se"))
+
+
+def test_moments_flow_whose_moments_overflow_exits_0(tmp_path, capsys):
+    # dt = 1 on A = 50: the finite covariances' ninth powers overflow, and
+    # their standardised moments are recorded as inf or NaN, not raised
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(
+        kind="moments_flow", model=ScalarModel(50.0, 1.0, 1.0).to_model().to_dict(),
+        grid={"dt": 1.0, "steps": 40}, master_seed=1, trials=60, N=[1], kappa=1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["study", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["per_point"]
+    assert all(row["diverged"] == 0 and math.isfinite(row["mean"]) for row in rows)
+    assert not all(math.isfinite(m) for row in rows for m in row["std_moments"][1:])

@@ -33,7 +33,8 @@ seeded corpus to one ``.npz``:
 * ``kbflow run`` for the exact filter, a particle system and the law level;
 * the files of all eight study kinds, at small sizes, and of the bias
   study also at confidence 0.9 and 0.95 and with trials diverging until
-  one survives.
+  one survives, of a contraction study whose trials all diverge and of a
+  moments flow whose higher moments overflow.
 
 Flows and runs are read through node access (``[s.P for s in flow]``,
 ``[s.X for s in run]``), so the script runs unchanged on source trees whose
@@ -42,8 +43,10 @@ contents are stored as bytes, with the temporary directory's path replaced
 by ``<tmp>``.
 
 ``compare`` lists each output as ``equal`` (bit for bit), ``moved`` (with
-the largest relative difference, or the first differing byte of a file) or
-``missing`` (on one side), and exits 0 only if every output is equal.  The
+the largest relative difference of an entry and the largest difference
+relative to the output's largest finite magnitude, or the first differing
+byte of a file) or ``missing`` (on one side), and exits 0 only if every
+output is equal.  The
 corpus takes well under a minute on two cores.
 """
 
@@ -377,6 +380,15 @@ def _study_specs(kb) -> dict:
                                       trials=150, chunk=64, N=(12,), variant="vanilla"),
         "clt_variance": dict(kind="clt_variance", model=m1, grid={"dt": 0.01, "steps": 20},
                              master_seed=1, trials=120, chunk=50, N=(8,), kappa=0),
+        # N = 1 particle on an unstable model: every trial diverges
+        "semigroup_contraction_all_diverged": dict(
+            kind="semigroup_contraction", model=_scalar(kb, 8.0).to_dict(),
+            grid={"dt": 0.1, "steps": 200}, master_seed=1, trials=150, N=(1,),
+            variant="vanilla"),
+        # dt = 1 on A = 50: finite covariances whose ninth powers overflow
+        "moments_flow_overflow": dict(kind="moments_flow", model=_scalar(kb, 50.0).to_dict(),
+                                      grid={"dt": 1.0, "steps": 40}, master_seed=1,
+                                      trials=10, N=(1,), kappa=1),
     }
 
 
@@ -425,14 +437,19 @@ def _difference(a: np.ndarray, b: np.ndarray) -> str:
     nan_a, nan_b = np.isnan(a), np.isnan(b)
     if np.any(nan_a != nan_b):
         return f"nan at {int(np.sum(nan_a != nan_b))} entries of one side only"
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         same = (a == b) | nan_a
-        scale = np.maximum(np.abs(a), np.abs(b))
-        rel = np.where(same, 0.0, np.abs(a - b) / scale)
+        diff = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, diff / np.maximum(np.abs(a), np.abs(b)))
+        finite = np.abs(np.concatenate([a[np.isfinite(a)], b[np.isfinite(b)]]))
+        # a rounding-level move of an entry near zero is large relative to
+        # the entry; against the output's largest magnitude it is not
+        overall = diff.max() / finite.max() if finite.size else np.inf
     rel = np.where(np.isnan(rel), np.inf, rel)
     if rel.max() == 0.0:  # equal values, other bits (-0.0, nan payloads)
         return "equal values, other bits"
-    return f"max relative difference {rel.max():.3g}"
+    return (f"max relative difference {rel.max():.3g}, "
+            f"{overall:.3g} of the largest magnitude")
 
 
 def compare(path_a, path_b) -> list[tuple[str, str, str]]:
