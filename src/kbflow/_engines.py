@@ -32,16 +32,15 @@ themselves.
 The particle kernels store a chunk's clouds with the trials axis innermost:
 ``(M, B)`` in :func:`particle_cov_paths_1d`, ``(d, M, B)`` in
 :func:`particle_cov_paths_nd` and :func:`_particle_update`, so a sum over the
-particles is M vector adds across all trials and every broadcast a row
-operation.  The scalar kernel sums in numpy's pairwise order
-(:func:`_row_sum`), the order of its former ``(B, M)`` rows, so its outputs
-did not change.  In the nd kernel a product with a constant matrix is one
-matrix product over all particles of all trials (:func:`_lin`) and a
-per-trial product one contraction over the batch (:func:`_gram`,
-:func:`_dot`).  A chunk of one trial drops the trials axis instead and
-keeps the per-matrix products of its ``(d, M)`` cloud: a single run keeps
-its bits and its speed, which the contractions over a batch would cost.
-The choice depends on the chunk's trial count alone.
+particles (``np.add.reduce`` over the particle axis, in both kernels) is M
+vector adds across all trials and every broadcast a row operation.  In the
+nd kernel a product with a constant matrix is one matrix product over all
+particles of all trials (:func:`_lin`) and a per-trial product one
+contraction over the batch (:func:`_gram`, :func:`_dot`).  A chunk of one
+trial drops the trials axis instead and keeps the per-matrix products of
+its ``(d, M)`` cloud: a single run keeps its bits and its speed, which the
+contractions over a batch would cost.  The choice depends on the chunk's
+trial count alone.
 
 A kernel's own code steps one chunk; the scaffold around it is shared:
 
@@ -273,40 +272,6 @@ def _batched(body):
 # d = 1, particle level
 # ---------------------------------------------------------------------------
 
-def _row_sum(X):
-    """The sum over the leading axis of ``X``, bit for bit the per-row sums
-    ``np.add.reduce(X.T, axis=1)`` of a C-contiguous ``X.T`` (numpy's
-    pairwise summation from 0.0), by whole-row vector adds: below 8 terms in
-    sequence, up to 128 in eight accumulators (row i into accumulator
-    i mod 8, the rows after the last multiple of 8 added in sequence at the
-    end), above 128 as the sum of two halves split at a multiple of 8."""
-    if len(X) < 8:  # the reduction over the leading axis adds in sequence
-        return np.add.reduce(X, 0)
-    total = _pairwise_rows(X)
-    total += 0.0  # the start value: a sum of -0.0 terms is 0.0
-    return total
-
-
-def _pairwise_rows(X):
-    """numpy's pairwise sum of 8 or more rows, before its start value."""
-    n = len(X)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_rows(X[:half]) + _pairwise_rows(X[half:])
-    whole = n - n % 8
-    acc = X[:8]
-    if whole > 8:
-        acc = acc + X[8:16]
-        for i in range(16, whole, 8):
-            acc += X[i:i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    quads = pairs[0::2] + pairs[1::2]
-    total = quads[0] + quads[1]
-    for row in X[whole:]:
-        total += row
-    return total
-
-
 def _trials_last(a, axis: int = 1, drop_one: bool = False):
     """A C-contiguous copy of ``a`` with its trials axis ``axis`` moved
     last: an (n, B, ...) noise block as (n, ..., B), or with ``axis=0`` a
@@ -392,9 +357,9 @@ def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int
         obs_noise *= sqrt_R1
         return sig_noise, obs_noise
 
-    X_bar = _row_sum(X) / M
+    X_bar = np.add.reduce(X, 0) / M
     sq = X - X_bar
-    P_hat = _row_sum(sq * sq) / N
+    P_hat = np.add.reduce(sq * sq, 0) / N
     rec(0, P_hat)
     rows = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
                       K, dt, block_terms)
@@ -420,10 +385,10 @@ def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int
         step += innov
         X, step = step, X
 
-        X_bar = _row_sum(X) / M
+        X_bar = np.add.reduce(X, 0) / M
         np.subtract(X, X_bar, out=sq)
         sq *= sq
-        P_hat = _row_sum(sq) / N
+        P_hat = np.add.reduce(sq, 0) / N
         # a non-finite mean makes P_hat non-finite
         if _freeze(div, _nonfinite_trials(P_hat), k, X, P_hat, view=np.transpose):
             break

@@ -1,9 +1,10 @@
 """Command-line surface: model checks, single runs, studies, scalar tables.
 
 Exit codes: 0 success (including a run that ends in a recorded divergence),
-2 invalid configuration/spec/model file or another package error during a
-study, 3 failed model rank conditions, 4 non-finite state in the exact
-filter (a bug, not a model property) or during a study.
+2 invalid configuration/spec/model file or argument, or another package
+error, 3 failed model rank conditions, 4 non-finite state in the exact
+filter (a bug, not a model property) or during a study.  :func:`main` maps
+the exceptions of every command to its exit code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _load_json(path) -> dict:
 def cmd_model_check(args) -> int:
     try:
         model = load_model(args.model)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"invalid model file: {exc}", EXIT_CONFIG)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"invalid model file: {exc}") from exc
     d = model.d
     print(f"model: d={d}, d_y={model.d_y}")
     ctrl = check_controllability(model)
@@ -173,12 +174,7 @@ def _parse_run_config(doc: dict, args) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        doc = _load_json(args.config)
-        cfg = _parse_run_config(doc, args)
-    except (OSError, json.JSONDecodeError, ValueError, ConfigError) as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-
+    cfg = _parse_run_config(_load_json(args.config), args)
     model: LinearGaussianModel = cfg["_model"]
     grid: TimeGrid = cfg["_grid"]
     d = model.d
@@ -190,22 +186,17 @@ def cmd_run(args) -> int:
     inflation = None
     if float(cfg["xi"]) > 0 or "_T" in cfg:
         inflation = Inflation(xi=float(cfg["xi"]), T=cfg.get("_T"))
-    try:
-        if variant == "exact":
-            record = kalman_run(model, x0=np.zeros(d), Q=np.eye(d),
-                                truth_seed=seed, grid=grid)
-        elif variant == "law":
-            record = law_level_run(model, float(cfg["kappa"]), Q=np.eye(d),
-                                   x0=np.zeros(d), grid=grid, N=int(cfg["N"]),
-                                   inflation=inflation,
-                                   scheme=cfg.get("_scheme"), truth_seed=seed)
-        else:
-            record = run_enkf(model, variant, int(cfg["N"]), grid, seeds=seed,
-                              inflation=inflation)
-    except NonFinite as exc:
-        return _fail(str(exc), EXIT_NONFINITE)
-    except KBFlowError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+    if variant == "exact":
+        record = kalman_run(model, x0=np.zeros(d), Q=np.eye(d),
+                            truth_seed=seed, grid=grid)
+    elif variant == "law":
+        record = law_level_run(model, float(cfg["kappa"]), Q=np.eye(d),
+                               x0=np.zeros(d), grid=grid, N=int(cfg["N"]),
+                               inflation=inflation,
+                               scheme=cfg.get("_scheme"), truth_seed=seed)
+    else:
+        record = run_enkf(model, variant, int(cfg["N"]), grid, seeds=seed,
+                          inflation=inflation)
     io.write_trajectory_csv(out / "trajectory.csv", record.t, record.mean,
                             record.cov, record.error,
                             extras=io.trajectory_extras(record))
@@ -244,21 +235,13 @@ _GNUPLOT = {
 
 
 def cmd_study(args) -> int:
-    try:
-        doc = _load_json(args.spec)
-        if args.out is not None:
-            doc["out"] = args.out
-        if args.seed is not None:
-            doc["master_seed"] = args.seed
-        spec = stats.StudySpec.from_dict(doc)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    try:
-        summary = stats.run_study(spec, workers=args.workers)
-    except NonFinite as exc:
-        return _fail(str(exc), EXIT_NONFINITE)
-    except KBFlowError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+    doc = _load_json(args.spec)
+    if args.out is not None:
+        doc["out"] = args.out
+    if args.seed is not None:
+        doc["master_seed"] = args.seed
+    spec = stats.StudySpec.from_dict(doc)
+    summary = stats.run_study(spec, workers=args.workers)
     for row in summary.per_point:
         bits = [f"{k}={row[k]}" for k in ("N", "t", "mean", "ks", "diverged")
                 if row.get(k) is not None]
@@ -459,7 +442,9 @@ def main(argv=None) -> int:
             logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except NonFinite as exc:
+        return _fail(str(exc), EXIT_NONFINITE)
+    except (KBFlowError, ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
 

@@ -56,7 +56,13 @@ class Inflation:
             object.__setattr__(self, "T", 0.5 * (T + T.T))
 
     def ref(self, d: int) -> np.ndarray:
-        return np.eye(d) if self.T is None else self.T
+        """The reference matrix in dimension d."""
+        if self.T is None:
+            return np.eye(d)
+        if self.T.shape != (d, d):
+            raise ValueError(f"inflation reference T has shape {self.T.shape}, "
+                             f"the model needs {(d, d)}")
+        return self.T
 
     @property
     def active(self) -> bool:

@@ -284,6 +284,44 @@ def test_scalar_lyapunov_reports_bounds(capsys):
     assert "inside = True" in out
 
 
+_SCALAR = ["--A", "1", "--R", "1", "--S", "1", "--kappa", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{transport_xi}"],
+    ["run", "{T_1x1_vanilla}"],
+    ["run", "{T_1x1_law}"],
+    ["scalar", "density", "--A", "1", "--R", "0", "--S", "1", "--kappa", "1", "--N", "5"],
+    ["scalar", "moments", "--A", "1", "--R", "1", "--S", "-1", "--kappa", "1", "--N", "5"],
+    ["scalar", "lyapunov", "--A", "1", "--R", "-1", "--S", "1", "--kappa", "0", "--N", "5"],
+    ["scalar", "density", *_SCALAR, "--N", "0"],
+    ["scalar", "moments", *_SCALAR, "--N", "0"],
+    ["scalar", "lyapunov", *_SCALAR, "--N", "0"],
+    ["scalar", "density", *_SCALAR, "--N", "5", "--points", "-1"],
+    ["model", "check", "{model}", "--tau", "0"],
+    ["model", "check", "{model}", "--tau", "-1"],
+], ids=["run-transport-xi", "run-T-size-vanilla", "run-T-size-law", "density-R0",
+        "moments-S-neg", "lyapunov-R-neg", "density-N0", "moments-N0", "lyapunov-N0",
+        "density-points-neg", "check-tau0", "check-tau-neg"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    d1 = str(_write_model(tmp_path, scalar_lg()))
+    d2 = str(_write_model(tmp_path, random_model(2, seed=1, stabilize=1.0), "d2.json"))
+    T = str(_write_json(tmp_path, {"T": [[1.0]]}, "T.json"))
+    grid = {"dt": 0.01, "T_end": 0.1}
+    configs = {
+        "transport_xi": {"model": d1, "variant": "transport", "N": 5, "xi": 0.5},
+        "T_1x1_vanilla": {"model": d2, "variant": "vanilla", "N": 5, "xi": 0.5, "T": T},
+        "T_1x1_law": {"model": d2, "variant": "law", "kappa": 1, "N": 5, "xi": 0.5, "T": T},
+    }
+    files = {name: str(_write_json(tmp_path, {**doc, "grid": grid}, f"{name}.json"))
+             for name, doc in configs.items()}
+    assert main([a.format(model=d1, **files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    if "T_1x1" in argv[1]:  # Inflation.ref names both shapes
+        assert "(1, 1)" in err and "(2, 2)" in err
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -100,6 +100,30 @@ def test_particle_engine_matched_init_is_exact():
     np.testing.assert_allclose(p["cov"][:, 0], 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("A, N", [(1.0, 4), (1.0, 10), (1.0, 40), (20.0, 4)])
+@pytest.mark.parametrize("variant", ["vanilla", "deterministic"])
+def test_scalar_particle_kernel_is_the_nd_kernel_at_d1(variant, A, N):
+    # the d = 1 fast path against its reference, from the same seed in the
+    # error frame: the same divergence steps, and the same covariances up
+    # to the rounding of the two kernels' arithmetic
+    m = scalar_lg(A=A)
+    kw = dict(grid=GRID, seed=11, trials=32, chunk=16)
+    fast = particle_cov_paths_1d(m, variant, N, **kw)
+    ref = particle_cov_paths_nd(m, variant, N, **kw)
+    cov = ref["cov"][:, :, 0, 0]
+    np.testing.assert_array_equal(fast["diverged_step"], ref["diverged_step"])
+    finite = np.isfinite(cov)
+    np.testing.assert_array_equal(np.isfinite(fast["cov"]), finite)
+    diverged = ref["diverged_step"] >= 0
+    assert diverged.any() == (A == 20.0 and variant == "vanilla") and not diverged.all()
+    # a trial that blows up multiplies the rounding difference by about 3
+    # per step over its last steps (up to 2e-10 at 1e245 here)
+    rtol = 1e-9 if diverged.any() else 1e-12
+    np.testing.assert_allclose(fast["cov"][finite], cov[finite], rtol=rtol, atol=0)
+    if variant == "deterministic" and A == 1.0:  # the same operations in the same order
+        assert fast["cov"].tobytes() == cov.tobytes()
+
+
 @pytest.mark.parametrize("init", ["matched", np.zeros((3, 2, 5))], ids=["matched", "shape"])
 def test_particle_nd_init_is_iid_or_clouds(init, monkeypatch):
     # anything else fails before the first draw
@@ -385,29 +409,6 @@ def test_law_kernel_root_reuse_is_bitwise(model, kappa, N, dt, inflation, expect
 # ---------------------------------------------------------------------------
 # the trials-last layout of the particle kernels
 # ---------------------------------------------------------------------------
-
-_ROW_COUNTS = list(range(1, 41)) + [41, 51, 127, 128, 129, 136, 200, 257, 513]
-
-
-@pytest.mark.parametrize("n", _ROW_COUNTS)
-def test_row_sum_is_numpys_pairwise_sum_bit_for_bit(n):
-    # the sum over the leading axis of an (n, B) array equals numpy's sum of
-    # each row of the contiguous (B, n) transpose: the order the particle
-    # kernels summed their clouds in before the trials axis went last
-    rng = np.random.default_rng(n)
-    X = rng.normal(size=(n, 64)) * 10.0 ** rng.integers(-8, 9, size=(n, 64))
-    X[:, 0] = -0.0
-    X[rng.integers(n), 1] = np.nan
-    X[rng.integers(n), 2] = np.inf
-    X[rng.integers(n), 3] = -np.inf
-    X[:, 4] = np.inf
-    X[0, 4] = -np.inf  # inf - inf
-    X[:, 5] = 1e308  # finite terms whose sum overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = np.add.reduce(np.ascontiguousarray(X.T), axis=1)
-        got = _engines._row_sum(X)
-    assert got.tobytes() == expected.tobytes()
-
 
 @pytest.mark.parametrize("B", [1, 3, 1024])
 @pytest.mark.parametrize("M_", [2, 11, 51])
