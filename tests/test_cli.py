@@ -288,9 +288,9 @@ _SCALAR = ["--A", "1", "--R", "1", "--S", "1", "--kappa", "1"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "{transport_xi}"],
-    ["run", "{T_1x1_vanilla}"],
-    ["run", "{T_1x1_law}"],
+    ["run", "{transport_xi}", "--out", "{out}"],
+    ["run", "{T_1x1_vanilla}", "--out", "{out}"],
+    ["run", "{T_1x1_law}", "--out", "{out}"],
     ["scalar", "density", "--A", "1", "--R", "0", "--S", "1", "--kappa", "1", "--N", "5"],
     ["scalar", "moments", "--A", "1", "--R", "1", "--S", "-1", "--kappa", "1", "--N", "5"],
     ["scalar", "lyapunov", "--A", "1", "--R", "-1", "--S", "1", "--kappa", "0", "--N", "5"],
@@ -315,7 +315,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     }
     files = {name: str(_write_json(tmp_path, {**doc, "grid": grid}, f"{name}.json"))
              for name, doc in configs.items()}
-    assert main([a.format(model=d1, **files) for a in argv]) == 2
+    assert main([a.format(model=d1, out=tmp_path / "out", **files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     if "T_1x1" in argv[1]:  # Inflation.ref names both shapes
