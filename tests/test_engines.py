@@ -410,6 +410,46 @@ def test_law_kernel_root_reuse_is_bitwise(model, kappa, N, dt, inflation, expect
 # the trials-last layout of the particle kernels
 # ---------------------------------------------------------------------------
 
+_ROW_COUNTS = list(range(1, 41)) + [41, 51, 127, 128, 129, 136, 200, 257, 513]
+
+
+@pytest.mark.parametrize("n", _ROW_COUNTS)
+def test_row_sum_is_numpys_pairwise_sum_bit_for_bit(n):
+    # the scalar particle kernel sums each trial's cloud over the leading
+    # axis of its (n, B) array, np.add.reduce(X, 0): the trial's particles
+    # added in sequence from 0.0.  Below 8 terms that is numpy's pairwise
+    # sum of the trial's contiguous row bit for bit, the order the kernel
+    # summed in before the trials axis went last, so the d = 1 outputs at
+    # M <= 7 kept their bits; from 8 terms on it differs from the pairwise
+    # sum by rounding only, and is non-finite in the same trials with the
+    # same values, so a cloud diverges at the same step
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 64)) * 10.0 ** rng.integers(-8, 9, size=(n, 64))
+    X[:, 0] = -0.0
+    X[rng.integers(n), 1] = np.nan
+    X[rng.integers(n), 2] = np.inf
+    X[rng.integers(n), 3] = -np.inf
+    X[:, 4] = np.inf
+    X[0, 4] = -np.inf  # inf - inf
+    X[:, 5] = 1e308  # finite terms whose sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairwise = np.add.reduce(np.ascontiguousarray(X.T), axis=1)
+        got = np.add.reduce(X, 0)
+        in_sequence = np.zeros(64)
+        for row in X:
+            in_sequence = in_sequence + row
+        magnitude = np.add.reduce(np.abs(X), 0)
+    assert got.tobytes() == in_sequence.tobytes()
+    if n < 8:
+        assert got.tobytes() == pairwise.tobytes()
+    finite = np.isfinite(pairwise)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    np.testing.assert_array_equal(got[~finite], pairwise[~finite])  # NaN equals NaN here
+    assert not np.signbit(got[0]) and got[0] == 0.0
+    bound = n * np.finfo(float).eps * magnitude[finite]
+    assert np.all(np.abs(got[finite] - pairwise[finite]) <= bound)
+
+
 @pytest.mark.parametrize("B", [1, 3, 1024])
 @pytest.mark.parametrize("M_", [2, 11, 51])
 @pytest.mark.parametrize("d_y", [1, 2])
