@@ -15,7 +15,8 @@ under user evaluators with the kernels' particle update
 (scalar arguments and outputs, no mean) behind the d = 1 law-level studies
 of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d` is a scalar copy of
 the particle kernel (error frame, no mean) behind the d = 1 particle
-studies: on the nd kernel those studies ran 13-17 % slower, and the cheaper
+studies: at d = 1 the nd kernel takes 1.3-1.6 times as long per step at
+those studies' shapes (see the note above the kernel), and the cheaper
 linear gain ``P_hat H' R1^{-1}`` that would close the gap breaks the
 bitwise agreement of :func:`~kbflow.ensemble.run_nonlinear` with a
 one-step :func:`~kbflow.ensemble.run_enkf`.  A d = 1 run that needs the
@@ -288,10 +289,12 @@ def _trials_last(a, axis: int = 1, drop_one: bool = False):
     return out
 
 
-# d = 1 fast path: particle_cov_paths_nd takes 18-24 % longer per step here
-# (the contraction shape B = 200, N = 40 and the bias shapes B = 1024, N = 10,
-# both kernels trials-last; medians of 7 interleaved rounds in one process, on
-# a 2-core x86-64 host).
+# d = 1 fast path: particle_cov_paths_nd takes 1.33-1.35 times as long per
+# step at the contraction shape (vanilla, B = 200, N = 40, A = 20, dt 1e-4),
+# 1.36-1.61 at the invariant_ks shapes (both variants, B = 250, N = 6, A = 20,
+# dt 1e-4) and 1.39-1.48 at the d = 1 bias shape (deterministic, B = 1024,
+# N = 10, A = 1, dt 1e-3): medians of 5 interleaved rounds in one process, two
+# runs, on a 2-core x86-64 host.
 @_batched
 def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int,
                           grid: TimeGrid, seed: int, trials: int, P0: float = 1.0,

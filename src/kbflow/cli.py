@@ -155,7 +155,11 @@ def _parse_run_config(doc: dict, args) -> dict:
         t_doc = _load_json(t_path)
         if set(t_doc) != {"T"}:
             raise ConfigError("inflation matrix file must hold exactly {'T': ...}")
-        cfg["_T"] = np.asarray(t_doc["T"], dtype=float)
+        T = np.asarray(t_doc["T"], dtype=float)
+        d = cfg["_model"].d
+        if T.shape != (d, d):
+            raise ConfigError(f"inflation matrix T has shape {T.shape}, the model needs {(d, d)}")
+        cfg["_T"] = T
     if "scheme" in cfg and cfg["scheme"] is not None:
         names = {"euler": Scheme.EULER_MARUYAMA,
                  "euler_maruyama": Scheme.EULER_MARUYAMA,
@@ -286,6 +290,8 @@ def _quantile(dens, q: float) -> float:
 
 
 def cmd_scalar_density(args) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
     dens = invariant_density(_scalar_model(args), args.kappa, args.N)
     lo = args.x_min if args.x_min is not None else _quantile(dens, 1e-4)
     hi = args.x_max if args.x_max is not None else _quantile(dens, 1.0 - 1e-4)

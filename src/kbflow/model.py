@@ -268,6 +268,19 @@ def check_observability(model: LinearGaussianModel) -> bool:
 # Gramians
 # ---------------------------------------------------------------------------
 
+def _powers(Phi, count: int) -> np.ndarray:
+    """``Phi^1 .. Phi^count``, stacked: products of ``Phi`` by doubling
+    (``Phi^(m+i) = Phi^m Phi^i``), about ``log2 count`` roundings deep."""
+    powers = np.empty((count,) + Phi.shape)
+    powers[0] = Phi
+    m = 1
+    while m < count:
+        k = min(m, count - m)
+        np.matmul(powers[m - 1], powers[:k], out=powers[m:m + k])
+        m += k
+    return powers
+
+
 def _simpson(values: np.ndarray, h: float) -> np.ndarray:
     """Composite Simpson over axis 0 (even number of intervals)."""
     n = values.shape[0] - 1
@@ -277,42 +290,38 @@ def _simpson(values: np.ndarray, h: float) -> np.ndarray:
     return (h / 3.0) * np.tensordot(w, values, axes=(0, 0))
 
 
+def _van_loan(X, Q, h: float, n: int):
+    """``(F, G)`` at the nodes ``s_i = i h``, ``i = 0 .. n``: ``F[i] = e^{X s_i}``
+    and ``G[i] = int_0^{s_i} e^{Xu} Q e^{X'u} du``.  The top blocks of
+    ``Psi^i``, ``Psi = expm(h [[X, Q], [0, -X']])``, are ``F[i]`` and
+    ``G[i] F[i]^{-T}`` (C. Van Loan, IEEE TAC 23, 1978)."""
+    d = X.shape[0]
+    psi = expm(h * np.block([[X, Q], [np.zeros((d, d)), -X.T]]))
+    powers = np.concatenate([np.eye(2 * d)[None], _powers(psi, n)])
+    F = powers[:, :d, :d]
+    return F, powers[:, :d, d:] @ _swap(F)
+
+
 def _gramians_at(model: LinearGaussianModel, tau: float, n: int):
-    """All four Gramian integrals with n (multiple of 4) Simpson intervals."""
+    """All four Gramian integrals on ``n`` (even) intervals, the two
+    composites by Simpson over every node."""
     h = tau / n
-    s = h * np.arange(n + 1)
-    Bm = np.stack([expm(-model.A * si) for si in s])        # e^{-A s_i}
-    Dp = np.stack([expm(model.A * si) for si in s])         # e^{+A s_i}
-    g_obs = np.einsum("kji,jl,klm->kim", Bm, model.S, Bm)   # e^{-A's} S e^{-As}
-    g_con = np.einsum("kij,jl,kml->kim", Dp, model.R, Dp)   # e^{As} R e^{A's}
-
-    O_tau = _simpson(g_obs, h)
-    C_tau = _simpson(g_con, h)
-
-    # cumulative values at even nodes, O_{s_{2k}} and C_{s_{2k}}: panel sums
-    m = n // 2
-    zero = np.zeros((1,) + O_tau.shape)
-    O_cum, C_cum = (np.cumsum(np.concatenate([zero, (h / 3.0) * (
-        g[:-2:2] + 4.0 * g[1::2] + g[2::2])]), axis=0) for g in (g_obs, g_con))
-
-    # outer integrands on the even-node grid (step 2h); the propagators at
-    # tau - s_{2k} are the already-computed node values at index n - 2k.
-    Bm_rev = Bm[n - 2 * np.arange(m + 1)]
-    Dp_rev = Dp[n - 2 * np.arange(m + 1)]
-    inner_O = np.einsum("kij,jl,klm->kim", O_cum, model.R, O_cum)   # O_s R O_s
-    inner_C = np.einsum("kij,jl,klm->kim", C_cum, model.S, C_cum)   # C_s S C_s
-    f_CO = np.einsum("kji,kjl,klm->kim", Bm_rev, inner_O, Bm_rev)   # e^{-(tau-s)A'} (.) e^{-(tau-s)A}
-    f_OC = np.einsum("kij,kjl,kml->kim", Dp_rev, inner_C, Dp_rev)   # e^{(tau-s)A} (.) e^{(tau-s)A'}
-    I_CO = _simpson(f_CO, 2.0 * h)
-    I_OC = _simpson(f_OC, 2.0 * h)
-    return O_tau, C_tau, I_CO, I_OC
+    E_obs, O = _van_loan(-model.A.T, model.S, h, n)   # e^{-A's}, O_s
+    E_con, C = _van_loan(model.A, model.R, h, n)      # e^{As}, C_s
+    # the propagators at tau - s_i are the node values at index n - i
+    E_obs, E_con = E_obs[::-1], E_con[::-1]
+    f_CO = E_obs @ O @ model.R @ O @ _swap(E_obs)   # e^{-(tau-s)A'} O_s R O_s e^{-(tau-s)A}
+    f_OC = E_con @ C @ model.S @ C @ _swap(E_con)   # e^{(tau-s)A} C_s S C_s e^{(tau-s)A'}
+    return O[-1], C[-1], _simpson(f_CO, h), _simpson(f_OC, h)
 
 
 def gramians(model: LinearGaussianModel, tau: float, rel_tol: float = 1e-8) -> GramianSet:
-    """Windowed Gramians over ``[0, tau]`` by converging Simpson quadrature.
+    """Windowed Gramians over ``[0, tau]``.
 
-    The grid is refined (doubling the interval count) until all four
-    integrals change by less than ``rel_tol`` in relative Frobenius norm.
+    ``O_tau`` and ``C_tau`` are exact up to rounding on every grid; the two
+    composites are Simpson sums over it.  The grid is refined (doubling the
+    interval count) until all four integrals change by less than
+    ``rel_tol`` in relative Frobenius norm.
 
     Raises
     ------
@@ -381,8 +390,6 @@ def _hamiltonian_propagator(A, S, R, dt, steps: int = 1):
     most sub-steps with ``J h ||Ham||_1 <= HAM_STEP_MAX``, so every power
     obeys the sub-step's growth bound; ``J`` is also at most ``SPAN_MAX``
     and the grid's ``n * steps`` sub-steps, and ``J = 1`` whenever ``n > 1``.
-    The powers are products of ``Phi`` by doubling (``Phi^(m+i) = Phi^m
-    Phi^i``), about ``log2 J`` roundings deep.
     """
     ham = np.block([[-A.T, S], [R, A]])
     growth = dt * float(np.linalg.norm(ham, 1))
@@ -390,14 +397,7 @@ def _hamiltonian_propagator(A, S, R, dt, steps: int = 1):
     span = min(SPAN_MAX, n_sub * steps)
     if growth * span > HAM_STEP_MAX * n_sub:
         span = max(1, math.floor(HAM_STEP_MAX * n_sub / growth))
-    powers = np.empty((span,) + ham.shape)
-    powers[0] = expm((dt / n_sub) * ham)
-    m = 1
-    while m < span:
-        k = min(m, span - m)
-        np.matmul(powers[m - 1], powers[:k], out=powers[m:m + k])
-        m += k
-    return n_sub, powers
+    return n_sub, _powers(expm((dt / n_sub) * ham), span)
 
 
 def _mobius_span(powers, P):

@@ -291,6 +291,7 @@ _SCALAR = ["--A", "1", "--R", "1", "--S", "1", "--kappa", "1"]
     ["run", "{transport_xi}", "--out", "{out}"],
     ["run", "{T_1x1_vanilla}", "--out", "{out}"],
     ["run", "{T_1x1_law}", "--out", "{out}"],
+    ["run", "{T_1x1_no_xi}", "--out", "{out}"],
     ["scalar", "density", "--A", "1", "--R", "0", "--S", "1", "--kappa", "1", "--N", "5"],
     ["scalar", "moments", "--A", "1", "--R", "1", "--S", "-1", "--kappa", "1", "--N", "5"],
     ["scalar", "lyapunov", "--A", "1", "--R", "-1", "--S", "1", "--kappa", "0", "--N", "5"],
@@ -298,11 +299,14 @@ _SCALAR = ["--A", "1", "--R", "1", "--S", "1", "--kappa", "1"]
     ["scalar", "moments", *_SCALAR, "--N", "0"],
     ["scalar", "lyapunov", *_SCALAR, "--N", "0"],
     ["scalar", "density", *_SCALAR, "--N", "5", "--points", "-1"],
+    ["scalar", "density", *_SCALAR, "--N", "5", "--points", "0"],
+    ["scalar", "density", *_SCALAR, "--N", "5", "--points", "1"],
     ["model", "check", "{model}", "--tau", "0"],
     ["model", "check", "{model}", "--tau", "-1"],
-], ids=["run-transport-xi", "run-T-size-vanilla", "run-T-size-law", "density-R0",
-        "moments-S-neg", "lyapunov-R-neg", "density-N0", "moments-N0", "lyapunov-N0",
-        "density-points-neg", "check-tau0", "check-tau-neg"])
+], ids=["run-transport-xi", "run-T-size-vanilla", "run-T-size-law", "run-T-size-no-xi",
+        "density-R0", "moments-S-neg", "lyapunov-R-neg", "density-N0", "moments-N0",
+        "lyapunov-N0", "density-points-neg", "density-points0", "density-points1",
+        "check-tau0", "check-tau-neg"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     d1 = str(_write_model(tmp_path, scalar_lg()))
     d2 = str(_write_model(tmp_path, random_model(2, seed=1, stabilize=1.0), "d2.json"))
@@ -312,14 +316,18 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "transport_xi": {"model": d1, "variant": "transport", "N": 5, "xi": 0.5},
         "T_1x1_vanilla": {"model": d2, "variant": "vanilla", "N": 5, "xi": 0.5, "T": T},
         "T_1x1_law": {"model": d2, "variant": "law", "kappa": 1, "N": 5, "xi": 0.5, "T": T},
+        # a T file is checked against the model even when inflation is off
+        "T_1x1_no_xi": {"model": d2, "variant": "vanilla", "N": 5, "T": T},
     }
     files = {name: str(_write_json(tmp_path, {**doc, "grid": grid}, f"{name}.json"))
              for name, doc in configs.items()}
     assert main([a.format(model=d1, out=tmp_path / "out", **files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    if "T_1x1" in argv[1]:  # Inflation.ref names both shapes
+    if "T_1x1" in argv[1]:  # the message names both shapes
         assert "(1, 1)" in err and "(2, 2)" in err
+    if "--points" in argv:
+        assert "--points" in err
 
 
 def test_unknown_command_exits_via_argparse():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import kbflow
 from conftest import outputs, random_model, random_psd, scalar_lg
@@ -83,11 +84,27 @@ def test_gramian_refinement_is_converged():
     assert rel < 1e-7
 
 
+@pytest.mark.parametrize("tau", [0.1, 1.0])
+@pytest.mark.parametrize("model", ["d1", "d2", "d3", "d4", "A20"])
+def test_gramians_meet_the_lyapunov_identities(model, tau):
+    # -A'O - OA = e^{-A'tau} S e^{-A tau} - S and AC + CA' = e^{A tau} R e^{A'tau} - R
+    m = (scalar_lg(A=20.0) if model == "A20" else
+         outputs._model(kbflow, int(model[1]), 60 + int(model[1]), stabilize=0.5))
+    g = gramians(m, tau)
+    for X, Q, G in ((-m.A.T, m.S, g.O_tau), (m.A, m.R, g.C_tau)):
+        E = expm(X * tau)
+        rhs = E @ Q @ E.T - Q
+        assert np.linalg.norm(X @ G + G @ X.T - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
 def test_gramian_singular_detected():
-    m = LinearGaussianModel([[0.0]], [[0.0]], [[1.0]], [[1.0]])  # H = 0
-    assert not check_observability(m)
-    with pytest.raises(SingularGramian):
-        gramians(m, tau=1.0)
+    # H = 0 makes O_tau = 0, R = 0 makes C_tau = 0
+    for H, R, check, name in (([[0.0]], [[1.0]], check_observability, "O_tau"),
+                              ([[1.0]], [[0.0]], check_controllability, "C_tau")):
+        m = LinearGaussianModel([[0.0]], H, R, [[1.0]])
+        assert not check(m)
+        with pytest.raises(SingularGramian, match=name):
+            gramians(m, tau=1.0)
 
 
 def test_are_scalar_fixed_points():

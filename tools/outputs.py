@@ -22,7 +22,8 @@ seeded corpus to one ``.npz``:
 * the Riccati flows (nominal at d = 1, 2, 3 and inflated at both kappa),
   ``semigroup_E`` and ``solve_are``;
 * the matrix and density primitives: ``gramians`` and the
-  ``check_riccati_sandwich`` margins (d = 1-4), ``spectral_matching_distance``
+  ``check_riccati_sandwich`` margins (d = 1-4 at tau = 0.5, d = 4 at tau =
+  0.1 and 1, scalar A = 20 at tau = 1), ``spectral_matching_distance``
   (d = 1-9), ``project_psd`` and ``symmetric_sqrt`` on PSD, indefinite and
   rank-one matrices (d = 1-4), ``log_norm`` of each matrix of a stack, the
   ``InvariantDensity`` evaluations at both kappa and ``clt_variance_oracle``;
@@ -237,15 +238,19 @@ def theory(kb, c: Corpus) -> None:
             c.put(f"flow/solve_are/{i}_d{m.d}", kb.solve_are(m).P)
 
 
+def _gramians(kb, c: Corpus, name: str, m, tau: float, t: float) -> None:
+    g = kb.gramians(m, tau)
+    c.put(f"primitive/gramians/{name}", {k: getattr(g, k) for k in
+                                         ("O_tau", "C_tau", "C_tau_of_O", "O_tau_of_C")})
+    c.put(f"primitive/sandwich/{name}", kb.check_riccati_sandwich(
+        m, _psd(m.d, m.d), tau, t).margins)
+
+
 def primitives(kb, c: Corpus) -> None:
     rng = np.random.default_rng(50)
     for d in (1, 2, 3, 4):
         m = _model(kb, d, 60 + d, stabilize=0.5)
-        g = kb.gramians(m, 0.5)
-        c.put(f"primitive/gramians/d{d}", {k: getattr(g, k) for k in
-                                            ("O_tau", "C_tau", "C_tau_of_O", "O_tau_of_C")})
-        c.put(f"primitive/sandwich/d{d}", kb.check_riccati_sandwich(
-            m, _psd(d, d), 0.5, 1.0).margins)
+        _gramians(kb, c, f"d{d}", m, 0.5, 1.0)
         G = rng.normal(size=(d, d))
         u = rng.normal(size=(d, 1))
         w = np.linspace(-1.0, 2.0, d)
@@ -257,6 +262,10 @@ def primitives(kb, c: Corpus) -> None:
                 c.put(f"primitive/symmetric_sqrt/d{d}/{name}", kb.symmetric_sqrt(M))
         stack = rng.normal(size=(5, d, d))
         c.put(f"primitive/log_norm/d{d}", np.array([kb.log_norm(M) for M in stack]))
+    # a stiff and a short window, where a quadrature of O_tau and C_tau is least exact
+    _gramians(kb, c, "A20_tau1", _scalar(kb, 20.0), 1.0, 2.0)
+    for tau in (0.1, 1.0):
+        _gramians(kb, c, f"d4_tau{tau:g}", _model(kb, 4, 64, stabilize=0.5), tau, 2.0)
     for d in range(1, 10):
         M1, M2 = rng.normal(size=(2, d, d))
         c.put(f"primitive/spectral_matching/d{d}", kb.spectral_matching_distance(M1, M2))
