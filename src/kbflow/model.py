@@ -320,8 +320,12 @@ def gramians(model: LinearGaussianModel, tau: float, rel_tol: float = 1e-8) -> G
 
     ``O_tau`` and ``C_tau`` are exact up to rounding on every grid; the two
     composites are Simpson sums over it.  The grid is refined (doubling the
-    interval count) until all four integrals change by less than
-    ``rel_tol`` in relative Frobenius norm.
+    interval count) until each of the four integrals changes by at most
+    ``rel_tol`` times its own Frobenius norm; an integral that is exactly
+    zero (``C_tau`` at R = 0) has converged once it stops changing.  The
+    change between levels bottoms out at rounding, about 1e-13 to 2.5e-12
+    of an integral's norm, so a ``rel_tol`` near 1e-13 may never be met
+    (a SingularGramian at 2^14 intervals).
 
     Raises
     ------
@@ -335,13 +339,9 @@ def gramians(model: LinearGaussianModel, tau: float, rel_tol: float = 1e-8) -> G
     n = 32
     while True:
         cur = _gramians_at(model, tau, n)
-        if prev is not None:
-            worst = max(
-                np.linalg.norm(c - p) / max(1.0, np.linalg.norm(c))
-                for c, p in zip(cur, prev)
-            )
-            if worst < rel_tol:
-                break
+        if prev is not None and all(np.linalg.norm(c - p) <= rel_tol * np.linalg.norm(c)
+                                    for c, p in zip(cur, prev)):
+            break
         if n >= 2 ** 14:
             raise SingularGramian(
                 f"Gramian quadrature did not converge by n={n} intervals "

@@ -211,25 +211,51 @@ def moment_doubling_ratios(samples, order: int, min_prefix: int = 500):
 # stationary occupation sampling
 # ---------------------------------------------------------------------------
 
-def _lag1_correlation(series: np.ndarray) -> float:
-    """Mean per-replica lag-1 autocorrelation of an (R, K) record array."""
-    a = series[:, :-1]
-    b = series[:, 1:]
-    a0 = a - a.mean(axis=1, keepdims=True)
-    b0 = b - b.mean(axis=1, keepdims=True)
-    den = np.sqrt(np.sum(a0 * a0, axis=1) * np.sum(b0 * b0, axis=1))
+#: Record values per block when the lag-1 statistics read a record stack (a
+#: block holds at least one replica): each temporary of a block is at most
+#: 256 KiB, however long the stack.
+_BLOCK_VALUES = 2 ** 15
+
+
+def _lag1_correlation(series: np.ndarray, rows=None, stride: int = 1) -> float:
+    """Mean per-replica lag-1 autocorrelation of an (R, K) record array,
+    over the replicas ``rows`` (an index array; all if None), each thinned
+    to every ``stride``-th record.
+
+    The array is read a block of replicas at a time, and a replica's
+    autocorrelation depends on its own row only, so the result does not
+    depend on the blocks.  Replicas of zero variance are left out; without
+    any other the mean is 0.
+    """
+    rows = np.arange(series.shape[0]) if rows is None else rows
+    per_block = max(1, _BLOCK_VALUES // len(range(0, series.shape[1], stride)))
+    num, den = np.empty((2, rows.size))
+    for lo in range(0, rows.size, per_block):
+        x = series[rows[lo:lo + per_block], ::stride]
+        a0 = x[:, :-1] - x[:, :-1].mean(axis=1, keepdims=True)
+        b0 = x[:, 1:] - x[:, 1:].mean(axis=1, keepdims=True)
+        num[lo:lo + per_block] = np.sum(a0 * b0, axis=1)
+        den[lo:lo + per_block] = np.sqrt(np.sum(a0 * a0, axis=1) * np.sum(b0 * b0, axis=1))
     ok = den > 0
     if not np.any(ok):
         return 0.0
-    return float(np.mean(np.sum(a0 * b0, axis=1)[ok] / den[ok]))
+    return float(np.mean(num[ok] / den[ok]))
 
 
 def decorrelation_stride(series: np.ndarray, target: float = 0.1) -> int:
     """Smallest power-of-two thinning stride with lag-1 autocorrelation of
-    the thinned records below ``target``."""
+    the thinned records below ``target``.  The search ends at the first
+    stride s with K // s < 4 (K records per row), which is returned
+    untested."""
+    return _decorrelation_stride(series, None, target)
+
+
+def _decorrelation_stride(series: np.ndarray, rows, target: float) -> int:
+    """:func:`decorrelation_stride` over the replicas ``rows`` (all if
+    None), read in place."""
     stride = 1
     while series.shape[1] // stride >= 4:
-        if abs(_lag1_correlation(series[:, ::stride])) < target:
+        if abs(_lag1_correlation(series, rows, stride)) < target:
             return stride
         stride *= 2
     return stride
@@ -251,44 +277,81 @@ def stationary_covariance_samples(model: LinearGaussianModel, variant, N: int,
     ``target_lag_corr``, and the thinned records are pooled across
     replicas.  Replicas that diverge are excluded from the pool but
     counted.
+
+    The arguments are checked before any kernel runs, and a bad one is a
+    ValueError that names it: ``N``, ``replicas``, ``chunk`` and
+    ``workers`` are integers >= 1, ``master_seed`` an integer >= 0, ``dt``
+    finite and > 0; ``horizon``, ``burn_in`` (when given), ``record_stride``
+    and ``target_lag_corr`` take the ranges of the ``invariant_ks`` study
+    options of the same names.  ``record_stride`` and ``horizon`` must
+    leave at least 4 records per replica, the fewest the stride search
+    tests.
+
+    Memory: the pool reads the replicas' record stack in place.  Beyond
+    the stack and the samples it returns, it holds a few temporaries of one
+    block of replicas (at most 2^15 records each).
     """
+    N, replicas, chunk, workers, master_seed = (_int_at_least(*arg) for arg in (
+        ("N", N, 1), ("replicas", replicas, 1), ("chunk", chunk, 1),
+        ("workers", workers, 1), ("master_seed", master_seed, 0)))
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    for key, value in (("horizon", horizon), ("burn_in", burn_in),
+                       ("record_stride", record_stride), ("target_lag_corr", target_lag_corr)):
+        if value is not None and not _in_range(key, value):
+            raise ValueError(f"{key} must be {_OPTION_RANGES[key][1]}, got {value!r}")
+    record_stride = int(record_stride)
     job = _stationary_job(model, N, dt, horizon, burn_in, record_stride)
     out = _map_chunks(_engines.particle_cov_paths_1d, replicas, chunk, workers,
                       variant=variant, seed=master_seed, **job)[0]
     return _stationary_pool(out, job, record_stride, target_lag_corr)
 
 
+def _int_at_least(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` >= ``least``; otherwise a ValueError naming
+    ``name``."""
+    value = _as_int(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _stationary_job(model: LinearGaussianModel, N: int, dt: float, horizon: float,
                     burn_in: float | None, record_stride: int) -> dict:
     """Engine keywords, all but the variant and seed, of the stationary
-    occupation protocol of :func:`stationary_covariance_samples`."""
+    occupation protocol of :func:`stationary_covariance_samples`; a
+    ValueError if a replica would record fewer than 4 covariances."""
     sm = _scalar_of(model)
     if burn_in is None:
         burn_in = 20.0 / contraction_rate(sm)
     burn_idx = max(1, int(math.ceil(float(burn_in) / dt - 1e-9)))
     grid = TimeGrid(0.0, dt, burn_idx + int(round(float(horizon) / dt)))
-    return dict(model=model, N=N, grid=grid,
-                record_indices=np.arange(burn_idx, grid.steps + 1, record_stride),
+    record_indices = np.arange(burn_idx, grid.steps + 1, record_stride)
+    if record_indices.size < 4:
+        raise ValueError(
+            f"record_stride {record_stride} over a horizon of {horizon} "
+            f"({grid.steps - burn_idx} steps of dt {dt}) leaves {record_indices.size} "
+            "records per replica; the decorrelation stride needs >= 4: lengthen "
+            "the horizon or lower record_stride")
+    return dict(model=model, N=N, grid=grid, record_indices=record_indices,
                 P0=equilibria(sm).rho_plus)
 
 
 def _stationary_pool(out: dict, job: dict, record_stride: int,
                      target_lag_corr: float) -> dict:
-    """Thin and pool the recorded covariances of a stationary job."""
-    div = out["diverged_step"]
-    # the surviving replicas' indices, so the record stack is copied once
-    alive = _survivors(np.arange(div.size), div, job["grid"].steps)
-    series = out["cov"][alive.values]
-    stride = decorrelation_stride(series, target_lag_corr)
-    thinned = series[:, ::stride]
-    samples = thinned.ravel()
+    """Thin and pool the recorded covariances of a stationary job, reading
+    the record stack in place and copying out only the pooled samples."""
+    stack, div = out["cov"], out["diverged_step"]
+    rows = _survivors(np.arange(div.size), div, job["grid"].steps)
+    stride = _decorrelation_stride(stack, rows.values, target_lag_corr)
+    samples = stack[rows.values, ::stride].ravel()
     dt = job["grid"].dt
     return {
         "samples": samples,
         "effective": int(samples.size),
         "stride_steps": int(stride * record_stride),
-        "lag_corr": _lag1_correlation(thinned),
-        "diverged": alive.diverged,
+        "lag_corr": _lag1_correlation(stack, rows.values, stride),
+        "diverged": rows.diverged,
         "replicas": int(div.size),
         "burn_in": float(int(job["record_indices"][0]) * dt),
         "dt": float(dt),
@@ -328,8 +391,8 @@ _AXES = {"variant": (("vanilla", "deterministic"), "variant 'vanilla' or 'determ
 _OPTION_RANGES = {
     "record_every": (lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
     "record_stride": (lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
-    "burn_in": (lambda x: x >= 0, ">= 0"),
-    "horizon": (lambda x: x > 0, "> 0"),
+    "burn_in": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
+    "horizon": (lambda x: 0 < x < math.inf, "finite and > 0"),
     "target_lag_corr": (lambda x: 0 < x < 1, "in (0, 1)"),
     "confidence": (lambda x: 0 < x < 1, "in (0, 1)"),
     "xi": (lambda x: x >= 0, ">= 0"),
@@ -367,14 +430,18 @@ def _integer(key: str, value) -> int:
         raise ConfigError(str(exc)) from None
 
 
+def _in_range(key: str, value) -> bool:
+    """Whether ``value`` is a number in the range of option ``key``."""
+    ok, _ = _OPTION_RANGES[key]
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and ok(float(value))
+
+
 def _check_option_range(key: str, value) -> None:
-    ok, what = _OPTION_RANGES[key]
     values = value if key == "xi" and isinstance(value, (list, tuple)) else [value]
     if not values:
         raise ConfigError(f"options.{key} must be a non-empty list, got {value!r}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(float(v)):
-            raise ConfigError(f"options.{key} must be {what}, got {value!r}")
+    if not all(_in_range(key, v) for v in values):
+        raise ConfigError(f"options.{key} must be {_OPTION_RANGES[key][1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -725,8 +792,11 @@ def _run_invariant_ks(spec: StudySpec, model, workers):
     N = spec.N[0]
     opts = spec.options
     record_stride = int(opts.get("record_stride", 10))
-    job = _stationary_job(model, N, grid.dt, float(opts.get("horizon", grid.horizon)),
-                          opts.get("burn_in"), record_stride)
+    try:
+        job = _stationary_job(model, N, grid.dt, float(opts.get("horizon", grid.horizon)),
+                              opts.get("burn_in"), record_stride)
+    except ValueError as exc:
+        raise ConfigError(f"invariant_ks: {exc}") from None
     n_chunks = len(list(_engines._chunks(spec.trials, spec.chunk)))
     variants = (("vanilla", 1.0), ("deterministic", 0.0))
     outs = _map_chunks(_engines.particle_cov_paths_1d, spec.trials, spec.chunk, workers,

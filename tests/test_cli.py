@@ -303,10 +303,11 @@ _SCALAR = ["--A", "1", "--R", "1", "--S", "1", "--kappa", "1"]
     ["scalar", "density", *_SCALAR, "--N", "5", "--points", "1"],
     ["model", "check", "{model}", "--tau", "0"],
     ["model", "check", "{model}", "--tau", "-1"],
+    ["study", "{ks_one_record}", "--out", "{out}"],
 ], ids=["run-transport-xi", "run-T-size-vanilla", "run-T-size-law", "run-T-size-no-xi",
         "density-R0", "moments-S-neg", "lyapunov-R-neg", "density-N0", "moments-N0",
         "lyapunov-N0", "density-points-neg", "density-points0", "density-points1",
-        "check-tau0", "check-tau-neg"])
+        "check-tau0", "check-tau-neg", "study-ks-one-record"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     d1 = str(_write_model(tmp_path, scalar_lg()))
     d2 = str(_write_model(tmp_path, random_model(2, seed=1, stabilize=1.0), "d2.json"))
@@ -321,6 +322,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     }
     files = {name: str(_write_json(tmp_path, {**doc, "grid": grid}, f"{name}.json"))
              for name, doc in configs.items()}
+    # record_stride 100 over 20 steps: one record per replica
+    files["ks_one_record"] = str(_write_json(tmp_path, dict(
+        kind="invariant_ks", model=scalar_lg().to_dict(), grid={"dt": 0.01, "steps": 10},
+        trials=1000, N=[6], options={"burn_in": 0.1, "horizon": 0.2, "record_stride": 100}),
+        "ks_one_record.json"))
     assert main([a.format(model=d1, out=tmp_path / "out", **files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
@@ -328,6 +334,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         assert "(1, 1)" in err and "(2, 2)" in err
     if "--points" in argv:
         assert "--points" in err
+    if argv[0] == "study":
+        assert "record_stride" in err and "horizon" in err
 
 
 def test_unknown_command_exits_via_argparse():

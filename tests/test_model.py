@@ -84,6 +84,17 @@ def test_gramian_refinement_is_converged():
     assert rel < 1e-7
 
 
+def test_gramian_refinement_stops_on_each_integrals_own_norm():
+    # |I_CO| = 0.10 here: refined to 1e-8 of 1 rather than of itself, the
+    # composite leaves C_tau_of_O 1.6e-7 from the fine grid's
+    m = outputs._model(kbflow, 3, 63, stabilize=0.5)
+    O, _, I_CO, _ = kbflow.model._gramians_at(m, 0.5, 8192)
+    O_inv = np.linalg.inv(0.5 * (O + O.T))
+    fine = O_inv @ I_CO @ O_inv
+    got = gramians(m, 0.5).C_tau_of_O
+    assert np.linalg.norm(got - fine) <= 5e-8 * np.linalg.norm(fine)
+
+
 @pytest.mark.parametrize("tau", [0.1, 1.0])
 @pytest.mark.parametrize("model", ["d1", "d2", "d3", "d4", "A20"])
 def test_gramians_meet_the_lyapunov_identities(model, tau):

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -208,6 +209,118 @@ def test_stationary_pool_reproducible_and_seed_sensitive():
     assert not np.array_equal(a["samples"], c["samples"])
 
 
+def _lag1_one_shot(series):
+    """The lag-1 statistic over a whole (R, K) stack at once: the reference
+    the blockwise reads must equal bit for bit."""
+    a = series[:, :-1]
+    b = series[:, 1:]
+    a0 = a - a.mean(axis=1, keepdims=True)
+    b0 = b - b.mean(axis=1, keepdims=True)
+    den = np.sqrt(np.sum(a0 * a0, axis=1) * np.sum(b0 * b0, axis=1))
+    ok = den > 0
+    if not np.any(ok):
+        return 0.0
+    return float(np.mean(np.sum(a0 * b0, axis=1)[ok] / den[ok]))
+
+
+def _stride_one_shot(series, target):
+    stride = 1
+    while series.shape[1] // stride >= 4:
+        if abs(_lag1_one_shot(series[:, ::stride])) < target:
+            return stride
+        stride *= 2
+    return stride
+
+
+def _ar1_stack(R, K, phi, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(R, K))
+    for k in range(1, K):
+        x[:, k] += phi * x[:, k - 1]
+    return 1.0 + 0.1 * x
+
+
+@pytest.mark.parametrize("R, K, phi, target", [
+    (40, 3000, 0.9, 0.1),     # several blocks at the small strides
+    (4, 40_000, 0.99, 0.1),   # one replica per block
+    (25, 37, 0.0, 1e-9),      # no stride qualifies: the untested one, K // stride < 4
+])
+def test_stationary_pool_reads_blocks_as_one_stack(R, K, phi, target):
+    stack = _ar1_stack(R, K, phi, seed=R)
+    stack[1] = 2.0  # a replica of zero variance
+    div = np.full(R, -1)
+    div[[0, R - 1]] = [5, 50]  # diverged before the last step
+    grid = kbflow.TimeGrid(0.0, 1e-3, 10 * (K - 1))
+    job = {"grid": grid, "record_indices": np.arange(0, grid.steps + 1, 10)}
+    for diverged in (div, np.full(R, -1)):
+        alive = diverged < 0
+        series = stack[alive]
+        stride = _stride_one_shot(series, target)
+        assert stats._decorrelation_stride(stack, np.flatnonzero(alive), target) == stride
+        assert decorrelation_stride(series, target) == stride
+        thinned = series[:, ::stride]
+        assert stats._lag1_correlation(series) == _lag1_one_shot(series)
+        assert stats._lag1_correlation(stack, np.flatnonzero(alive), stride) == \
+            _lag1_one_shot(thinned)
+        pool = stats._stationary_pool({"cov": stack, "diverged_step": diverged}, job, 10,
+                                      target)
+        np.testing.assert_array_equal(pool["samples"], thinned.ravel())
+        assert pool["lag_corr"] == _lag1_one_shot(thinned)
+        assert pool["stride_steps"] == 10 * stride
+        assert pool["effective"] == thinned.size
+        assert pool["diverged"] == R - series.shape[0]
+    if target < 1e-6:
+        assert series.shape[1] // stride < 4
+
+
+@pytest.mark.parametrize("diverged", [False, True])
+def test_stationary_pool_holds_no_copy_of_the_stack(diverged):
+    # test 07's size: 250 replicas x 5001 records, 9.5 MiB
+    stack = _ar1_stack(250, 5001, 0.95, seed=3)
+    div = np.where(np.arange(250) % 7 == 3, 100, -1) if diverged else np.full(250, -1)
+    grid = kbflow.TimeGrid(0.0, 1e-4, 50_000)
+    job = {"grid": grid, "record_indices": np.arange(0, grid.steps + 1, 10)}
+    tracemalloc.start()
+    try:
+        pool = stats._stationary_pool({"cov": stack, "diverged_step": div}, job, 10, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool["diverged"] == (36 if diverged else 0)
+    assert peak - pool["samples"].nbytes <= 0.25 * stack.nbytes
+
+
+_POOL_ARGS = dict(dt=1e-2, replicas=2, horizon=1.0, burn_in=0.1, record_stride=2)
+
+
+@pytest.mark.parametrize("over, named", [
+    ({"replicas": 0}, "replicas"),
+    ({"replicas": -1}, "replicas"),
+    ({"replicas": 2.5}, "replicas"),
+    ({"N": 1.5}, "N"),
+    ({"N": 0}, "N"),
+    ({"record_stride": 0}, "record_stride"),
+    ({"record_stride": 2.5}, "record_stride"),
+    ({"dt": 0.0}, "dt"),
+    ({"burn_in": -1.0}, "burn_in"),
+    ({"horizon": math.inf}, "horizon"),
+    ({"target_lag_corr": 1.5}, "target_lag_corr"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"chunk": 2.5}, "chunk"),
+    ({"workers": 0}, "workers"),
+    # one record per replica: the stride search tests none
+    ({"horizon": 0.2, "record_stride": 100}, "record_stride 100 over a horizon of 0.2"),
+])
+def test_stationary_sampler_arguments_are_checked(monkeypatch, over, named):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(stats, "_map_chunks", no_kernel)
+    kw = {"N": 6, "master_seed": 1, **_POOL_ARGS, **over}
+    with pytest.raises(ValueError, match=f"^{named} "):
+        stationary_covariance_samples(scalar_lg(), "vanilla", **kw)
+
+
 # ---------------------------------------------------------------------------
 # study specification and orchestration
 # ---------------------------------------------------------------------------
@@ -227,6 +340,8 @@ def _spec_payload(**over):
     ("invariant_ks", {"record_stride": 0}),
     ("lyapunov", {"burn_in": -1.0}),
     ("invariant_ks", {"horizon": 0.0}),
+    ("invariant_ks", {"horizon": math.inf}),
+    ("lyapunov", {"burn_in": math.inf}),
     ("invariant_ks", {"target_lag_corr": 1.0}),
     ("bias", {"confidence": 1.5}),
     ("bias", {"confidence": 0.0}),

@@ -14,6 +14,8 @@ seeded corpus to one ``.npz``:
 * the four stepping kernels (the nd ones at d = 1, 2, 3), over variants,
   frames, means and inflation, the scalar particle kernel also at N = 4,
   10, 40 and 200, plus two batches with diverging trials;
+* ``stationary_covariance_samples`` pools of both variants at scalar A =
+  20, N = 6, and one whose replicas partly diverge;
 * ``run_enkf``, ``law_level_run`` and ``kalman_run``, and a stochastic
   semigroup along one run;
 * ``run_nonlinear`` in all three variants, with linear evaluators and with a
@@ -162,6 +164,19 @@ def kernels(kb, c: Corpus) -> None:
         c.put(f"kernel/law_nd/d2/kappa{kappa}/inflated", eng.law_cov_paths_nd(
             m2, kappa, N=8, Q=np.eye(2), grid=grid, seed=5, trials=5, chunk=3,
             inflation=kb.Inflation(xi=0.5)))
+
+
+def stationary(kb, c: Corpus) -> None:
+    keys = ("samples", "lag_corr", "stride_steps", "effective", "diverged")
+    m = _scalar(kb, 20.0)
+    for variant in ("vanilla", "deterministic"):
+        pool = kb.stationary_covariance_samples(m, variant, 6, 11, dt=1e-3, replicas=16,
+                                                horizon=2.0, record_stride=5)
+        c.put(f"stationary/{variant}", {k: pool[k] for k in keys})
+    # N = 4 at dt = 5e-3: 10 of the 16 replicas diverge
+    pool = kb.stationary_covariance_samples(m, "vanilla", 4, 3, dt=5e-3, replicas=16,
+                                            horizon=3.0, record_stride=1)
+    c.put("stationary/diverging", {k: pool[k] for k in keys})
 
 
 def runs(kb, c: Corpus) -> None:
@@ -423,6 +438,7 @@ def run_corpus(src: Path) -> dict[str, np.ndarray]:
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
         tmp = Path(tmp)
         kernels(kb, c)
+        stationary(kb, c)
         runs(kb, c)
         nonlinear(kb, c)
         theory(kb, c)
