@@ -340,14 +340,14 @@ def _spec_payload(**over):
     ("invariant_ks", {"record_stride": 0}),
     ("lyapunov", {"burn_in": -1.0}),
     ("invariant_ks", {"horizon": 0.0}),
-    ("invariant_ks", {"horizon": math.inf}),
-    ("lyapunov", {"burn_in": math.inf}),
     ("invariant_ks", {"target_lag_corr": 1.0}),
     ("bias", {"confidence": 1.5}),
     ("bias", {"confidence": 0.0}),
     ("inflation_sweep", {"xi": [0.5, -1.0]}),
     ("inflation_sweep", {"xi": -1.0}),
     ("inflation_sweep", {"xi": []}),
+    ("invariant_ks", {"horizon": math.inf}),
+    ("lyapunov", {"burn_in": math.inf}),
 ])
 def test_study_option_ranges_are_checked(kind, options):
     payload = _spec_payload(kind=kind, options=options, kappa=0,
