@@ -11,37 +11,36 @@ mean/covariance diffusion.  The single-run functions of
 outputs.  :func:`~kbflow.ensemble.run_nonlinear` steps a batch of clouds
 under user evaluators with the kernels' particle update
 (:func:`_particle_update`), step loop and divergence freeze.
-:func:`law_cov_paths_1d` is the d = 1 adapter of :func:`law_cov_paths_nd`
-(scalar arguments and outputs, no mean) behind the d = 1 law-level studies
-of :mod:`kbflow.stats`.  :func:`particle_cov_paths_1d` is a scalar copy of
-the particle kernel (error frame, no mean) behind the d = 1 particle
-studies: at d = 1 the nd kernel takes 1.3-1.6 times as long per step at
-those studies' shapes (see the note above the kernel), and the cheaper
-linear gain ``P_hat H' R1^{-1}`` that would close the gap breaks the
-bitwise agreement of :func:`~kbflow.ensemble.run_nonlinear` with a
-one-step :func:`~kbflow.ensemble.run_enkf`.  A d = 1 run that needs the
-mean or the absolute frame takes the nd kernels.
+:func:`law_cov_paths_1d` and :func:`particle_cov_paths_1d` are the d = 1
+adapters of the two kernels (scalar arguments and outputs, no mean) behind
+the d = 1 studies of :mod:`kbflow.stats`.
 
-The particle kernels step a cloud in one of two frames.  The error frame
+The particle kernel steps a cloud in one of two frames.  The error frame
 steps the truth-relative coordinates ``U^i = X^i - signal``: the sample
 covariance and the mean error do not depend on the common shift, and the
 values stay bounded for exponentially unstable signals, whose path is never
-formed.  The absolute frame (:func:`particle_cov_paths_nd` only, the frame
-of :func:`~kbflow.ensemble.run_enkf`) steps the particles and the signal
-themselves.
+formed.  Only linear-Gaussian runs take it, so its gain is the linear one,
+``(P_hat + xi T) H' R1^{-1}`` (:func:`_linear_update`), the sample
+cross-covariance gain in exact arithmetic without its second contraction
+over the particles.  The absolute frame (the frame of
+:func:`~kbflow.ensemble.run_enkf`) steps the particles and the signal with
+the cross-covariance gain of :func:`_particle_update`, which
+:func:`~kbflow.ensemble.run_nonlinear` takes for any observation, so that a
+one-cloud linear :func:`~kbflow.ensemble.run_nonlinear` is
+:func:`~kbflow.ensemble.run_enkf` bit for bit.
 
-The particle kernels store a chunk's clouds with the trials axis innermost:
-``(M, B)`` in :func:`particle_cov_paths_1d`, ``(d, M, B)`` in
-:func:`particle_cov_paths_nd` and :func:`_particle_update`, so a sum over the
-particles (``np.add.reduce`` over the particle axis, in both kernels) is M
-vector adds across all trials and every broadcast a row operation.  In the
-nd kernel a product with a constant matrix is one matrix product over all
-particles of all trials (:func:`_lin`) and a per-trial product one
-contraction over the batch (:func:`_gram`, :func:`_dot`).  A chunk of one
-trial drops the trials axis instead and keeps the per-matrix products of
-its ``(d, M)`` cloud: a single run keeps its bits and its speed, which the
-contractions over a batch would cost.  The choice depends on the chunk's
-trial count alone.
+The particle kernel keeps a chunk's clouds with the trials axis innermost,
+``(d, M, B)``, so a sum over the particles (``np.add.reduce`` over the
+particle axis) is M vector adds across all trials and every broadcast a row
+operation.  A product with a constant matrix is one matrix product over all
+particles of all trials (:func:`_lin`), a per-trial product one contraction
+over the batch (:func:`_gram`, :func:`_dot`), and, as in
+:func:`kbflow.sde._mm`, a contraction of length 1 (d = 1 or d_y = 1) the
+broadcast product, with the same numbers.  A chunk of one trial drops the
+trials axis instead and keeps the per-matrix products of its ``(d, M)``
+cloud: a single run keeps its bits and its speed, which the contractions
+over a batch would cost.  The choice depends on the chunk's trial count
+alone.
 
 A kernel's own code steps one chunk; the scaffold around it is shared:
 
@@ -229,11 +228,15 @@ def _join(parts):
             for key, value in parts[0].items()}
 
 
-def _scalar_coeffs(model: LinearGaussianModel):
+def _scalar_outputs(model: LinearGaussianModel, kernel, **kwargs):
+    """The outputs of ``kernel(model, **kwargs)`` at d = d_y = 1 as the d = 1
+    adapters return them: ``t``, ``cov`` (trials, n_rec) and
+    ``diverged_step``, with ``integral_from`` also the scalar ``integral``
+    (trials,), and no mean."""
     if model.d != 1 or model.d_y != 1:
         raise ValueError("scalar engine requires d = d_y = 1")
-    return (float(model.A[0, 0]), float(model.H[0, 0]), float(model.R[0, 0]),
-            float(model.R1[0, 0]), float(model.S[0, 0]))
+    return {key: value[..., 0, 0] if key in ("cov", "integral") else value
+            for key, value in kernel(model, **kwargs).items() if key not in ("mean", "error")}
 
 
 def _quiet_divergence(engine):
@@ -267,140 +270,6 @@ def _batched(body):
         return _join(parts)
 
     return kernel
-
-
-# ---------------------------------------------------------------------------
-# d = 1, particle level
-# ---------------------------------------------------------------------------
-
-def _trials_last(a, axis: int = 1, drop_one: bool = False):
-    """A C-contiguous copy of ``a`` with its trials axis ``axis`` moved
-    last: an (n, B, ...) noise block as (n, ..., B), or with ``axis=0`` a
-    (B, ...) stack as (..., B).  ``drop_one`` drops a trials axis of length
-    1 instead.  None stays None."""
-    if a is None:
-        return None
-    if drop_one and a.shape[axis] == 1:
-        return np.take(a, 0, axis)
-    n = a.ndim
-    out = np.empty(a.shape[:axis] + a.shape[axis + 1:] + a.shape[axis:axis + 1])
-    # written through the view of ``out`` in ``a``'s axis order (contiguous reads)
-    np.copyto(out.transpose(tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))), a)
-    return out
-
-
-# d = 1 fast path: particle_cov_paths_nd takes 1.33-1.35 times as long per
-# step at the contraction shape (vanilla, B = 200, N = 40, A = 20, dt 1e-4),
-# 1.36-1.61 at the invariant_ks shapes (both variants, B = 250, N = 6, A = 20,
-# dt 1e-4) and 1.39-1.48 at the d = 1 bias shape (deterministic, B = 1024,
-# N = 10, A = 1, dt 1e-3): medians of 5 interleaved rounds in one process, two
-# runs, on a 2-core x86-64 host.
-@_batched
-def particle_cov_paths_1d(c, B, row, model: LinearGaussianModel, variant, N: int,
-                          grid: TimeGrid, seed: int, trials: int, P0: float = 1.0,
-                          record_indices=None, integral_from: int | None = None,
-                          init: str = "iid"):
-    """Batch of scalar particle-filter paths (vanilla/deterministic), in the
-    error frame.
-
-    The signal and the particles start from N(0, P0).  ``init`` is ``"iid"``
-    or ``"matched"`` (the cloud's sample variance is exactly P0).
-
-    Returns ``t``, ``cov`` (trials, n_rec: the sample variance with divisor
-    N) and ``diverged_step``; with ``integral_from`` also ``integral``
-    (trials,), the closed-loop integral ``int (A - S P) du`` from grid node
-    ``integral_from`` on, over the steps before the trial diverges.
-    """
-    A, H, R, R1, S = _scalar_coeffs(model)
-    variant = Variant.parse(variant)
-    if variant is Variant.TRANSPORT:
-        raise ValueError("scalar particle engine covers the noisy variants only")
-    if init not in ("iid", "matched"):
-        raise ValueError(f"unknown init {init!r}")
-    sqrt_R, sqrt_R1 = math.sqrt(R), math.sqrt(R1)
-    dt = grid.dt
-    K = grid.steps
-    M = N + 1
-    record_indices, rec_pos = _record_positions(K, record_indices)
-
-    cov = np.full((B, len(record_indices)), np.nan)
-    div = np.full(B, -1, dtype=int)
-    acc = np.zeros(B) if integral_from is not None else None
-
-    p_init = NoiseStream(seed, c, PARTICLE_INIT)
-    p_sig = NoiseStream(seed, c, PARTICLE_SIGNAL)
-    p_obs = NoiseStream(seed, c, PARTICLE_OBS) if variant is Variant.VANILLA else None
-    t_init = NoiseStream(seed, c, TRUTH_INIT)
-    t_sig = NoiseStream(seed, c, TRUTH_SIGNAL)
-    t_obs = NoiseStream(seed, c, TRUTH_OBS)
-
-    G = p_init.normals((B, M))
-    if init == "matched":
-        X = G - G.mean(axis=1, keepdims=True)
-        X *= np.sqrt(P0 / (np.sum(X * X, axis=1, keepdims=True) / N))
-    else:
-        X = math.sqrt(P0) * G
-    truth = math.sqrt(P0) * t_init.normals(B)
-    X = np.ascontiguousarray((X - truth[:, None]).T)  # (M, B): the trials axis last
-
-    def rec(k, P_hat):
-        p = rec_pos[k]
-        if p >= 0:
-            cov[:, p] = P_hat
-
-    def block_terms(dVi, dV, dW, dWi):
-        # sqrt_R (dVi - dV) and sqrt_R1 (dW - dWi), in place on the copies
-        sig_noise = _trials_last(dVi)
-        sig_noise -= dV[:, None]
-        sig_noise *= sqrt_R
-        if dWi is None:
-            return sig_noise, sqrt_R1 * dW
-        obs_noise = _trials_last(dWi)
-        np.subtract(dW[:, None], obs_noise, out=obs_noise)
-        obs_noise *= sqrt_R1
-        return sig_noise, obs_noise
-
-    X_bar = np.add.reduce(X, 0) / M
-    sq = X - X_bar
-    P_hat = np.add.reduce(sq * sq, 0) / N
-    rec(0, P_hat)
-    rows = _step_rows([(p_sig, (B, M)), (t_sig, (B,)), (t_obs, (B,)), (p_obs, (B, M))],
-                      K, dt, block_terms)
-    dt_A = dt * A
-    innov, step, sq = np.empty((3, M, B))
-    for k, (sig_noise, obs_noise) in enumerate(rows):
-        if acc is not None and k >= integral_from:
-            np.add(acc, dt * (A - S * P_hat), out=acc, where=np.isfinite(P_hat))
-        # X + dt A X + sig_noise + gain innov, each operation of the
-        # expression in its order (products commuted), in place
-        if variant is Variant.VANILLA:
-            np.multiply(X, -H, out=innov)
-        else:
-            np.add(X, X_bar, out=innov)
-            innov *= -H
-            innov *= 0.5
-        innov *= dt
-        innov += obs_noise
-        innov *= P_hat * H / R1
-        np.multiply(X, dt_A, out=step)
-        step += X
-        step += sig_noise
-        step += innov
-        X, step = step, X
-
-        X_bar = np.add.reduce(X, 0) / M
-        np.subtract(X, X_bar, out=sq)
-        sq *= sq
-        P_hat = np.add.reduce(sq, 0) / N
-        # a non-finite mean makes P_hat non-finite
-        if _freeze(div, _nonfinite_trials(P_hat), k, X, P_hat, view=np.transpose):
-            break
-        rec(k + 1, P_hat)
-
-    out = {"t": grid.times()[record_indices], "cov": cov, "diverged_step": div}
-    if acc is not None:
-        out["integral"] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,31 +430,61 @@ def law_cov_paths_1d(model: LinearGaussianModel, kappa: float, N: int, Q: float,
                      record_indices=None, integral_from: int | None = None,
                      first_chunk: int = 0):
     """:func:`law_cov_paths_nd` at d = 1 without the mean, with scalar
-    arguments and outputs.
-
-    Returns ``t``, ``cov`` (trials, n_rec) and ``diverged_step``; with
-    ``integral_from`` also the scalar ``integral`` (trials,).
-    """
-    _scalar_coeffs(model)
-    out = law_cov_paths_nd(
-        model, kappa, N=N, Q=np.full((1, 1), float(Q)), grid=grid, seed=seed,
-        trials=trials, chunk=chunk, record_indices=record_indices,
-        first_chunk=first_chunk, with_mean=False, integral_from=integral_from)
-    matrix_axes = {"cov": 2, "integral": 2}
-    return {key: value.reshape(value.shape[:value.ndim - matrix_axes[key]])
-            if key in matrix_axes else value for key, value in out.items()}
+    arguments and outputs (:func:`_scalar_outputs`)."""
+    return _scalar_outputs(model, law_cov_paths_nd, kappa=kappa, N=N, Q=np.full((1, 1), float(Q)),
+                           grid=grid, seed=seed, trials=trials, chunk=chunk,
+                           record_indices=record_indices, first_chunk=first_chunk,
+                           with_mean=False, integral_from=integral_from)
 
 
 # ---------------------------------------------------------------------------
-# general d, particle level
+# particle level, every d
 # ---------------------------------------------------------------------------
 
-def _lin(C, Z):
-    """``C`` times each (k, M) matrix of a trials-last (..., k, M, B) stack:
-    one matrix product over all particles of all trials.  At one trial the
-    kernels take ``C @ Z`` on their (..., k, M) stacks instead."""
+def _trials_last(a, axis: int = 1, drop_one: bool = False):
+    """A C-contiguous copy of ``a`` with its trials axis ``axis`` moved
+    last: an (n, B, ...) noise block as (n, ..., B), or with ``axis=0`` a
+    (B, ...) stack as (..., B).  ``drop_one`` drops a trials axis of length
+    1 instead.  None stays None."""
+    if a is None:
+        return None
+    if drop_one and a.shape[axis] == 1:
+        return np.take(a, 0, axis)
+    n = a.ndim
+    out = np.empty(a.shape[:axis] + a.shape[axis + 1:] + a.shape[axis:axis + 1])
+    # written through the view of ``out`` in ``a``'s axis order (contiguous reads)
+    np.copyto(out.transpose(tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))), a)
+    return out
+
+
+def _const(C):
+    """A constant (j, m) matrix as a factor of trials-last (j, m, B) stacks:
+    a 1x1 one as a 0-d array, which numpy multiplies without the broadcast
+    loop of a (1, 1, 1) array (the same numbers)."""
+    return C.reshape(()) if C.size == 1 else C[:, :, None]
+
+
+def _lin(C, Z, out=None):
+    """``C`` times each (k, M) matrix of a trials-last (..., k, M, B) stack
+    (into ``out``): one matrix product over all particles of all trials.  At
+    one trial the kernels take ``C @ Z`` on their (..., k, M) stacks
+    instead.  As in :func:`~kbflow.sde._mm`, a contraction of length 1 (k =
+    1) is the broadcast product, the same numbers without the matmul."""
+    if C.shape[1] == 1:
+        return np.multiply(_const(C), Z, out=out)
     shape = Z.shape
-    return (C @ Z.reshape(shape[:-2] + (-1,))).reshape(shape[:-3] + (len(C),) + shape[-2:])
+    flat = None if out is None else out.reshape(out.shape[:-2] + (-1,))  # a view of out
+    return np.matmul(C, Z.reshape(shape[:-2] + (-1,)), out=flat).reshape(
+        shape[:-3] + (len(C),) + shape[-2:])
+
+
+def _times(C, one: bool):
+    """``C`` times the kernels' stacks as one callable, ``(Z, out=None) ->
+    C Z``: :func:`_lin`, or ``C @ Z`` for one trial, with the choice of the
+    broadcast product made once, for a product taken at every step."""
+    if C.shape[1] == 1:
+        return functools.partial(np.multiply, C if one else _const(C))
+    return functools.partial(np.matmul if one else _lin, C)
 
 
 def _block_product(C, block):
@@ -595,22 +494,26 @@ def _block_product(C, block):
     if block is None:
         return None
     block = _trials_last(block, drop_one=True)
-    return C @ block if block.ndim == 3 else _lin(C, block)
+    return _mm(C, block) if block.ndim == 3 else _lin(C, block)
 
 
 def _gram(a, b):
-    """Per trial ``a b'`` of (i, M) and (j, M) matrices: (i, j)."""
+    """Per trial ``a b'`` of (i, M) and (j, M) matrices: (i, j).  The
+    contraction runs over the M >= 2 particles."""
     if a.ndim == 2:
         return a @ b.T
     return np.einsum("imb,jmb->ijb", a, b)
 
 
-def _dot(a, b):
+def _dot(a, b, out=None):
     """Per trial ``a b`` of an (i, k) matrix and a (k, m) matrix of the
-    trial or a constant one (2-d while ``a`` has a trials axis): (i, m)."""
+    trial or a constant one (2-d while ``a`` has a trials axis): (i, m),
+    into ``out``.  A contraction of length 1 is the broadcast product."""
+    if a.shape[1] == 1:
+        return np.multiply(a, _const(b) if b.ndim < a.ndim else b, out=out)
     if a.ndim == 2:
-        return a @ b
-    return np.einsum("ikb,km->imb" if b.ndim == 2 else "ikb,kmb->imb", a, b)
+        return np.matmul(a, b, out=out)
+    return np.einsum("ikb,km->imb" if b.ndim == 2 else "ikb,kmb->imb", a, b, out=out)
 
 
 def _trials_first(a):
@@ -675,12 +578,7 @@ def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
         innov *= dt
         np.subtract(dY, innov, out=innov)
     if variant is Variant.TRANSPORT:
-        # frozen (NaN) trials would make the SVD fail; they stay NaN anyway
-        P_hat = np.where(np.isfinite(P_hat), P_hat, 0.0)
-        drift = 0.5 * (R @ np.linalg.pinv(_trials_first(P_hat), rcond=PINV_RCOND))
-        drift = _dot(drift[0] if P_hat.ndim == 2 else drift.transpose(1, 2, 0), dev)
-        drift *= dt
-        noise = drift + noise
+        noise = _transport_drift(P_hat, dev, R, dt) + noise
     step = aX * dt
     step += X
     step += noise
@@ -688,41 +586,100 @@ def _particle_update(X, aX, hX, dY, noise, dt, variant, R1_inv, obs_noise=None,
     return step
 
 
+def _transport_drift(P_hat, dev, R, dt):
+    """The transport variant's drift ``(1/2) R P_hat^+ (X^i - X_bar) dt``
+    of a cloud's deviations ``dev``."""
+    # frozen (NaN) trials would make the SVD fail; they stay NaN anyway
+    P_hat = np.where(np.isfinite(P_hat), P_hat, 0.0)
+    drift = 0.5 * (R @ np.linalg.pinv(_trials_first(P_hat), rcond=PINV_RCOND))
+    drift = _dot(drift[0] if P_hat.ndim == 2 else drift.transpose(1, 2, 0), dev)
+    drift *= dt
+    return drift
+
+
+def _linear_update(model: LinearGaussianModel, variant, dt: float, shape, xi_T=None):
+    """The error frame's Euler step for clouds of ``shape``, (d, M, B) with
+    the trials axis last or (d, M) for one trial:
+    ``step(X, X_bar, dev, P_hat, noise, sensor, out)`` writes
+    ``X + dt A X + noise + G innov`` (plus the transport drift) into ``out``
+    and returns it.  ``X`` is the cloud minus the signal, ``X_bar``, ``dev``
+    and ``P_hat`` its mean, deviations and sample covariance; the
+    state-free terms are ``noise``, ``R^{1/2} (dV^i - dV)`` or
+    ``-R^{1/2} dV`` (transport), and ``sensor``, ``R1^{1/2} (dW - dW^i)``
+    (vanilla) or ``R1^{1/2} dW``.  The innovation is ``sensor - H X dt``
+    (vanilla) or ``sensor - H (X + X_bar) dt / 2``, and the gain the linear
+    one, ``G = (P_hat + xi_T) H' R1^{-1}``: the cross-covariance gain of
+    :func:`_particle_update` in exact arithmetic, without its second
+    contraction over the particles.
+    """
+    variant = Variant.parse(variant)
+    one = len(shape) == 2
+    times_A, times_minus_H = (_times(C, one) for C in (dt * model.A, -model.H))
+    gain_factor = model.H.T @ model.R1_inv
+    if xi_T is not None and not one:
+        xi_T = xi_T[..., None]
+    innov = np.empty((model.d_y,) + tuple(shape[1:]))
+    # at d = d_y = 1 the gain's broadcast product overwrites the innovation
+    buffers = innov, innov if model.d == model.d_y == 1 else np.empty(shape)
+
+    def step(X, X_bar, dev, P_hat, noise, sensor, out):
+        innov, product = buffers
+        if variant is Variant.VANILLA:
+            times_minus_H(X, out=innov)
+        else:  # out holds X + X_bar until the step is written
+            times_minus_H(np.add(X, X_bar, out=out), out=innov)
+            innov *= 0.5
+        innov *= dt
+        innov += sensor
+        times_A(X, out=out)
+        out += X
+        out += noise
+        if variant is Variant.TRANSPORT:
+            out += _transport_drift(P_hat, dev, model.R, dt)
+        gain = _dot(P_hat if xi_T is None else P_hat + xi_T, gain_factor)
+        out += _dot(gain, innov, out=product)
+        return out
+
+    return step
+
+
 @_batched
 def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int,
                           grid: TimeGrid, seed: int, trials: int, frame: str = "error",
                           m0=None, P0=None, record_indices=None, init="iid",
-                          truth_seed=None, inflation=None):
+                          truth_seed=None, inflation=None, integral_from: int | None = None):
     """Batch of particle-filter paths in dimension d, all three variants.
 
-    ``frame="error"`` simulates the truth-relative particle coordinates
-    ``U^i = X^i - signal``: the sample covariance and the mean error do not
-    depend on the common shift, and the values stay bounded for
-    exponentially unstable signals, whose path is never formed.
-    ``frame="absolute"`` simulates the particles and the signal themselves.
+    ``frame="error"`` steps the truth-relative coordinates ``U^i = X^i -
+    signal`` with the linear gain, ``frame="absolute"`` the particles and
+    the signal with the cross-covariance gain (see the module docstring).
     The signal starts from N(m0, P0), and so does each particle with
-    ``init="iid"``; ``init`` may instead be an array of initial clouds,
-    shape (trials, d, N+1), of which each chunk takes its own rows.
-    ``truth_seed`` addresses the signal/observation channels under their
-    own seed, at the chunk index.  ``inflation`` (vanilla/deterministic
-    only) puts ``P_hat + xi*T`` in the gain.
+    ``init="iid"``; ``init="matched"`` (N >= d) centres and re-whitens each
+    cloud, as :func:`~kbflow.ensemble.moment_matched_init` does, to sample
+    mean m0 and sample covariance P0 exactly; ``init`` may instead be an
+    array of initial clouds, shape (trials, d, N+1), of which each chunk
+    takes its own rows.  ``truth_seed`` addresses the signal/observation
+    channels under their own seed, at the chunk index.  ``inflation``
+    (vanilla/deterministic only) puts ``P_hat + xi*T`` in the gain.
 
     Returns ``t``, ``cov`` (trials, n_rec, d, d: the sample covariance with
     divisor N), ``mean`` (trials, n_rec, d; the mean error in the error
     frame) and ``diverged_step``; in the absolute frame also ``error`` (mean
-    minus signal).
+    minus signal); with ``integral_from`` also ``integral`` (trials, d, d),
+    ``int (A - P_hat S) du`` from grid node ``integral_from`` on, over the
+    steps before the trial diverges.
     """
     variant = Variant.parse(variant)
     if frame not in ("error", "absolute"):
         raise ValueError(f"unknown frame {frame!r}")
     d, d_y = model.d, model.d_y
-    A, H, R, R1_inv = model.A, model.H, model.R, model.R1_inv
+    A, H, R, R1_inv, S = model.A, model.H, model.R, model.R1_inv, model.S
     sqrt_R, sqrt_R1 = model.sqrt_R, model.sqrt_R1
-    gain_inflation = None
+    xi_T = None
     if inflation is not None and inflation.active:
         if variant is Variant.TRANSPORT:
             raise ValueError("inflation applies to the vanilla/deterministic variants only")
-        gain_inflation = (inflation.xi * inflation.ref(d), H)
+        xi_T = inflation.xi * inflation.ref(d)
     dt = grid.dt
     K = grid.steps
     M = N + 1
@@ -730,8 +687,11 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
     P0 = np.eye(d) if P0 is None else np.asarray(P0, dtype=float)
     P0_root = symmetric_sqrt(P0)
     if isinstance(init, str):
-        if init != "iid":
-            raise ValueError(f"unknown init {init!r}; expected 'iid' or an array of clouds")
+        if init not in ("iid", "matched"):
+            raise ValueError(f"unknown init {init!r}; expected 'iid', 'matched' or an "
+                             "array of clouds")
+        if init == "matched" and N < d:
+            raise ValueError(f"moment matching requires N >= d, got N={N}, d={d}")
     elif np.shape(init) != (trials, d, M):
         raise ValueError(f"initial clouds must have shape {(trials, d, M)}, "
                          f"got {np.shape(init)}")
@@ -741,6 +701,7 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
     cov = np.full((B, n_rec, d, d), np.nan)
     mean = np.full((B, n_rec, d), np.nan)
     error = np.full((B, n_rec, d), np.nan) if frame == "absolute" else None
+    integral = np.zeros((B, d, d)) if integral_from is not None else None
     div = np.full(B, -1, dtype=int)
 
     p_sig = None if variant is Variant.TRANSPORT else NoiseStream(seed, c, PARTICLE_SIGNAL)
@@ -753,6 +714,10 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
     col = (d, 1) if one else (d, 1, 1)
     if isinstance(init, str):
         G = NoiseStream(seed, c, PARTICLE_INIT).normals((B, d, M))
+        if init == "matched":  # centred, then re-whitened: G = U s V' becomes sqrt(N) U V'
+            G -= np.add.reduce(G, 2, keepdims=True) / M
+            U, _, Vt = np.linalg.svd(G, full_matrices=False)
+            G = math.sqrt(N) * _mm(U, Vt)
         X = m0.reshape(col) + lin(P0_root, _trials_last(G, 0, drop_one=True))
     else:
         X = _trials_last(np.asarray(init[row:row + B], dtype=float), 0, drop_one=True)
@@ -760,14 +725,17 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
                                                         drop_one=True))
     if frame == "error":
         X = X - truth
-    # the records of step p as the kernel's stacks: [p] of these views
-    cov_p, mean_p = (_trials_at_end(a) for a in (cov, mean))
-    error_p = None if error is None else _trials_at_end(error)
+    # the records of step p as the kernel's stacks: [p] of these views, and
+    # the integral as one
+    cov_p, mean_p, error_p, acc = (None if a is None else _trials_at_end(a)
+                                   for a in (cov, mean, error, integral))
+    A_acc = A if one else A[..., None]
+    dev, buf = np.empty_like(X), np.empty_like(X)
 
     def stats():
         X_bar = np.add.reduce(X, 1, keepdims=True) / M
-        dev = X - X_bar
-        return X_bar, dev, _gram(dev, dev) / N
+        np.subtract(X, X_bar, out=dev)
+        return X_bar, _gram(dev, dev) / N
 
     def rec(k, X_bar, P_hat):
         p = rec_pos[k]
@@ -778,35 +746,59 @@ def particle_cov_paths_nd(c, B, row, model: LinearGaussianModel, variant, N: int
                 error_p[p] = (X_bar - truth)[:, 0]
 
     def block_terms(dV, dW, dVi, dWi):
-        if frame == "error":  # sqrt_R (dVi - dV)
-            return (_block_product(sqrt_R1, dW),
-                    _block_product(sqrt_R, (0.0 if dVi is None else dVi) - dV), None,
-                    _block_product(sqrt_R1, dWi))
-        return (_block_product(sqrt_R1, dW), _block_product(sqrt_R, dVi),
-                _block_product(sqrt_R, dV), _block_product(sqrt_R1, dWi))
+        if frame == "absolute":
+            return (_block_product(sqrt_R1, dW), _block_product(sqrt_R, dVi),
+                    _block_product(sqrt_R, dV), _block_product(sqrt_R1, dWi))
+        # R1^{1/2} (dW - dWi) and R^{1/2} (dVi - dV) in place on the particle
+        # blocks' copies, or R1^{1/2} dW and -R^{1/2} dV (transport)
+        dV, dW = (a[:, 0] if one else a.transpose(0, 2, 3, 1) for a in (dV, dW))
+        dVi, dWi = _trials_last(dVi, drop_one=True), _trials_last(dWi, drop_one=True)
+        return (lin(sqrt_R1, dW) if dWi is None else
+                lin(sqrt_R1, np.subtract(dW, dWi, out=dWi), out=dWi),
+                lin(sqrt_R, -dV) if dVi is None else
+                lin(sqrt_R, np.subtract(dVi, dV, out=dVi), out=dVi), None, None)
 
-    X_bar, dev, P_hat = stats()
+    X_bar, P_hat = stats()
     rec(0, X_bar, P_hat)
+    update = _linear_update(model, variant, dt, X.shape, xi_T) if frame == "error" else None
     rows = _step_rows([(t_sig, (B, d, 1)), (t_obs, (B, d_y, 1)), (p_sig, (B, d, M)),
                        (p_obs, (B, d_y, M))], K, dt, block_terms)
     for k, (obs_k, noise_k, sig_k, obs_noise_k) in enumerate(rows):
+        if acc is not None and k >= integral_from:
+            np.add(acc, dt * (A_acc - _dot(P_hat, S)), out=acc, where=div < 0)
         if frame == "error":
-            dY = obs_k
+            X, buf = update(X, X_bar, dev, P_hat, noise_k, obs_k, buf), X
         else:
             dY = lin(H, truth) * dt + obs_k
             truth = truth + dt * lin(A, truth) + sig_k
-        X = _particle_update(X, lin(A, X), lin(H, X), dY, 0.0 if noise_k is None else noise_k,
-                             dt, variant, R1_inv, obs_noise_k, R, gain_inflation, dev, P_hat)
+            X = _particle_update(X, lin(A, X), lin(H, X), dY,
+                                 0.0 if noise_k is None else noise_k, dt, variant, R1_inv,
+                                 obs_noise_k, R, None if xi_T is None else (xi_T, H), dev,
+                                 P_hat)
 
         # a finite cloud whose second moments overflow counts as diverged
-        X_bar, dev, P_hat = stats()
+        X_bar, P_hat = stats()
         bad = (_nonfinite_trials(P_hat, view=_trials_first) if error is None
                else _nonfinite_trials(P_hat, truth, view=_trials_first))
         if _freeze(div, bad, k, X, X_bar, dev, P_hat, view=_trials_first):
             break
         rec(k + 1, X_bar, P_hat)
 
-    out = {"t": grid.times()[record_indices], "cov": cov, "mean": mean, "diverged_step": div}
-    if error is not None:
-        out["error"] = error
-    return out
+    out = {"t": grid.times()[record_indices], "cov": cov, "mean": mean, "diverged_step": div,
+           "error": error, "integral": integral}
+    return {key: value for key, value in out.items() if value is not None}
+
+
+def particle_cov_paths_1d(model: LinearGaussianModel, variant, N: int, grid: TimeGrid,
+                          seed: int, trials: int, chunk: int = CHUNK_SIZE, P0: float = 1.0,
+                          record_indices=None, integral_from: int | None = None,
+                          init: str = "iid", first_chunk: int = 0):
+    """:func:`particle_cov_paths_nd` at d = 1 in the error frame, for the
+    vanilla and deterministic variants, with a scalar ``P0`` and scalar
+    outputs (:func:`_scalar_outputs`)."""
+    if Variant.parse(variant) is Variant.TRANSPORT:
+        raise ValueError("scalar particle engine covers the noisy variants only")
+    return _scalar_outputs(model, particle_cov_paths_nd, variant=variant, N=N, grid=grid,
+                           seed=seed, trials=trials, chunk=chunk,
+                           P0=np.full((1, 1), float(P0)), record_indices=record_indices,
+                           init=init, integral_from=integral_from, first_chunk=first_chunk)

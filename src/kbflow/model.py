@@ -292,14 +292,23 @@ def _simpson(values: np.ndarray, h: float) -> np.ndarray:
 
 def _van_loan(X, Q, h: float, n: int):
     """``(F, G)`` at the nodes ``s_i = i h``, ``i = 0 .. n``: ``F[i] = e^{X s_i}``
-    and ``G[i] = int_0^{s_i} e^{Xu} Q e^{X'u} du``.  The top blocks of
-    ``Psi^i``, ``Psi = expm(h [[X, Q], [0, -X']])``, are ``F[i]`` and
-    ``G[i] F[i]^{-T}`` (C. Van Loan, IEEE TAC 23, 1978)."""
+    and ``G[i] = int_0^{s_i} e^{Xu} Q e^{X'u} du``.  ``F[1]`` and ``G[1] F[1]^{-T}``
+    are the top blocks of ``expm(h [[X, Q], [0, -X']])`` (C. Van Loan, IEEE
+    TAC 23, 1978); the other nodes follow by doubling, ``F[m+i] = F[m] F[i]``
+    and ``G[m+i] = G[m] + F[m] G[i] F[m]'``.  (The top-right block of the
+    block exponential's powers grows like ``e^{|lambda| s}`` when X has modes
+    of both signs, while G need not, so G is not read from those powers.)"""
     d = X.shape[0]
     psi = expm(h * np.block([[X, Q], [np.zeros((d, d)), -X.T]]))
-    powers = np.concatenate([np.eye(2 * d)[None], _powers(psi, n)])
-    F = powers[:, :d, :d]
-    return F, powers[:, :d, d:] @ _swap(F)
+    F = np.concatenate([np.eye(d)[None], _powers(psi[:d, :d], n)])
+    G = np.zeros((n + 1, d, d))
+    G[1] = psi[:d, d:] @ F[1].T
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        G[m + 1:m + k + 1] = G[m] + F[m] @ G[1:k + 1] @ F[m].T
+        m += k
+    return F, G
 
 
 def _gramians_at(model: LinearGaussianModel, tau: float, n: int):

@@ -727,16 +727,13 @@ def _run_bias(spec: StudySpec, model, workers):
     times = grid.times()[rec]
     N = spec.N[0]
 
-    engine, P0 = ((_engines.particle_cov_paths_1d, float(Q[0, 0])) if d == 1
-                  else (_engines.particle_cov_paths_nd, Q))
-    out = _map_chunks(engine, spec.trials, spec.chunk, workers, model=model,
-                      variant=spec.variant, N=N, grid=grid, seed=spec.master_seed,
-                      record_indices=rec, P0=P0)[0]
-    covs = out["cov"].reshape(-1, rec.size, d, d)  # (B, R) at d = 1
+    out = _map_chunks(_engines.particle_cov_paths_nd, spec.trials, spec.chunk, workers,
+                      model=model, variant=spec.variant, N=N, grid=grid,
+                      seed=spec.master_seed, record_indices=rec, P0=Q)[0]
 
     per_point = []
     for j, (t, phi) in enumerate(zip(times, phis)):
-        s = _survivors(covs[:, j], out["diverged_step"], rec[j], phi)
+        s = _survivors(out["cov"][:, j], out["diverged_step"], rec[j], phi)
         if d > 1 and s.values.size:  # along the most under-estimated direction
             u = np.linalg.eigh(phi - s.mean)[1][:, 0]
             proj = np.einsum("i,nij,j->n", u, s.values, u)

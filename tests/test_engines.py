@@ -103,30 +103,104 @@ def test_particle_engine_matched_init_is_exact():
 @pytest.mark.parametrize("A, N", [(1.0, 4), (1.0, 10), (1.0, 40), (20.0, 4)])
 @pytest.mark.parametrize("variant", ["vanilla", "deterministic"])
 def test_scalar_particle_kernel_is_the_nd_kernel_at_d1(variant, A, N):
-    # the d = 1 fast path against its reference, from the same seed in the
-    # error frame: the same divergence steps, and the same covariances up
-    # to the rounding of the two kernels' arithmetic
+    # the d = 1 adapter returns the nd kernel's outputs from the same seed,
+    # bit for bit, diverged trials included
     m = scalar_lg(A=A)
     kw = dict(grid=GRID, seed=11, trials=32, chunk=16)
     fast = particle_cov_paths_1d(m, variant, N, **kw)
     ref = particle_cov_paths_nd(m, variant, N, **kw)
-    cov = ref["cov"][:, :, 0, 0]
     np.testing.assert_array_equal(fast["diverged_step"], ref["diverged_step"])
-    finite = np.isfinite(cov)
-    np.testing.assert_array_equal(np.isfinite(fast["cov"]), finite)
     diverged = ref["diverged_step"] >= 0
     assert diverged.any() == (A == 20.0 and variant == "vanilla") and not diverged.all()
-    # a trial that blows up multiplies the rounding difference by about 3
-    # per step over its last steps (6.8e-11 at 2.6e245 here)
-    rtol = 1e-9 if diverged.any() else 1e-12
-    np.testing.assert_allclose(fast["cov"][finite], cov[finite], rtol=rtol, atol=0)
-    if variant == "deterministic" and A == 1.0:  # the same operations in the same order
-        assert fast["cov"].tobytes() == cov.tobytes()
+    assert fast["cov"].tobytes() == ref["cov"][:, :, 0, 0].tobytes()
 
 
-@pytest.mark.parametrize("init", ["matched", np.zeros((3, 2, 5))], ids=["matched", "shape"])
+def _blowup(d):
+    """A d-dimensional model with one unstable mode, observed in it alone."""
+    return LinearGaussianModel(np.diag([3.0] + [-1.0] * (d - 1)), np.eye(d)[:1], np.eye(d),
+                               [[1.0]])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nd_integral_sums_the_closed_loop_matrix_until_divergence(d):
+    # integral = sum over the steps k >= k0 of dt (A - P_hat_k S), node k's
+    # covariance entering step k; a trial that diverges at step j adds the
+    # nodes before j only
+    m, k0, grid = _blowup(d), 30, TimeGrid(0.0, 5e-2, 200)
+    out = particle_cov_paths_nd(m, "vanilla", N=d + 2, grid=grid, seed=3, trials=8, chunk=5,
+                                integral_from=k0)
+    div = out["diverged_step"]
+    assert (div < 0).any() and ((div >= 0) & (div <= k0)).any() and (div > k0).any()
+    for cov, j, got in zip(out["cov"], div, out["integral"]):
+        expected = np.zeros((d, d))
+        for k in range(k0, grid.steps if j < 0 else j):
+            expected += grid.dt * (m.A - cov[k] @ m.S)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("N_over_d", [1, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_nd_matched_init_has_the_exact_moments(d, N_over_d):
+    m0, P0 = np.linspace(-1.0, 2.0, d), random_psd(d, seed=d) + 0.5 * np.eye(d)
+    out = particle_cov_paths_nd(random_model(d, seed=40 + d, stabilize=1.0), "vanilla",
+                                N=d * N_over_d, grid=GRID, seed=2, trials=6, chunk=4,
+                                frame="absolute", m0=m0, P0=P0, init="matched",
+                                record_indices=[0])
+    assert np.abs(out["cov"][:, 0] - P0).max() <= 1e-12 * np.abs(P0).max()
+    assert np.abs(out["mean"][:, 0] - m0).max() <= 1e-12 * np.abs(m0).max()
+
+
+def test_nd_matched_init_needs_N_at_least_d(monkeypatch):
+    def no_draws(self, shape):
+        raise AssertionError("drew noise before rejecting N < d")
+
+    monkeypatch.setattr(NoiseStream, "normals", no_draws)
+    with pytest.raises(ValueError, match="N >= d"):
+        particle_cov_paths_nd(random_model(3, seed=43), "vanilla", N=2, grid=GRID, seed=1,
+                              trials=2, init="matched")
+
+
+_STEP_CASES = [(variant, False) for variant in ("vanilla", "deterministic", "transport")] + [
+    ("vanilla", True), ("deterministic", True)]
+
+
+@pytest.mark.parametrize("B", [1, 5])
+@pytest.mark.parametrize("d, d_y", [(2, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("variant, inflated", _STEP_CASES)
+def test_error_frame_linear_step_is_the_cross_covariance_step(variant, inflated, d, d_y, B):
+    # the error frame's linear gain (P_hat + xi T) H' R1^-1 against the
+    # sample cross-covariance gain of _particle_update, from one cloud and
+    # one set of increments: the same step up to rounding of its increment
+    m, dt, M_ = random_model(d, seed=50 + d, d_y=d_y, stabilize=0.5), 5e-2, 7
+    rng = np.random.default_rng([d, d_y, B])
+    trials = () if B == 1 else (B,)
+    lin = np.matmul if B == 1 else _engines._lin
+
+    def draw(k, n, scale=1.0):
+        return scale * rng.normal(size=(k, n) + trials)
+
+    X = draw(d, M_)
+    X_bar = np.add.reduce(X, 1, keepdims=True) / M_
+    dev = X - X_bar
+    P_hat = _engines._gram(dev, dev) / (M_ - 1)
+    dW, dWi, dV, dVi = (draw(k, n, np.sqrt(dt)) for k, n in ((d_y, 1), (d_y, M_), (d, 1),
+                                                             (d, M_)))
+    xi_T = 0.5 * random_psd(d, seed=d) if inflated else None
+    noise = lin(m.sqrt_R, -dV if variant == "transport" else dVi - dV)
+    obs_noise = lin(m.sqrt_R1, dWi) if variant == "vanilla" else None
+    sensor = lin(m.sqrt_R1, dW) - (0.0 if obs_noise is None else obs_noise)
+    step = _engines._linear_update(m, variant, dt, X.shape, xi_T)
+    got = step(X, X_bar, dev, P_hat, noise, sensor, np.empty_like(X))
+    ref = _engines._particle_update(X, lin(m.A, X), lin(m.H, X), lin(m.sqrt_R1, dW), noise, dt,
+                                    _engines.Variant.parse(variant), m.R1_inv, obs_noise, m.R,
+                                    None if xi_T is None else (xi_T, m.H), dev, P_hat)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref - X).max()
+
+
+@pytest.mark.parametrize("init", ["sobol", np.zeros((3, 2, 5))], ids=["matched", "shape"])
 def test_particle_nd_init_is_iid_or_clouds(init, monkeypatch):
-    # anything else fails before the first draw
+    # an init that is not "iid", "matched" or clouds of the batch's shape
+    # fails before the first draw
     def no_draws(self, shape):
         raise AssertionError("drew noise before rejecting init")
 
@@ -415,9 +489,9 @@ _ROW_COUNTS = list(range(1, 41)) + [41, 51, 127, 128, 129, 136, 200, 257, 513]
 
 @pytest.mark.parametrize("n", _ROW_COUNTS)
 def test_row_sum_is_numpys_pairwise_sum_bit_for_bit(n):
-    # the scalar particle kernel sums each trial's cloud over the leading
-    # axis of its (n, B) array, np.add.reduce(X, 0): the trial's particles
-    # added in sequence from 0.0.  Below 8 terms that is numpy's pairwise
+    # the particle kernel sums each trial's cloud over the particle axis of
+    # its (d, M, B) stack, as np.add.reduce(X, 0) sums an (n, B) array: the
+    # trial's particles added in sequence from 0.0.  Below 8 terms that is numpy's pairwise
     # sum of the trial's contiguous row bit for bit, the order the kernel
     # summed in before the trials axis went last, so the d = 1 outputs at
     # M <= 7 kept their bits; from 8 terms on it differs from the pairwise

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import kbflow
@@ -106,6 +107,23 @@ def test_gramians_meet_the_lyapunov_identities(model, tau):
         E = expm(X * tau)
         rhs = E @ Q @ E.T - Q
         assert np.linalg.norm(X @ G + G @ X.T - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_van_loan_integral_keeps_its_digits_with_modes_of_both_signs():
+    # spectrum {0.39, -4.14, -2.81}: the Van Loan exponential's top-right
+    # block grows like e^{4.14 s} while C_s stays of order one, so powers of
+    # the block exponential lost 3e-10 of C_tau's largest entry here at
+    # n = 2048 (tau = 3)
+    rng = np.random.default_rng(1)
+    V = rng.normal(size=(3, 3))
+    A = V @ np.diag([0.39, -4.14, -2.81]) @ np.linalg.inv(V)
+    G = rng.normal(size=(3, 3))
+    R = G @ G.T / 3 + 0.5 * np.eye(3)
+    ref = quad_vec(lambda u: expm(A * u) @ R @ expm(A * u).T, 0.0, 3.0, epsabs=1e-15,
+                   epsrel=1e-14)[0]
+    F, C = kbflow.model._van_loan(A, R, 3.0 / 2048, 2048)
+    assert np.abs(C[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
+    np.testing.assert_allclose(F[-1], expm(3.0 * A), rtol=1e-12, atol=0)
 
 
 def test_gramian_singular_detected():

@@ -13,7 +13,9 @@ seeded corpus to one ``.npz``:
 
 * the four stepping kernels (the nd ones at d = 1, 2, 3), over variants,
   frames, means and inflation, the scalar particle kernel also at N = 4,
-  10, 40 and 200, plus two batches with diverging trials;
+  10, 40 and 200, plus two batches with diverging trials, and the nd
+  particle kernel's closed-loop integral and moment-matched clouds at d =
+  2, 3 (missing from corpora of trees without them);
 * ``stationary_covariance_samples`` pools of both variants at scalar A =
   20, N = 6, and one whose replicas partly diverge;
 * ``run_enkf``, ``law_level_run`` and ``kalman_run``, and a stochastic
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -146,6 +149,16 @@ def kernels(kb, c: Corpus) -> None:
         c.put(f"kernel/particle_nd/d{d}/inflated", eng.particle_cov_paths_nd(
             m, "deterministic", N=6, grid=grid, seed=7, trials=5, chunk=2,
             inflation=kb.Inflation(xi=0.5)))
+    # the nd kernel's closed-loop integral and moment-matched clouds (on
+    # source trees whose nd kernel has neither, the corpus lists them as
+    # missing)
+    if "integral_from" in inspect.signature(eng.particle_cov_paths_nd).parameters:
+        for d, m in models[1:]:
+            c.put(f"kernel/particle_nd/d{d}/integral", eng.particle_cov_paths_nd(
+                m, "vanilla", N=6, grid=grid, seed=7, trials=5, chunk=2, integral_from=50))
+            c.put(f"kernel/particle_nd/d{d}/matched", eng.particle_cov_paths_nd(
+                m, "deterministic", N=d, grid=grid, seed=7, trials=5, chunk=2,
+                frame="absolute", init="matched"))
     c.put("kernel/particle_nd/diverging", eng.particle_cov_paths_nd(
         _scalar(kb, 60.0), "vanilla", N=1, grid=kb.TimeGrid(0.0, 1e-1, 3000), seed=1,
         trials=6))
